@@ -14,9 +14,10 @@ namespace fvae {
 
 /// Fixed-size worker pool with a shared FIFO queue.
 ///
-/// Used by the distributed-training simulator (one "server" per worker) and
-/// by ParallelFor below. Tasks must not throw — library code reports errors
-/// through Status and checks invariants with FVAE_CHECK.
+/// Used by the training step (TrainFvae row-splits its GEMMs over one) and
+/// by ParallelFor / ParallelForRange below. Tasks must not throw — library
+/// code reports errors through Status and checks invariants with
+/// FVAE_CHECK.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -48,8 +49,19 @@ class ThreadPool {
   bool shutting_down_ FVAE_GUARDED_BY(mutex_) = false;
 };
 
-/// Runs fn(i) for i in [begin, end) across `pool`, blocking until complete.
-/// Iterations are chunked to amortize scheduling overhead.
+/// Runs fn(lo, hi) over contiguous chunks that tile [begin, end), on
+/// `pool`'s workers and on the calling thread, which keeps claiming chunks
+/// until none are left. Chunk boundaries fall on begin + multiples of
+/// `align`, so an `align`-sized block is never split between two calls of
+/// fn. Returns once every chunk of *this* call has finished; tasks other
+/// callers submitted to the same pool are not waited for, so concurrent
+/// callers may share one pool. A null pool runs fn(begin, end) inline.
+void ParallelForRange(ThreadPool* pool, size_t begin, size_t end,
+                      size_t align,
+                      const std::function<void(size_t, size_t)>& fn);
+
+/// Runs fn(i) for i in [begin, end) across `pool` and the calling thread,
+/// blocking until complete (ParallelForRange with align 1).
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn);
 

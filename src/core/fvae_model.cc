@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "math/kernels/kernel_table.h"
 #include "nn/losses.h"
 #include "obs/trace.h"
@@ -44,11 +45,27 @@ struct FieldVae::EncoderCache {
   Matrix h1;  // tanh output of the embedding-sum first layer (B x H1)
 };
 
+struct FieldVae::StepScratch {
+  std::unordered_map<uint64_t, uint32_t> position;  // candidate -> column
+  std::vector<Candidate> candidates;
+  std::vector<uint64_t> chosen_ids;
+  std::vector<uint32_t> rows;  // output-table row of each candidate
+  Matrix wc;                   // candidates x dec_dim weight rows
+  std::vector<float> bc;       // candidate biases
+  Matrix logits;               // batch x candidates
+  Matrix logits_grad;
+  Matrix wc_grad;              // candidates x dec_dim
+  std::vector<double> bias_grad;
+  std::vector<double> row_nll;  // per-user NLL, summed serially in row order
+  std::vector<float> panel;     // Wc^T for the logits GEMM
+};
+
 FieldVae::FieldVae(const FvaeConfig& config,
                    std::vector<FieldSchema> field_schemas)
     : config_(config),
       field_schemas_(std::move(field_schemas)),
-      rng_(config.seed) {
+      rng_(config.seed),
+      step_scratch_(std::make_unique<StepScratch>()) {
   FVAE_CHECK(!field_schemas_.empty()) << "FVAE needs at least one field";
   FVAE_CHECK(config_.latent_dim > 0);
   FVAE_CHECK(!config_.encoder_hidden.empty());
@@ -96,6 +113,8 @@ FieldVae::FieldVae(const FvaeConfig& config,
   dense_optimizer_ = std::make_unique<nn::AdamOptimizer>(
       std::move(dense_params), config_.dense_learning_rate);
 }
+
+FieldVae::~FieldVae() = default;
 
 void FieldVae::EncodeInternal(const MultiFieldDataset& dataset,
                               std::span<const uint32_t> users, bool training,
@@ -302,7 +321,8 @@ std::vector<Matrix*> FieldVae::DenseParams() {
 }
 
 StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
-                              std::span<const uint32_t> users, float beta) {
+                              std::span<const uint32_t> users, float beta,
+                              ThreadPool* pool) {
   FVAE_CHECK(!users.empty()) << "empty batch";
   const size_t batch = users.size();
   const size_t num_fields = field_schemas_.size();
@@ -343,15 +363,16 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   forward_span.End();
 
   // ---- Per-field batched softmax + feature sampling + likelihood ----
+  // Candidate construction, sampling and every table access stay on this
+  // thread (they draw from rng_ and grow tables); the GEMMs and the per-user
+  // NLL rows go to the pool, each writing disjoint output rows.
   obs::TraceSpan fields_span("train.fields");
+  StepScratch& scratch = *step_scratch_;
+  // The batch union stays per step: its iteration order fixes the order
+  // sampling draws candidates in, and a map reused across steps would tie
+  // that order to earlier steps' bucket counts (a resumed run would then
+  // sample differently from the uninterrupted one).
   std::unordered_map<uint64_t, uint32_t> freq;
-  std::unordered_map<uint64_t, uint32_t> position;
-  std::vector<Candidate> candidates;
-  std::vector<uint64_t> chosen_ids;
-  std::vector<uint32_t> rows;
-  Matrix wc, wc_grad, logits, logits_grad;
-  std::vector<float> counts;
-  std::vector<uint32_t> touched_positions;
 
   for (size_t k = 0; k < num_fields; ++k) {
     // Batch union of observed features with in-batch frequencies.
@@ -359,10 +380,10 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     for (uint32_t u : users) {
       for (const FeatureEntry& e : dataset.UserField(u, k)) ++freq[e.id];
     }
-    candidates.clear();
+    scratch.candidates.clear();
     if (config_.batched_softmax) {
-      candidates.reserve(freq.size());
-      for (const auto& [id, f] : freq) candidates.push_back({id, f});
+      scratch.candidates.reserve(freq.size());
+      for (const auto& [id, f] : freq) scratch.candidates.push_back({id, f});
     } else {
       // Legacy full softmax: every feature the model has ever seen, plus
       // this batch's new ones.
@@ -372,79 +393,94 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
       for (const auto& [id, row] : output_tables_[k]->Items()) {
         (void)row;
         auto it = freq.find(id);
-        candidates.push_back(
+        scratch.candidates.push_back(
             {id, it == freq.end() ? 0u : static_cast<uint32_t>(it->second)});
       }
     }
-    if (candidates.empty()) continue;
+    if (scratch.candidates.empty()) continue;
 
     const bool sample_field =
         field_schemas_[k].is_sparse &&
         config_.sampling_strategy != SamplingStrategy::kNone &&
         config_.batched_softmax;
     if (sample_field) {
-      chosen_ids = SampleCandidates(candidates, config_.sampling_rate,
-                                    config_.sampling_strategy, rng_);
+      scratch.chosen_ids =
+          SampleCandidates(scratch.candidates, config_.sampling_rate,
+                           config_.sampling_strategy, rng_);
     } else {
-      chosen_ids.clear();
-      chosen_ids.reserve(candidates.size());
-      for (const Candidate& c : candidates) chosen_ids.push_back(c.id);
+      scratch.chosen_ids.clear();
+      scratch.chosen_ids.reserve(scratch.candidates.size());
+      for (const Candidate& c : scratch.candidates) {
+        scratch.chosen_ids.push_back(c.id);
+      }
     }
-    const size_t num_cand = chosen_ids.size();
+    const size_t num_cand = scratch.chosen_ids.size();
     stats.candidates_per_field[k] = num_cand;
 
-    position.clear();
-    rows.resize(num_cand);
-    wc.Resize(num_cand, dec_dim);
-    std::vector<float> bc(num_cand);
+    scratch.position.clear();
+    scratch.rows.resize(num_cand);
+    scratch.wc.Resize(num_cand, dec_dim);
+    scratch.bc.resize(num_cand);
     for (size_t c = 0; c < num_cand; ++c) {
-      position[chosen_ids[c]] = static_cast<uint32_t>(c);
-      rows[c] = output_tables_[k]->GetOrCreateRow(chosen_ids[c]);
-      std::span<const float> w = output_tables_[k]->Row(rows[c]);
-      std::copy(w.begin(), w.end(), wc.Row(c));
-      bc[c] = output_tables_[k]->bias(rows[c]);
+      scratch.position[scratch.chosen_ids[c]] = static_cast<uint32_t>(c);
+      scratch.rows[c] =
+          output_tables_[k]->GetOrCreateRow(scratch.chosen_ids[c]);
+      std::span<const float> w = output_tables_[k]->Row(scratch.rows[c]);
+      std::copy(w.begin(), w.end(), scratch.wc.Row(c));
+      scratch.bc[c] = output_tables_[k]->bias(scratch.rows[c]);
     }
 
-    // logits = hdec * Wc^T + bc.
-    GemmNT(hdec, wc, &logits);
-    for (size_t i = 0; i < batch; ++i) {
-      float* row = logits.Row(i);
-      for (size_t c = 0; c < num_cand; ++c) row[c] += bc[c];
-    }
+    // logits = hdec * Wc^T (+ bc, added per row below).
+    GemmNTPooled(hdec, scratch.wc, &scratch.logits, pool, &scratch.panel);
 
-    // Per-user multinomial NLL and gradient over the candidate subset.
-    logits_grad.Resize(batch, num_cand);
-    counts.assign(num_cand, 0.0f);
-    double field_loss = 0.0;
+    // Per-user multinomial NLL and gradient over the candidate subset. Each
+    // row's loss lands in row_nll and is summed serially below, so the
+    // field loss does not depend on how rows were split.
+    scratch.logits_grad.Resize(batch, num_cand);
+    scratch.row_nll.assign(batch, 0.0);
     const float weight = alpha_w[k] / static_cast<float>(batch);
-    for (size_t i = 0; i < batch; ++i) {
-      touched_positions.clear();
-      for (const FeatureEntry& e : dataset.UserField(users[i], k)) {
-        auto it = position.find(e.id);
-        if (it == position.end()) continue;  // sampled out this step
-        counts[it->second] += e.value;
-        touched_positions.push_back(it->second);
+    ParallelForRange(pool, 0, batch, /*align=*/1, [&](size_t lo, size_t hi) {
+      std::vector<float> counts(num_cand, 0.0f);
+      std::vector<uint32_t> touched_positions;
+      for (size_t i = lo; i < hi; ++i) {
+        float* logit_row = scratch.logits.Row(i);
+        for (size_t c = 0; c < num_cand; ++c) logit_row[c] += scratch.bc[c];
+        touched_positions.clear();
+        for (const FeatureEntry& e : dataset.UserField(users[i], k)) {
+          auto it = scratch.position.find(e.id);
+          if (it == scratch.position.end()) continue;  // sampled out this step
+          counts[it->second] += e.value;
+          touched_positions.push_back(it->second);
+        }
+        std::span<float> grad_row{scratch.logits_grad.Row(i), num_cand};
+        if (touched_positions.empty()) {
+          std::fill(grad_row.begin(), grad_row.end(), 0.0f);
+        } else {
+          scratch.row_nll[i] =
+              nn::MultinomialNll({logit_row, num_cand}, counts, grad_row);
+          for (float& g : grad_row) g *= weight;
+        }
+        for (uint32_t p : touched_positions) counts[p] = 0.0f;
       }
-      std::span<float> grad_row{logits_grad.Row(i), num_cand};
-      if (touched_positions.empty()) {
-        std::fill(grad_row.begin(), grad_row.end(), 0.0f);
-      } else {
-        field_loss += nn::MultinomialNll({logits.Row(i), num_cand}, counts,
-                                         grad_row);
-        for (float& g : grad_row) g *= weight;
-      }
-      for (uint32_t p : touched_positions) counts[p] = 0.0f;
-    }
+    });
+    double field_loss = 0.0;
+    for (double nll : scratch.row_nll) field_loss += nll;
     stats.field_nll[k] = field_loss / double(batch);
 
     // Backprop into the decoder hidden state and the candidate rows.
-    GemmAccumulate(logits_grad, wc, &hdec_grad);
-    GemmTN(logits_grad, hdec, &wc_grad);
+    GemmAccumulatePooled(scratch.logits_grad, scratch.wc, &hdec_grad, pool);
+    GemmTNPooled(scratch.logits_grad, hdec, &scratch.wc_grad, pool);
+    // Bias gradient = column sums of logits_grad, accumulated row by row so
+    // the reads stay contiguous (each column still sums in row order).
+    scratch.bias_grad.assign(num_cand, 0.0);
+    for (size_t i = 0; i < batch; ++i) {
+      const float* g = scratch.logits_grad.Row(i);
+      for (size_t c = 0; c < num_cand; ++c) scratch.bias_grad[c] += g[c];
+    }
     for (size_t c = 0; c < num_cand; ++c) {
-      double bias_grad = 0.0;
-      for (size_t i = 0; i < batch; ++i) bias_grad += logits_grad(i, c);
-      output_tables_[k]->AccumulateGrad(rows[c], {wc_grad.Row(c), dec_dim},
-                                        static_cast<float>(bias_grad));
+      output_tables_[k]->AccumulateGrad(
+          scratch.rows[c], {scratch.wc_grad.Row(c), dec_dim},
+          static_cast<float>(scratch.bias_grad[c]));
     }
   }
   fields_span.End();
@@ -459,7 +495,7 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
 
   // ---- Backward: decoder trunk -> z -> (mu, logvar) ----
   Matrix z_grad;
-  decoder_trunk_->Backward(hdec_grad, &z_grad);
+  decoder_trunk_->Backward(hdec_grad, &z_grad, pool);
 
   Matrix mu_grad = z_grad;
   Matrix logvar_grad(batch, latent);
@@ -472,13 +508,13 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
 
   // ---- Heads -> encoder trunk -> first layer ----
   Matrix henc_grad_mu, henc_grad_logvar;
-  mu_head_->Backward(mu_grad, &henc_grad_mu);
-  logvar_head_->Backward(logvar_grad, &henc_grad_logvar);
+  mu_head_->Backward(mu_grad, &henc_grad_mu, pool);
+  logvar_head_->Backward(logvar_grad, &henc_grad_logvar, pool);
   henc_grad_mu.Add(henc_grad_logvar);
 
   Matrix h1_grad;
   if (encoder_trunk_) {
-    encoder_trunk_->Backward(henc_grad_mu, &h1_grad);
+    encoder_trunk_->Backward(henc_grad_mu, &h1_grad, pool);
   } else {
     h1_grad = std::move(henc_grad_mu);
   }

@@ -16,6 +16,10 @@
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 
+namespace fvae {
+class ThreadPool;
+}  // namespace fvae
+
 namespace fvae::core {
 
 /// One user's raw sparse field vector, outside any dataset:
@@ -61,10 +65,16 @@ class FieldVae {
   FieldVae(const FieldVae&) = delete;
   FieldVae& operator=(const FieldVae&) = delete;
 
+  ~FieldVae();
+
   /// One Algorithm-1 training step over `users` from `dataset`, with the
-  /// current annealed KL weight `beta`.
+  /// current annealed KL weight `beta`. A non-null `pool` row-splits the
+  /// per-field GEMMs, the per-user multinomial NLL and the dense-layer
+  /// backward GEMMs over it; the step's stats and parameter updates are
+  /// bitwise identical to a serial step with any pool size.
   StepStats TrainStep(const MultiFieldDataset& dataset,
-                      std::span<const uint32_t> users, float beta);
+                      std::span<const uint32_t> users, float beta,
+                      ThreadPool* pool = nullptr);
 
   /// Posterior means (num users x latent_dim) — the user embeddings.
   /// Unknown feature IDs are skipped (cold-start behaviour).
@@ -170,6 +180,7 @@ class FieldVae {
 
  private:
   struct EncoderCache;
+  struct StepScratch;
 
   /// Shared encoder computation. When `cache` is non-null, the per-user
   /// feature lists and intermediate activations needed by backprop are
@@ -201,6 +212,10 @@ class FieldVae {
   std::vector<std::unique_ptr<nn::EmbeddingTable>> output_tables_;
 
   std::unique_ptr<nn::AdamOptimizer> dense_optimizer_;
+
+  // Field-loop buffers of TrainStep, reused across steps: they only grow
+  // to the high-water candidate count.
+  std::unique_ptr<StepScratch> step_scratch_;
 };
 
 }  // namespace fvae::core

@@ -66,6 +66,10 @@ float AnnealedBeta(const FvaeConfig& config, size_t step);
 /// With checkpoint_every_steps set, the loop saves crash-safe checkpoints
 /// through a CheckpointManager; a save failure is logged and training
 /// continues.
+///
+/// Each call owns a ThreadPool of std::thread::hardware_concurrency()
+/// workers for the run and passes it to FieldVae::TrainStep, whose pooled
+/// step is bitwise identical to a serial one.
 TrainResult TrainFvae(FieldVae& model, const MultiFieldDataset& dataset,
                       const TrainOptions& options);
 

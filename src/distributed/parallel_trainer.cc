@@ -239,6 +239,7 @@ DistributedResult ParallelFvaeTrainer::Train(
                      float(round * config_.sync_every_batches + step + 1) /
                          float(std::max<size_t>(
                              1, model_config_.anneal_steps)));
+        // Serial step: the replicas are already the parallelism.
         replicas_[r]->TrainStep(dataset, global, beta);
         worker_processed += global.size();
       }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/thread_pool.h"
 #include "math/kernels/kernel_table.h"
 
 namespace fvae {
@@ -129,39 +130,91 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   Kernels().gemm_accumulate(a.Row(0), b.Row(0), out->Row(0), m, k, n);
 }
 
-void GemmNT(const Matrix& a, const Matrix& b, Matrix* out) {
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  FVAE_CHECK(b.cols() == k)
-      << "gemm-nt shape mismatch: " << a.cols() << " vs " << b.cols();
-  out->Resize(m, n);
-  const KernelTable& kt = Kernels();
-  for (size_t i = 0; i < m; ++i) {
-    const float* a_row = a.Row(i);
-    float* out_row = out->Row(i);
-    for (size_t j = 0; j < n; ++j) {
-      out_row[j] = static_cast<float>(kt.dot(a_row, b.Row(j), k));
+namespace {
+
+// Rows of the output a pooled GEMM hands one kernel call are cut on this
+// boundary: the kernels tile 4 output rows at a time, so the split never
+// changes which tile code a row runs.
+constexpr size_t kRowTile = 4;
+
+// Writes rows [lo, hi) of src^T (src.cols() x src.rows(), row-major) into
+// `panel`. The reads walk a 16-row strip of src at a time, so every cache
+// line of the strip is reused across consecutive panel rows before it is
+// evicted.
+void PackTransposedRows(const Matrix& src, size_t lo, size_t hi,
+                        float* panel) {
+  constexpr size_t kStrip = 16;
+  const size_t src_rows = src.rows();
+  for (size_t c0 = 0; c0 < src_rows; c0 += kStrip) {
+    const size_t c1 = std::min(src_rows, c0 + kStrip);
+    for (size_t r = lo; r < hi; ++r) {
+      float* dst = panel + r * src_rows;
+      for (size_t c = c0; c < c1; ++c) dst[c] = src(c, r);
     }
   }
 }
 
+}  // namespace
+
+void GemmNT(const Matrix& a, const Matrix& b, Matrix* out) {
+  std::vector<float> panel;
+  GemmNTPooled(a, b, out, nullptr, &panel);
+}
+
 void GemmTN(const Matrix& a, const Matrix& b, Matrix* out) {
+  GemmTNPooled(a, b, out, nullptr);
+}
+
+void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
+                  ThreadPool* pool, std::vector<float>* panel) {
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  FVAE_CHECK(b.cols() == k)
+      << "gemm-nt shape mismatch: " << a.cols() << " vs " << b.cols();
+  // panel = b^T (k x n), shared read-only by every row chunk below.
+  panel->resize(k * n);
+  float* bt = panel->data();
+  ParallelForRange(pool, 0, k, /*align=*/16, [&](size_t lo, size_t hi) {
+    PackTransposedRows(b, lo, hi, bt);
+  });
+  out->Resize(m, n);
+  // Kernels() runs on the thread doing the arithmetic, so pool workers get
+  // the same per-thread FTZ/DAZ mode as the serial caller.
+  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+    Kernels().gemm_accumulate(a.Row(lo), bt, out->Row(lo), hi - lo, k, n);
+  });
+}
+
+void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
+                  ThreadPool* pool) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
   out->Resize(m, n);
-  const KernelTable& kt = Kernels();
-  for (size_t p = 0; p < k; ++p) {
-    const float* a_row = a.Row(p);
-    const float* b_row = b.Row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      // Activation gradients are mostly dense but batch-sparse rows do
-      // occur; the skip is exact (+= 0*x is an fp no-op for finite x) and
-      // GemmTN is not on the inf/NaN-propagation-sensitive serving path.
-      if (a_pi == 0.0f) continue;
-      kt.axpy(a_pi, b_row, out->Row(i), n);
+  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+    const KernelTable& kt = Kernels();
+    // a^T is packed one 4-row tile at a time, right before the kernel
+    // multiplies it: the tile stays in L1 and no m x k panel is ever held.
+    std::vector<float> tile(kRowTile * k);
+    for (size_t i0 = lo; i0 < hi; i0 += kRowTile) {
+      const size_t rows = std::min(kRowTile, hi - i0);
+      for (size_t p = 0; p < k; ++p) {
+        const float* src = a.Row(p) + i0;
+        for (size_t r = 0; r < rows; ++r) tile[r * k + p] = src[r];
+      }
+      kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n);
     }
-  }
+  });
+}
+
+void GemmAccumulatePooled(const Matrix& a, const Matrix& b, Matrix* out,
+                          ThreadPool* pool) {
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  FVAE_CHECK(b.rows() == k && out->rows() == m && out->cols() == n)
+      << "gemm-accumulate shape mismatch";
+  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+    Kernels().gemm_accumulate(a.Row(lo), b.Row(0), out->Row(lo), hi - lo, k,
+                              n);
+  });
 }
 
 }  // namespace fvae

@@ -101,8 +101,14 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = a * b. Blocked triple loop (ikj order) with accumulation in the
-/// innermost dimension; shapes: (m x k) * (k x n) -> (m x n).
+class ThreadPool;
+
+// Every GEMM below runs on the register-tiled Kernels().gemm_accumulate:
+// NT and TN first pack their transposed operand row-major.
+// Each output element is therefore accumulated in ascending-p order with
+// no zero-operand skips, whatever the entry point (see kernel_table.h).
+
+/// out = a * b; shapes: (m x k) * (k x n) -> (m x n).
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a * b^T; shapes: (m x k) * (n x k)^T -> (m x n).
@@ -113,6 +119,27 @@ void GemmTN(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out += a * b (accumulating variant of Gemm).
 void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
+
+// Pooled forms: the rows of `out` are cut on multiples of 4 and split over
+// `pool` plus the calling thread, so every row runs the same kernel tile it
+// runs serially and the result is bitwise identical for any pool size. A
+// null pool runs serially. Training-only: the serving encode chain keeps
+// the serial GemmAccumulate.
+
+/// GemmNT with rows of `out` split over `pool`. `panel` is caller-owned
+/// scratch for b^T (k x n); it is overwritten, never zero-filled, so
+/// reusing it across calls costs neither an allocation nor a memory pass.
+void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
+                  ThreadPool* pool, std::vector<float>* panel);
+
+/// GemmTN with rows of `out` split over `pool`. a^T is packed one 4-row
+/// tile at a time inside each chunk, so no panel outlives the call.
+void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
+                  ThreadPool* pool);
+
+/// GemmAccumulate with rows of `out` split over `pool`.
+void GemmAccumulatePooled(const Matrix& a, const Matrix& b, Matrix* out,
+                          ThreadPool* pool);
 
 }  // namespace fvae
 

@@ -17,7 +17,8 @@ void TanhLayer::Forward(const Matrix& input, Matrix* output, bool training) {
   cached_output_ = *output;
 }
 
-void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
+                         ThreadPool* /*pool*/) {
   if (grad_input == nullptr) return;
   FVAE_CHECK(grad_output.rows() == cached_output_.rows() &&
              grad_output.cols() == cached_output_.cols())
@@ -38,7 +39,8 @@ void ReluLayer::Forward(const Matrix& input, Matrix* output, bool training) {
   cached_output_ = *output;
 }
 
-void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
+                         ThreadPool* /*pool*/) {
   if (grad_input == nullptr) return;
   FVAE_CHECK(grad_output.size() == cached_output_.size())
       << "relu backward shape mismatch";
@@ -59,7 +61,8 @@ void SigmoidLayer::Forward(const Matrix& input, Matrix* output,
   cached_output_ = *output;
 }
 
-void SigmoidLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void SigmoidLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
+                            ThreadPool* /*pool*/) {
   if (grad_input == nullptr) return;
   FVAE_CHECK(grad_output.size() == cached_output_.size())
       << "sigmoid backward shape mismatch";
@@ -90,7 +93,8 @@ void DropoutLayer::Forward(const Matrix& input, Matrix* output,
   }
 }
 
-void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
+                            ThreadPool* /*pool*/) {
   if (grad_input == nullptr) return;
   *grad_input = grad_output;
   if (!last_training_ || drop_prob_ == 0.0) return;

@@ -11,7 +11,8 @@ namespace fvae::nn {
 class TanhLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
 
  private:
   Matrix cached_output_;
@@ -21,7 +22,8 @@ class TanhLayer : public Layer {
 class ReluLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
 
  private:
   Matrix cached_output_;
@@ -31,7 +33,8 @@ class ReluLayer : public Layer {
 class SigmoidLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
 
  private:
   Matrix cached_output_;
@@ -45,7 +48,8 @@ class DropoutLayer : public Layer {
   DropoutLayer(double drop_prob, uint64_t seed);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
 
   double drop_prob() const { return drop_prob_; }
 

@@ -26,12 +26,13 @@ void DenseLayer::Forward(const Matrix& input, Matrix* output, bool training) {
   cached_input_ = input;
 }
 
-void DenseLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void DenseLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
+                          ThreadPool* pool) {
   FVAE_CHECK(grad_output.rows() == cached_input_.rows())
       << "backward batch mismatch";
   FVAE_CHECK(grad_output.cols() == weight_.cols()) << "backward dim mismatch";
   // dW = X^T dY ; db = colsum(dY) ; dX = dY W^T.
-  GemmTN(cached_input_, grad_output, &weight_grad_);
+  GemmTNPooled(cached_input_, grad_output, &weight_grad_, pool);
   bias_grad_.SetZero();
   for (size_t r = 0; r < grad_output.rows(); ++r) {
     const float* row = grad_output.Row(r);
@@ -39,7 +40,7 @@ void DenseLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
     for (size_t c = 0; c < grad_output.cols(); ++c) b[c] += row[c];
   }
   if (grad_input != nullptr) {
-    GemmNT(grad_output, weight_, grad_input);
+    GemmNTPooled(grad_output, weight_, grad_input, pool, &panel_);
   }
 }
 

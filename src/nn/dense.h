@@ -1,6 +1,8 @@
 #ifndef FVAE_NN_DENSE_H_
 #define FVAE_NN_DENSE_H_
 
+#include <vector>
+
 #include "common/random.h"
 #include "math/matrix.h"
 #include "nn/layer.h"
@@ -14,7 +16,8 @@ class DenseLayer : public Layer {
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 
   size_t in_dim() const { return weight_.rows(); }
@@ -31,6 +34,8 @@ class DenseLayer : public Layer {
   Matrix weight_grad_;
   Matrix bias_grad_;
   Matrix cached_input_;
+  // W^T for Backward's input-gradient GEMM, reused across steps.
+  std::vector<float> panel_;
 };
 
 }  // namespace fvae::nn

@@ -5,6 +5,10 @@
 
 #include "math/matrix.h"
 
+namespace fvae {
+class ThreadPool;
+}  // namespace fvae
+
 namespace fvae::nn {
 
 /// A trainable parameter: value plus its gradient, both owned by a layer.
@@ -28,8 +32,11 @@ class Layer {
 
   /// grad_input = df/dinput^T grad_output; also fills parameter gradients.
   /// `grad_input` may be null when the input gradient is not needed (first
-  /// layer of a network).
-  virtual void Backward(const Matrix& grad_output, Matrix* grad_input) = 0;
+  /// layer of a network). A non-null `pool` row-splits the layer's GEMMs
+  /// over it (math/matrix.h pooled forms); the result is bitwise identical
+  /// to the serial pass. Every override repeats the nullptr default.
+  virtual void Backward(const Matrix& grad_output, Matrix* grad_input,
+                        ThreadPool* pool = nullptr) = 0;
 
   /// Appends this layer's trainable parameters to `out`.
   virtual void CollectParams(std::vector<ParamRef>* out) { (void)out; }

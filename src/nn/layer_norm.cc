@@ -51,7 +51,8 @@ void LayerNorm::Forward(const Matrix& input, Matrix* output, bool training) {
   }
 }
 
-void LayerNorm::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void LayerNorm::Backward(const Matrix& grad_output, Matrix* grad_input,
+                         ThreadPool* /*pool*/) {
   const size_t dim = gain_.cols();
   const size_t batch = normalized_.rows();
   FVAE_CHECK(grad_output.rows() == batch && grad_output.cols() == dim)

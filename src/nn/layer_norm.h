@@ -15,7 +15,8 @@ class LayerNorm : public Layer {
   explicit LayerNorm(size_t dim, float epsilon = 1e-5f);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 
   size_t dim() const { return gain_.cols(); }

@@ -49,13 +49,14 @@ void Mlp::Forward(const Matrix& input, Matrix* output, bool training) {
   *output = *current;  // capacity-reusing copy once *output has seen the shape
 }
 
-void Mlp::Backward(const Matrix& grad_output, Matrix* grad_input) {
+void Mlp::Backward(const Matrix& grad_output, Matrix* grad_input,
+                   ThreadPool* pool) {
   FVAE_CHECK(!layers_.empty());
   Matrix grad = grad_output;
   Matrix next;
   for (size_t i = layers_.size(); i-- > 0;) {
     const bool need_input_grad = (i > 0) || (grad_input != nullptr);
-    layers_[i]->Backward(grad, need_input_grad ? &next : nullptr);
+    layers_[i]->Backward(grad, need_input_grad ? &next : nullptr, pool);
     if (need_input_grad) grad = std::move(next);
   }
   if (grad_input != nullptr) *grad_input = std::move(grad);

@@ -27,7 +27,8 @@ class Mlp : public Layer {
       bool activate_output = false);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
+  void Backward(const Matrix& grad_output, Matrix* grad_input,
+                ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;
 
   size_t in_dim() const { return in_dim_; }

@@ -287,7 +287,9 @@ TEST_F(CheckpointTest, ResumeReproducesUninterruptedRunBitwise) {
   options.epochs = 4;
   options.shuffle_seed = 5;
 
-  // Reference: one uninterrupted run.
+  // Reference: one uninterrupted run. TrainFvae and TrainFvaeResumingFrom
+  // both run their steps on a thread pool, so this also pins that pooled
+  // steps replay bitwise across a resume.
   FieldVae reference(SmallConfig(), data.fields());
   const TrainResult ref_result = TrainFvae(reference, data, options);
   ASSERT_EQ(ref_result.steps, 16u);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <tuple>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/fvae_model.h"
 #include "core/trainer.h"
 #include "datagen/profile_generator.h"
@@ -308,6 +311,67 @@ TEST(FieldVaeTest, DeepEncoderAndDecoderWork) {
   }
   EXPECT_LT(last, first);
 }
+
+// ---------- pooled training step ----------
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// (batched softmax, deep trunks)
+class PooledStepTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+// A pooled step only re-partitions work over output rows, so N pooled steps
+// must reproduce N serial steps bit for bit: stats, dense parameters, and
+// the encoder output built from the sparse tables.
+TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
+  const auto [batched, deep] = GetParam();
+  const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(160, 5));
+  FvaeConfig config = SmallConfig();
+  config.batched_softmax = batched;
+  config.sampling_strategy = SamplingStrategy::kUniform;
+  config.sampling_rate = 0.3;
+  if (deep) {
+    config.encoder_hidden = {16, 12};
+    config.decoder_hidden = {12, 16};
+  }
+  FieldVae serial(config, gen.dataset.fields());
+  FieldVae pooled(config, gen.dataset.fields());
+  ThreadPool pool(4);
+  // 67 users: the row split ends in a partial 4-row tile.
+  std::vector<uint32_t> batch(67);
+  for (size_t step = 0; step < 4; ++step) {
+    std::iota(batch.begin(), batch.end(), uint32_t(step * 23));
+    const StepStats s = serial.TrainStep(gen.dataset, batch, 0.1f);
+    const StepStats p = pooled.TrainStep(gen.dataset, batch, 0.1f, &pool);
+    EXPECT_EQ(p.loss, s.loss) << "step " << step;
+    EXPECT_EQ(p.kl, s.kl) << "step " << step;
+    EXPECT_EQ(p.field_nll, s.field_nll) << "step " << step;
+    EXPECT_EQ(p.candidates_per_field, s.candidates_per_field)
+        << "step " << step;
+  }
+  const auto serial_params = serial.DenseParams();
+  const auto pooled_params = pooled.DenseParams();
+  ASSERT_EQ(pooled_params.size(), serial_params.size());
+  for (size_t i = 0; i < serial_params.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(*pooled_params[i], *serial_params[i]))
+        << "dense param " << i;
+  }
+  std::vector<uint32_t> all(gen.dataset.num_users());
+  std::iota(all.begin(), all.end(), 0u);
+  EXPECT_TRUE(BitwiseEqual(pooled.Encode(gen.dataset, all),
+                           serial.Encode(gen.dataset, all)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SoftmaxAndDepth, PooledStepTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Batched" : "Full") +
+             (std::get<1>(info.param) ? "Deep" : "Shallow");
+    });
 
 }  // namespace
 }  // namespace fvae::core

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "math/matrix.h"
 
 namespace fvae {
@@ -18,6 +22,12 @@ Matrix NaiveMultiply(const Matrix& a, const Matrix& b) {
     }
   }
   return out;
+}
+
+// Same shape and the same bits in every element (NaN payloads included).
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(MatrixTest, ConstructionAndAccess) {
@@ -182,6 +192,117 @@ TEST(GemmTest, IdentityIsNeutral) {
   Matrix out;
   Gemm(a, Matrix::Identity(6), &out);
   EXPECT_LT(Matrix::MaxAbsDiff(out, a), 1e-5f);
+}
+
+// ---------- NT/TN through the tiled kernel ----------
+
+// Straddle every kernel strip width (1/8/16/32) and the 4-row tile.
+constexpr size_t kTailSizes[] = {1, 3, 7, 17, 31, 63, 65};
+
+TEST(GemmTransposedTest, NTAndTNMatchNaiveAtTailSizes) {
+  Rng rng(101);
+  for (size_t m : kTailSizes) {
+    for (size_t k : kTailSizes) {
+      for (size_t n : kTailSizes) {
+        const Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+        const Matrix b = Matrix::Gaussian(n, k, 1.0f, rng);
+        Matrix nt;
+        GemmNT(a, b, &nt);
+        EXPECT_LT(Matrix::MaxAbsDiff(nt, NaiveMultiply(a, b.Transposed())),
+                  1e-4f)
+            << "nt m=" << m << " k=" << k << " n=" << n;
+
+        const Matrix at = Matrix::Gaussian(k, m, 1.0f, rng);
+        const Matrix bt = Matrix::Gaussian(k, n, 1.0f, rng);
+        Matrix tn;
+        GemmTN(at, bt, &tn);
+        EXPECT_LT(Matrix::MaxAbsDiff(tn, NaiveMultiply(at.Transposed(), bt)),
+                  1e-4f)
+            << "tn m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+// NT/TN are a pack plus GemmAccumulate, so on explicitly transposed
+// operands they must agree with it bit for bit — infinities and NaNs
+// included, whichever tile or tail path an element lands in.
+TEST(GemmTransposedTest, SpecialsPropagateExactlyLikeGemmAccumulate) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(7);
+  for (size_t m : {size_t{1}, size_t{5}, size_t{17}}) {
+    for (size_t n : {size_t{1}, size_t{8}, size_t{33}}) {
+      const size_t k = 6;
+      Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+      Matrix b = Matrix::Gaussian(n, k, 1.0f, rng);
+      a(0, 0) = 0.0f;
+      b(0, 0) = kInf;  // 0 * inf = NaN in out(0, 0)
+      a(m - 1, 1) = 0.0f;
+      b(n - 1, 1) = kNan;  // 0 * NaN = NaN in out(m-1, n-1)
+      a(m / 2, 2) = kInf;  // inf * finite: +-inf or NaN across a row
+      Matrix nt;
+      GemmNT(a, b, &nt);
+      Matrix want(m, n);
+      GemmAccumulate(a, b.Transposed(), &want);
+      EXPECT_TRUE(BitwiseEqual(nt, want)) << "nt m=" << m << " n=" << n;
+      EXPECT_TRUE(std::isnan(nt(0, 0)));
+      EXPECT_TRUE(std::isnan(nt(m - 1, n - 1)));
+
+      const Matrix at = a.Transposed();  // k x m
+      const Matrix bt = b.Transposed();  // k x n
+      Matrix tn;
+      GemmTN(at, bt, &tn);
+      EXPECT_TRUE(BitwiseEqual(tn, want)) << "tn m=" << m << " n=" << n;
+    }
+  }
+}
+
+// Regression: GemmTN used to skip zero entries of its transposed operand,
+// which turned 0 * NaN into a silent 0 instead of NaN.
+TEST(GemmTransposedTest, TNDoesNotSkipZeroMultipliers) {
+  Matrix a(2, 3);  // k x m, all zeros
+  Matrix b(2, 4, 1.0f);
+  b(1, 2) = std::numeric_limits<float>::quiet_NaN();
+  Matrix out;
+  GemmTN(a, b, &out);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(std::isnan(out(i, j)), j == 2) << i << "," << j;
+    }
+  }
+}
+
+// Row-split over a pool must not move a single bit: rows are cut on the
+// kernel's 4-row tile, so each row runs the code it runs serially.
+TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
+  const size_t k = 37, n = 45;
+  for (size_t m : {size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{63},
+                   size_t{512}}) {
+    Rng rng(m);
+    const Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+    const Matrix b_nt = Matrix::Gaussian(n, k, 1.0f, rng);
+    const Matrix a_tn = Matrix::Gaussian(k, m, 1.0f, rng);
+    const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
+    const Matrix base = Matrix::Gaussian(m, n, 1.0f, rng);
+    Matrix nt, tn, acc = base;
+    GemmNT(a, b_nt, &nt);
+    GemmTN(a_tn, b, &tn);
+    GemmAccumulate(a, b, &acc);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ThreadPool pool(threads);
+      std::vector<float> panel;
+      Matrix pooled;
+      GemmNTPooled(a, b_nt, &pooled, &pool, &panel);
+      EXPECT_TRUE(BitwiseEqual(pooled, nt)) << "nt m=" << m << " t=" << threads;
+      GemmTNPooled(a_tn, b, &pooled, &pool);
+      EXPECT_TRUE(BitwiseEqual(pooled, tn)) << "tn m=" << m << " t=" << threads;
+      pooled = base;
+      GemmAccumulatePooled(a, b, &pooled, &pool);
+      EXPECT_TRUE(BitwiseEqual(pooled, acc))
+          << "acc m=" << m << " t=" << threads;
+    }
+  }
 }
 
 }  // namespace
