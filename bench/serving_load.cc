@@ -1,12 +1,12 @@
 // Serving-load benchmark: closed-loop multi-threaded load against the
-// online EmbeddingService, comparing micro-batched fold-in encoding
-// (batcher-on) with per-request synchronous encoding (batcher-off) at
-// equal thread count.
+// online EmbeddingService, whose cold users fold in inline on the calling
+// thread.
 //
-// Two phases per configuration:
-//   cold  — every request is a first-touch fold-in (one pass over a
-//           disjoint cold-user pool), isolating encoder throughput;
-//   mixed — 85% hot store lookups / 15% revisits, measuring the
+// Two in-process phases:
+//   cold  — every request asks for a never-seen user (features drawn from
+//           a cold-user pool), so each one is a fold-in, isolating encoder
+//           throughput;
+//   mixed — 85% hot store lookups / 15% fold-ins, measuring the
 //           reader-concurrent sharded store under realistic traffic.
 //
 // With --net, a third phase measures the same service behind the epoll RPC
@@ -14,11 +14,12 @@
 // client thread) and routed (three replicas behind a ShardRouterClient).
 // The routed topology then drives traced fold-in requests and joins client
 // and server spans on trace_id into a per-hop latency breakdown —
-// queue-wait vs encode vs wire — reported under "net_loopback"."hops".
+// encode vs server envelope vs wire — reported under "net_loopback"."hops".
 //
-// Outputs: bench_results/serving_load.txt (human-readable) and
-// BENCH_serving.json + bench_results/BENCH_serving.json (machine-readable
-// {qps, p50_us, p99_us} per configuration; "net_loopback" under --net).
+// Regenerate the committed results from the repo root with
+//   FVAE_BENCH_SCALE=small ./build/bench/serving_load --net
+// which writes bench_results/serving_load.txt (human-readable) and
+// BENCH_serving.json + bench_results/BENCH_serving.json (machine-readable).
 
 #include <algorithm>
 #include <atomic>
@@ -56,43 +57,36 @@ struct PhaseResult {
   std::string telemetry_json;
 };
 
-PhaseResult RunConfig(const core::FieldVae& model,
-                      const MultiFieldDataset& dataset,
-                      std::span<const uint32_t> hot_ids,
-                      std::span<const uint32_t> cold_ids, bool enable_batcher,
-                      size_t num_threads, size_t mixed_requests_per_thread) {
+PhaseResult RunInProcess(const core::FieldVae& model,
+                         const MultiFieldDataset& dataset,
+                         std::span<const uint32_t> hot_ids,
+                         std::span<const uint32_t> cold_ids,
+                         size_t num_threads, size_t cold_requests_per_thread,
+                         size_t mixed_requests_per_thread) {
   serving::FvaeFoldInEncoder encoder(&model);
   serving::EmbeddingServiceOptions options;
   options.num_shards = 16;
-  options.enable_batcher = enable_batcher;
-  // Closed-loop load offers at most num_threads concurrent requests, so a
-  // batch sized to the client concurrency fills (and dispatches) immediately
-  // in steady state; the wait window only bounds the straggler tail.
-  options.batcher.max_batch_size = num_threads;
-  options.batcher.max_wait_micros = 100;
-  options.batcher.queue_capacity = 8192;
   serving::EmbeddingService service(
       serving::MaterializeEmbeddings(model, dataset, hot_ids,
                                      options.num_shards),
       &encoder, options);
 
-  // Cold phase: one first-touch pass over the cold pool.
+  // Cold phase: every request is a fold-in.
   serving::LoadGenOptions cold_load;
   cold_load.num_threads = num_threads;
-  cold_load.requests_per_thread = cold_ids.size() / num_threads;
+  cold_load.requests_per_thread = cold_requests_per_thread;
   cold_load.hot_fraction = 0.0;
-  cold_load.seed = enable_batcher ? 11 : 22;
+  cold_load.seed = 11;
   serving::LoadGenReport cold = serving::RunClosedLoopLoad(
       service, dataset, hot_ids, cold_ids, cold_load);
 
-  // Mixed phase: mostly hot lookups; the cold pool is materialized by now,
-  // so "cold" picks exercise the recently-written shards.
+  // Mixed phase: mostly hot lookups, the rest fold-ins.
   service.telemetry().ResetClock();
   serving::LoadGenOptions mixed_load;
   mixed_load.num_threads = num_threads;
   mixed_load.requests_per_thread = mixed_requests_per_thread;
   mixed_load.hot_fraction = 0.85;
-  mixed_load.seed = enable_batcher ? 33 : 44;
+  mixed_load.seed = 33;
   serving::LoadGenReport mixed = serving::RunClosedLoopLoad(
       service, dataset, hot_ids, cold_ids, mixed_load);
   return PhaseResult{std::move(cold), std::move(mixed),
@@ -106,10 +100,9 @@ struct NetPhaseResult {
 };
 
 /// Single-threaded cold fold-in encode rate (users/s) with whatever ISA
-/// the dispatch table currently holds: micro-batches of 8 over `users`'
-/// raw features, persistent scratch, exactly the batcher's steady-state
-/// encode shape. Used for the SIMD before/after delta — callers pin the
-/// table with ForceIsa around this.
+/// the dispatch table currently holds: batches of 8 over `users`' raw
+/// features with persistent scratch. Used for the SIMD before/after delta
+/// — callers pin the table with ForceIsa around this.
 double FoldInEncodeRate(const core::FieldVae& model,
                         const MultiFieldDataset& dataset,
                         std::span<const uint32_t> users, double budget_s) {
@@ -172,12 +165,11 @@ NetPhaseResult DriveLookups(
 
 /// Per-hop latency breakdown assembled from stitched traces: one entry per
 /// fully-stitched request (client send span + server reply span sharing a
-/// trace_id; batcher spans when the request took the fold-in path).
+/// trace_id; the encode span when the request folded in).
 struct HopStats {
   size_t traces = 0;
   LatencyHistogram client_send_us;
   LatencyHistogram server_reply_us;
-  LatencyHistogram queue_wait_us;
   LatencyHistogram encode_us;
   /// Client-observed send minus server-side envelope: framing + syscalls +
   /// loopback transit + the client's poll wakeup.
@@ -187,14 +179,13 @@ struct HopStats {
     return "{\"traces\":" + std::to_string(traces) +
            ",\"client_send_us\":" + client_send_us.SummaryJson() +
            ",\"server_reply_us\":" + server_reply_us.SummaryJson() +
-           ",\"queue_wait_us\":" + queue_wait_us.SummaryJson() +
            ",\"encode_us\":" + encode_us.SummaryJson() +
            ",\"wire_us\":" + wire_us.SummaryJson() + "}";
   }
 };
 
 /// Drives traced fold-in requests through the router (cold users, so the
-/// owning replica goes through its batcher), then joins client and server
+/// owning replica encodes each one), then joins client and server
 /// spans on trace_id. Everything is in-process over loopback, so the one
 /// global recorder sees both halves of every trace. Out-param because the
 /// histograms are atomic-backed and neither copyable nor movable.
@@ -218,21 +209,19 @@ void RunTracedHops(net::ShardRouterClient& router,
     if (event.trace_id != 0) by_trace[event.trace_id].push_back(event);
   }
   for (const auto& [trace_id, events] : by_trace) {
-    double send = 0.0, reply = 0.0, queue = 0.0, encode = 0.0;
+    double send = 0.0, reply = 0.0, encode = 0.0;
     for (const obs::TraceEvent& event : events) {
       const std::string_view name = event.name;
       const double d = double(event.duration_us);
       // max(): a hedged request has two send arms; the winner dominates.
       if (name == "net.client.send") send = std::max(send, d);
       if (name == "net.server.reply") reply = std::max(reply, d);
-      if (name == "serving.batcher.queue_wait") queue = std::max(queue, d);
-      if (name == "serving.batcher.encode") encode = std::max(encode, d);
+      if (name == "serving.fold_in.encode") encode = std::max(encode, d);
     }
     if (send <= 0.0 || reply <= 0.0) continue;  // not fully stitched
     ++stats->traces;
     stats->client_send_us.Record(send);
     stats->server_reply_us.Record(reply);
-    if (queue > 0.0) stats->queue_wait_us.Record(queue);
     if (encode > 0.0) stats->encode_us.Record(encode);
     stats->wire_us.Record(std::max(0.0, send - reply));
   }
@@ -256,9 +245,6 @@ void RunNetLoopback(const core::FieldVae& model,
                     size_t requests, NetLoopbackResult* out) {
   serving::EmbeddingServiceOptions options;
   options.num_shards = 16;
-  options.enable_batcher = true;
-  options.batcher.max_batch_size = num_threads;
-  options.batcher.max_wait_micros = 100;
 
   {
     serving::FvaeFoldInEncoder encoder(&model);
@@ -312,16 +298,14 @@ void RunNetLoopback(const core::FieldVae& model,
 
 int Main(bool net_loopback) {
   const Scale scale = GetScale();
-  PrintBanner("Serving load: micro-batched fold-in vs synchronous encode",
+  PrintBanner("Serving load: inline fold-in under closed-loop load",
               "online module (Fig. 2) under closed-loop concurrent load");
 
   // Dataset + a briefly trained model (weights need not be converged for a
   // throughput benchmark, but the feature tables must be populated).
   GeneratedProfiles gen = MakeShortContent(scale, /*seed=*/17);
   // Serving-sized encoder: the online module runs a production-width model,
-  // so the bench uses wider hidden layers than the sweep defaults. This is
-  // the regime micro-batching targets — one batched GEMM amortizes far
-  // better than per-request GEMVs serialized on the encoder.
+  // so the bench uses wider hidden layers than the sweep defaults.
   core::FvaeConfig config = SweepFvaeConfig(scale, /*seed=*/17);
   config.latent_dim = ByScale<size_t>(scale, 32, 64, 96);
   config.encoder_hidden = {ByScale<size_t>(scale, 256, 512, 768),
@@ -336,24 +320,19 @@ int Main(bool net_loopback) {
 
   const size_t num_users = gen.dataset.num_users();
   const size_t num_hot = num_users / 2;
-  // Two disjoint cold pools so each configuration sees first-touch users.
-  const size_t pool = (num_users - num_hot) / 2;
   std::vector<uint32_t> hot_ids(num_hot);
   std::iota(hot_ids.begin(), hot_ids.end(), 0u);
-  std::vector<uint32_t> cold_on(pool), cold_off(pool);
-  std::iota(cold_on.begin(), cold_on.end(), uint32_t(num_hot));
-  std::iota(cold_off.begin(), cold_off.end(), uint32_t(num_hot + pool));
+  std::vector<uint32_t> cold_ids(num_users - num_hot);
+  std::iota(cold_ids.begin(), cold_ids.end(), uint32_t(num_hot));
 
-  // Client threads spend most of their time blocked on futures (closed
-  // loop), so the count is an offered-concurrency knob, not a core count:
-  // more clients -> fuller batches for the batcher-on configuration.
+  // Client threads are an offered-concurrency knob, not a core count.
   const size_t num_threads = 8;
-  const size_t mixed_requests =
-      ByScale<size_t>(scale, 1000, 4000, 10000);
+  const size_t cold_requests = ByScale<size_t>(scale, 500, 2000, 5000);
+  const size_t mixed_requests = ByScale<size_t>(scale, 1000, 4000, 10000);
 
   std::printf("dataset: %s\n", gen.dataset.Summary().c_str());
-  std::printf("threads: %zu  hot users: %zu  cold pool: %zu per config\n\n",
-              num_threads, num_hot, pool);
+  std::printf("threads: %zu  hot users: %zu  cold feature pool: %zu\n\n",
+              num_threads, num_hot, cold_ids.size());
 
   // SIMD dispatch delta: the identical cold fold-in encode with the kernel
   // table pinned to scalar vs the detected-best ISA — the serving-side
@@ -363,10 +342,10 @@ int Main(bool net_loopback) {
   const double simd_budget_s = ByScale<double>(scale, 0.2, 0.5, 1.0);
   FVAE_CHECK(ForceIsa(Isa::kScalar));
   const double simd_scalar_rate =
-      FoldInEncodeRate(model, gen.dataset, cold_on, simd_budget_s);
+      FoldInEncodeRate(model, gen.dataset, cold_ids, simd_budget_s);
   FVAE_CHECK(ForceIsa(native_isa));
   const double simd_native_rate =
-      FoldInEncodeRate(model, gen.dataset, cold_on, simd_budget_s);
+      FoldInEncodeRate(model, gen.dataset, cold_ids, simd_budget_s);
   const double simd_cold_speedup =
       simd_scalar_rate > 0.0 ? simd_native_rate / simd_scalar_rate : 0.0;
   std::printf("cold fold-in encode: scalar %.0f users/s, %s %.0f users/s "
@@ -374,46 +353,36 @@ int Main(bool net_loopback) {
               simd_scalar_rate, IsaName(native_isa), simd_native_rate,
               simd_cold_speedup);
 
-  const PhaseResult on = RunConfig(model, gen.dataset, hot_ids, cold_on,
-                                   /*enable_batcher=*/true, num_threads,
-                                   mixed_requests);
-  const PhaseResult off = RunConfig(model, gen.dataset, hot_ids, cold_off,
-                                    /*enable_batcher=*/false, num_threads,
-                                    mixed_requests);
-
-  const double cold_speedup =
-      off.cold.Qps() > 0.0 ? on.cold.Qps() / off.cold.Qps() : 0.0;
+  const PhaseResult local =
+      RunInProcess(model, gen.dataset, hot_ids, cold_ids, num_threads,
+                   cold_requests, mixed_requests);
 
   NetLoopbackResult net;
   if (net_loopback) {
     std::printf("\nnet loopback: %zu clients x %zu lookups per topology\n",
                 num_threads, mixed_requests);
     // The net phase builds fresh replicas that materialize only hot_ids,
-    // so cold_on users are first-touch fold-ins there regardless of the
-    // earlier in-process phase.
-    RunNetLoopback(model, gen.dataset, hot_ids, cold_on, num_threads,
+    // so cold users are first-touch fold-ins there.
+    RunNetLoopback(model, gen.dataset, hot_ids, cold_ids, num_threads,
                    mixed_requests, &net);
   }
 
   std::string table;
   char line[256];
-  std::snprintf(line, sizeof(line),
-                "%-14s %-6s %12s %10s %10s %10s\n", "config", "phase", "qps",
-                "p50_us", "p95_us", "p99_us");
+  std::snprintf(line, sizeof(line), "%-14s %-6s %12s %10s %10s %10s\n",
+                "config", "phase", "qps", "p50_us", "p95_us", "p99_us");
   table += line;
-  const auto add_row = [&](const char* name, const char* phase,
+  const auto add_row = [&](const char* phase,
                            const serving::LoadGenReport& report) {
-    std::snprintf(line, sizeof(line), "%-14s %-6s %12.1f %10.1f %10.1f %10.1f\n",
-                  name, phase, report.Qps(),
-                  report.latency_us.Percentile(50.0),
+    std::snprintf(line, sizeof(line),
+                  "%-14s %-6s %12.1f %10.1f %10.1f %10.1f\n", "in-process",
+                  phase, report.Qps(), report.latency_us.Percentile(50.0),
                   report.latency_us.Percentile(95.0),
                   report.latency_us.Percentile(99.0));
     table += line;
   };
-  add_row("batcher-on", "cold", on.cold);
-  add_row("batcher-on", "mixed", on.mixed);
-  add_row("batcher-off", "cold", off.cold);
-  add_row("batcher-off", "mixed", off.mixed);
+  add_row("cold", local.cold);
+  add_row("mixed", local.mixed);
   if (net_loopback) {
     const auto add_net_row = [&](const char* name,
                                  const NetPhaseResult& result) {
@@ -426,46 +395,36 @@ int Main(bool net_loopback) {
     add_net_row("net-routed-3", net.routed_3shard);
     std::snprintf(line, sizeof(line),
                   "\nrouted fold-in hop breakdown (%zu stitched traces, "
-                  "p50 us): queue-wait %.1f  encode %.1f  server %.1f  "
-                  "wire %.1f  client %.1f\n",
-                  net.hops.traces, net.hops.queue_wait_us.Percentile(50.0),
-                  net.hops.encode_us.Percentile(50.0),
+                  "p50 us): encode %.1f  server %.1f  wire %.1f  "
+                  "client %.1f\n",
+                  net.hops.traces, net.hops.encode_us.Percentile(50.0),
                   net.hops.server_reply_us.Percentile(50.0),
                   net.hops.wire_us.Percentile(50.0),
                   net.hops.client_send_us.Percentile(50.0));
     table += line;
   }
   std::snprintf(line, sizeof(line),
-                "\ncold-user (fold-in) throughput speedup from "
-                "micro-batching: %.2fx\n",
-                cold_speedup);
-  table += line;
-  std::snprintf(line, sizeof(line),
-                "cold fold-in encode speedup from SIMD dispatch (%s vs "
+                "\ncold fold-in encode speedup from SIMD dispatch (%s vs "
                 "scalar): %.2fx\n",
                 IsaName(native_isa), simd_cold_speedup);
   table += line;
   std::printf("%s", table.c_str());
-  std::printf("\nbatcher-on telemetry:  %s\n", on.telemetry_json.c_str());
-  std::printf("batcher-off telemetry: %s\n", off.telemetry_json.c_str());
+  std::printf("\ntelemetry: %s\n", local.telemetry_json.c_str());
 
-  // Machine-readable dump. The headline qps/p50/p99 per configuration is
-  // the cold (fold-in) phase — the path the batcher exists for; mixed-phase
-  // numbers ride along under "mixed".
+  // Machine-readable dump. The headline qps/p50/p99 is the cold (fold-in)
+  // phase; mixed-phase numbers ride along under "mixed".
   std::string json = "{\n";
   json += "  \"scale\": \"" + std::string(ScaleName(scale)) + "\",\n";
   json += "  \"threads\": " + std::to_string(num_threads) + ",\n";
-  const auto config_json = [](const PhaseResult& result) {
-    char head[128];
-    std::snprintf(head, sizeof(head),
-                  "{\"qps\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,\n",
-                  result.cold.Qps(), result.cold.latency_us.Percentile(50.0),
-                  result.cold.latency_us.Percentile(99.0));
-    return std::string(head) + "     \"cold\":" + result.cold.Json() +
-           ",\n     \"mixed\":" + result.mixed.Json() + "}";
-  };
-  json += "  \"batcher_on\": " + config_json(on) + ",\n";
-  json += "  \"batcher_off\": " + config_json(off) + ",\n";
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "  \"in_process\": {\"qps\":%.1f,\"p50_us\":%.1f,"
+                "\"p99_us\":%.1f,\n",
+                local.cold.Qps(), local.cold.latency_us.Percentile(50.0),
+                local.cold.latency_us.Percentile(99.0));
+  json += head;
+  json += "     \"cold\":" + local.cold.Json() +
+          ",\n     \"mixed\":" + local.mixed.Json() + "},\n";
   if (net_loopback) {
     const auto net_json = [](const NetPhaseResult& result) {
       char piece[128];
@@ -480,9 +439,6 @@ int Main(bool net_loopback) {
     json += "     \"hops\": " + net.hops.Json() + "},\n";
   }
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "  \"cold_speedup\": %.3f,\n",
-                cold_speedup);
-  json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"simd\": {\"native_isa\": \"%s\", "
                 "\"scalar_foldin_users_s\": %.1f, "
@@ -503,15 +459,14 @@ int Main(bool net_loopback) {
   }
   if (std::FILE* f = std::fopen("bench_results/serving_load.txt", "w")) {
     std::fputs(table.c_str(), f);
-    std::fprintf(f, "\nbatcher-on telemetry:  %s\n", on.telemetry_json.c_str());
-    std::fprintf(f, "batcher-off telemetry: %s\n", off.telemetry_json.c_str());
+    std::fprintf(f, "\ntelemetry: %s\n", local.telemetry_json.c_str());
     std::fclose(f);
   }
   std::printf("\nwrote BENCH_serving.json and bench_results/serving_load.txt\n");
 
-  if (cold_speedup <= 1.0) {
-    std::printf("WARNING: batcher-on did not beat batcher-off on cold "
-                "fold-in throughput\n");
+  if (local.cold.errors + local.mixed.errors > 0) {
+    std::printf("WARNING: %llu in-process requests failed\n",
+                (unsigned long long)(local.cold.errors + local.mixed.errors));
     return 1;
   }
   return 0;

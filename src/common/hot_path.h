@@ -8,11 +8,13 @@
 ///
 /// Conventions (docs/ARCHITECTURE.md §7):
 ///
-///  - `FVAE_HOT` marks a function on the serving fold-in encode chain
-///    (ServingProxy lookup -> RequestBatcher dispatch -> FieldVae encode ->
-///    GEMM kernels). The linter transitively walks every resolvable callee
-///    and fails if any reachable function logs, does IO, or acquires a
-///    lock whose declaration is not marked FVAE_HOT_LOCK_EXEMPT.
+///  - `FVAE_HOT` marks a function on a serving hot path: the store reads
+///    (ServingProxy lookup, sharded store Get) and the fold-in encode chain
+///    (FvaeFoldInEncoder, run inline on the RPC worker -> FieldVae encode
+///    -> the layers' const Infer -> GEMM kernels). The linter transitively
+///    walks every resolvable callee and fails if any reachable function
+///    logs, does IO, or acquires a lock whose declaration is not marked
+///    FVAE_HOT_LOCK_EXEMPT.
 ///
 ///  - `FVAE_NOALLOC` implies FVAE_HOT and additionally forbids heap
 ///    allocation tokens (`new`, malloc family, growing container calls)
@@ -23,10 +25,9 @@
 ///    interposer.
 ///
 ///  - `FVAE_HOT_LOCK_EXEMPT` goes on a Mutex/SharedMutex *member
-///    declaration* whose acquisition on a hot path is by design (e.g. the
-///    encoder-serialization mutex the micro-batcher amortizes, or a
-///    sharded store's reader locks). Exemption is per-lock, not per-call:
-///    every acquisition site of that member is allowed.
+///    declaration* whose acquisition on a hot path is by design (e.g. a
+///    sharded store's short-held reader locks). Exemption is per-lock, not
+///    per-call: every acquisition site of that member is allowed.
 ///
 ///  - `FVAE_EVENT_LOOP` marks a function that runs on an EpollLoop thread
 ///    (a readiness callback, a timer handler, or a Post()ed task — or a

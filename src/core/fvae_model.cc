@@ -231,30 +231,29 @@ void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
     }
     Kernels().tanh_inplace(out, h1_dim);
   }
-  // Layer forward passes touch member scratch only (same const_cast
-  // rationale as EncodeConst); the logvar head is never run — fold-in
-  // consumers use the posterior mean alone.
-  auto* self = const_cast<FieldVae*>(this);
+  // The const inference pass writes only into the caller's scratch; the
+  // logvar head is never run — fold-in consumers use the posterior mean
+  // alone.
   const Matrix* enc_out = &h1;
   if (encoder_trunk_) {
-    self->encoder_trunk_->Forward(h1, &scratch->trunk_out,
-                                  /*training=*/false);
+    encoder_trunk_->Infer(h1, &scratch->trunk_out,
+                          &scratch->trunk_activations);
     enc_out = &scratch->trunk_out;
   }
-  self->mu_head_->Forward(*enc_out, mu, /*training=*/false);
+  mu_head_->Infer(*enc_out, mu);
 }
 
 Matrix FieldVae::DecoderHidden(const Matrix& z) const {
   Matrix hidden;
-  decoder_trunk_->Forward(z, &hidden, /*training=*/false);
+  std::vector<Matrix> activations;
+  decoder_trunk_->Infer(z, &hidden, &activations);
   return hidden;
 }
 
 Matrix FieldVae::ScoreField(const Matrix& z, size_t k,
                             std::span<const uint64_t> candidate_ids) const {
   FVAE_CHECK(k < field_schemas_.size()) << "field out of range";
-  Matrix hdec;
-  decoder_trunk_->Forward(z, &hdec, /*training=*/false);
+  const Matrix hdec = DecoderHidden(z);
 
   const nn::EmbeddingTable& table = *output_tables_[k];
   const size_t num_candidates = candidate_ids.size();

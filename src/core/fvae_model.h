@@ -91,18 +91,18 @@ class FieldVae {
   /// field vectors. Each element must have num_fields() entries; unknown
   /// feature IDs are skipped (cold-feature behaviour, same as Encode).
   ///
-  /// NOT safe for concurrent callers (layer forward passes reuse member
-  /// scratch buffers) — the serving layer serializes calls through
-  /// serving::FvaeFoldInEncoder, which is exactly why its micro-batcher
-  /// amortizes rather than parallelizes encoder GEMMs.
+  /// Safe for concurrent callers: the encoder layers run their const
+  /// inference pass (nn::Layer::Infer), which writes only into the
+  /// caller's scratch. Training must not run concurrently.
   Matrix EncodeFoldIn(std::span<const RawUserFeatures* const> users) const;
 
   /// Reusable scratch for EncodeFoldInInto. Keeping one alive across calls
-  /// (per serializing owner) makes a warmed-up fold-in encode
-  /// allocation-free: the matrices only grow to the high-water batch shape.
+  /// (one per thread) makes a warmed-up fold-in encode allocation-free: the
+  /// matrices only grow to the high-water batch shape.
   struct FoldInScratch {
     Matrix h1;         // batch x encoder_hidden[0]
     Matrix trunk_out;  // batch x encoder_hidden.back(), when trunk exists
+    std::vector<Matrix> trunk_activations;  // the trunk's per-layer outputs
   };
 
   /// Allocation-conscious fold-in encode: writes the posterior means
@@ -114,7 +114,7 @@ class FieldVae {
   /// batch shape a call performs zero heap allocations (runtime-witnessed
   /// by serving_test's operator-new interposer; statically checked by
   /// fvae_lint's FVAE_NOALLOC walk). Same concurrency contract as
-  /// EncodeFoldIn: not safe for concurrent callers.
+  /// EncodeFoldIn: concurrent callers are safe with distinct scratch.
   void EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
                         FoldInScratch* scratch, Matrix* mu) const
       FVAE_HOT FVAE_NOALLOC;

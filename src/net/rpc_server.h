@@ -47,11 +47,13 @@ struct RpcServerOptions {
 /// One acceptor thread distributes connections round-robin to N worker
 /// threads; each worker runs a private EpollLoop that owns its connections
 /// outright, so the data path is lock-free — frames are parsed, dispatched
-/// and answered entirely on the owning loop thread. The only cross-thread
-/// hops are the acceptor's connection handoff and fold-in completions
-/// (batcher worker -> loop), both via EpollLoop::Post. Connections are
-/// addressed by a monotonically increasing id, never by fd, so a completion
-/// racing a close cannot hit a recycled descriptor.
+/// and answered entirely on the owning loop thread, fold-in encodes
+/// included. The only cross-thread hops are the acceptor's connection
+/// handoff and Stop's drain signal, both via EpollLoop::Post. Connections
+/// are addressed by a monotonically increasing id, never by fd, so a timer
+/// racing a close cannot hit a recycled descriptor. Admission is
+/// backpressure: a connection whose replies pile up past the write
+/// watermark stops being read until they drain.
 class RpcServer {
  public:
   /// `service` must outlive the server. `registry` null keeps the server's
@@ -79,8 +81,7 @@ class RpcServer {
   struct Connection;
 
   /// Per-request bookkeeping threaded from frame arrival to response
-  /// queueing — across the batcher completion hop for fold-ins. POD by
-  /// design: it is captured by value into cross-thread lambdas.
+  /// queueing.
   struct RequestState {
     uint64_t tag = 0;
     Verb verb = Verb::kHealth;
@@ -133,8 +134,8 @@ class RpcServer {
   FVAE_EVENT_LOOP void FlushWrites(Worker* worker, Connection* conn);
   FVAE_EVENT_LOOP void UpdateInterest(Worker* worker, Connection* conn);
   FVAE_EVENT_LOOP void CloseConnection(Worker* worker, uint64_t conn_id);
-  /// During drain: close once nothing is pending; stop the loop when the
-  /// worker has no connections left.
+  /// During drain: close once no reply bytes are pending; stop the loop
+  /// when the worker has no connections left.
   FVAE_EVENT_LOOP void MaybeFinishDrain(Worker* worker, Connection* conn);
 
   serving::EmbeddingService* service_;

@@ -71,7 +71,7 @@ class ShardRouterClient {
   ShardRouterClient& operator=(const ShardRouterClient&) = delete;
 
   // Blocking round trips (candidate walk + hedge polling): never call
-  // from an event-loop thread — route through the batcher instead.
+  // from an event-loop thread.
   FVAE_MAY_BLOCK Result<std::vector<float>> Lookup(uint64_t user_id);
   FVAE_MAY_BLOCK Result<std::vector<float>> EncodeFoldIn(
       uint64_t user_id, const core::RawUserFeatures& features);

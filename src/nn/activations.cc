@@ -7,14 +7,19 @@
 namespace fvae::nn {
 
 void TanhLayer::Forward(const Matrix& input, Matrix* output, bool training) {
-  *output = input;
-  for (size_t i = 0; i < output->size(); ++i) {
-    output->data()[i] = std::tanh(output->data()[i]);
-  }
+  Infer(input, output);
   // Cached unconditionally: Backward is valid after any forward pass
   // (`training` only gates stochastic layers). Capacity-reusing once warm.
   (void)training;
   cached_output_ = *output;
+}
+
+void TanhLayer::Infer(const Matrix& input, Matrix* output,
+                      std::vector<Matrix>* /*scratch*/) const {
+  *output = input;
+  for (size_t i = 0; i < output->size(); ++i) {
+    output->data()[i] = std::tanh(output->data()[i]);
+  }
 }
 
 void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
@@ -31,12 +36,17 @@ void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
 }
 
 void ReluLayer::Forward(const Matrix& input, Matrix* output, bool training) {
+  Infer(input, output);
+  (void)training;
+  cached_output_ = *output;
+}
+
+void ReluLayer::Infer(const Matrix& input, Matrix* output,
+                      std::vector<Matrix>* /*scratch*/) const {
   *output = input;
   for (size_t i = 0; i < output->size(); ++i) {
     if (output->data()[i] < 0.0f) output->data()[i] = 0.0f;
   }
-  (void)training;
-  cached_output_ = *output;
 }
 
 void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
@@ -53,12 +63,17 @@ void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
 
 void SigmoidLayer::Forward(const Matrix& input, Matrix* output,
                            bool training) {
+  Infer(input, output);
+  (void)training;
+  cached_output_ = *output;
+}
+
+void SigmoidLayer::Infer(const Matrix& input, Matrix* output,
+                         std::vector<Matrix>* /*scratch*/) const {
   *output = input;
   for (size_t i = 0; i < output->size(); ++i) {
     output->data()[i] = 1.0f / (1.0f + std::exp(-output->data()[i]));
   }
-  (void)training;
-  cached_output_ = *output;
 }
 
 void SigmoidLayer::Backward(const Matrix& grad_output, Matrix* grad_input,
@@ -82,7 +97,7 @@ DropoutLayer::DropoutLayer(double drop_prob, uint64_t seed)
 void DropoutLayer::Forward(const Matrix& input, Matrix* output,
                            bool training) {
   last_training_ = training;
-  *output = input;
+  Infer(input, output);
   if (!training || drop_prob_ == 0.0) return;
   mask_.Resize(input.rows(), input.cols());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - drop_prob_));
@@ -91,6 +106,11 @@ void DropoutLayer::Forward(const Matrix& input, Matrix* output,
     mask_.data()[i] = m;
     output->data()[i] *= m;
   }
+}
+
+void DropoutLayer::Infer(const Matrix& input, Matrix* output,
+                         std::vector<Matrix>* /*scratch*/) const {
+  *output = input;
 }
 
 void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input,

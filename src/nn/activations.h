@@ -11,6 +11,8 @@ namespace fvae::nn {
 class TanhLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
 
@@ -22,6 +24,8 @@ class TanhLayer : public Layer {
 class ReluLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
 
@@ -33,6 +37,8 @@ class ReluLayer : public Layer {
 class SigmoidLayer : public Layer {
  public:
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
 
@@ -41,13 +47,16 @@ class SigmoidLayer : public Layer {
 };
 
 /// Inverted dropout: at training time zeroes entries with probability p and
-/// scales survivors by 1/(1-p); identity at inference time. Used by the
-/// Mult-DAE baseline's corrupted input and by VAE encoder regularization.
+/// scales survivors by 1/(1-p); identity at inference time (Infer, and
+/// Forward with training = false). Used by the Mult-DAE baseline's
+/// corrupted input and by VAE encoder regularization.
 class DropoutLayer : public Layer {
  public:
   DropoutLayer(double drop_prob, uint64_t seed);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
 

@@ -16,6 +16,8 @@ class DenseLayer : public Layer {
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;

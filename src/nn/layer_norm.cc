@@ -18,14 +18,28 @@ LayerNorm::LayerNorm(size_t dim, float epsilon)
 
 void LayerNorm::Forward(const Matrix& input, Matrix* output, bool training) {
   (void)training;
+  Normalize(input, output, &normalized_, &inv_std_);
+}
+
+void LayerNorm::Infer(const Matrix& input, Matrix* output,
+                      std::vector<Matrix>* /*scratch*/) const {
+  Normalize(input, output, nullptr, nullptr);
+}
+
+void LayerNorm::Normalize(const Matrix& input, Matrix* output,
+                          Matrix* normalized,
+                          std::vector<float>* inv_std) const {
   const size_t dim = gain_.cols();
   FVAE_CHECK(input.cols() == dim) << "layer-norm dim mismatch";
   const size_t batch = input.rows();
   output->Resize(batch, dim);
-  normalized_.Resize(batch, dim);
-  // Within-capacity resize: reallocates only while batch is still growing
-  // toward its high-water mark, so a warmed-up forward is allocation-free.
-  inv_std_.resize(batch);  // fvae-lint: allow(hot-alloc)
+  if (normalized != nullptr) {
+    normalized->Resize(batch, dim);
+    // Within-capacity resize: reallocates only while batch is still
+    // growing toward its high-water mark, so a warmed-up forward is
+    // allocation-free.
+    inv_std->resize(batch);  // fvae-lint: allow(hot-alloc)
+  }
 
   for (size_t i = 0; i < batch; ++i) {
     const float* x = input.Row(i);
@@ -38,15 +52,16 @@ void LayerNorm::Forward(const Matrix& input, Matrix* output, bool training) {
       var += diff * diff;
     }
     var /= double(dim);
-    const float inv_std = 1.0f / std::sqrt(float(var) + epsilon_);
-    inv_std_[i] = inv_std;
-    float* n = normalized_.Row(i);
+    const float row_inv_std = 1.0f / std::sqrt(float(var) + epsilon_);
+    if (inv_std != nullptr) (*inv_std)[i] = row_inv_std;
+    float* n = normalized != nullptr ? normalized->Row(i) : nullptr;
     float* y = output->Row(i);
     const float* g = gain_.Row(0);
     const float* b = bias_.Row(0);
     for (size_t d = 0; d < dim; ++d) {
-      n[d] = (x[d] - float(mean)) * inv_std;
-      y[d] = g[d] * n[d] + b[d];
+      const float nd = (x[d] - float(mean)) * row_inv_std;
+      if (n != nullptr) n[d] = nd;
+      y[d] = g[d] * nd + b[d];
     }
   }
 }

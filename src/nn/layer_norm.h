@@ -15,6 +15,8 @@ class LayerNorm : public Layer {
   explicit LayerNorm(size_t dim, float epsilon = 1e-5f);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;
@@ -25,6 +27,11 @@ class LayerNorm : public Layer {
   Matrix& bias() { return bias_; }
 
  private:
+  /// The normalisation pass behind Forward and Infer: writes `*output`, and
+  /// the Backward caches too when `normalized` and `inv_std` are non-null.
+  void Normalize(const Matrix& input, Matrix* output, Matrix* normalized,
+                 std::vector<float>* inv_std) const;
+
   float epsilon_;
   Matrix gain_;   // 1 x dim, init 1
   Matrix bias_;   // 1 x dim, init 0

@@ -19,6 +19,23 @@ std::unique_ptr<Layer> MakeActivation(Activation activation) {
   }
   return nullptr;
 }
+
+// The layer chain behind Forward and Infer: layer i reads layer i-1's
+// output from `activations` and `step` runs one layer's pass.
+template <typename Step>
+void RunLayers(const std::vector<std::unique_ptr<Layer>>& layers,
+               const Matrix& input, Matrix* output,
+               std::vector<Matrix>* activations, Step step) {
+  // Fixed-size after the first pass (layer count never changes), so this
+  // is a no-op on every warmed-up call.
+  activations->resize(layers.size());  // fvae-lint: allow(hot-alloc)
+  const Matrix* current = &input;
+  for (size_t i = 0; i < layers.size(); ++i) {
+    step(*layers[i], *current, &(*activations)[i]);
+    current = &(*activations)[i];
+  }
+  *output = *current;  // capacity-reusing copy once *output has seen the shape
+}
 }  // namespace
 
 Mlp::Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
@@ -38,15 +55,19 @@ Mlp::Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
 }
 
 void Mlp::Forward(const Matrix& input, Matrix* output, bool training) {
-  // Fixed-size after the first pass (layer count never changes), so this
-  // is a no-op on every warmed-up call.
-  activations_.resize(layers_.size());  // fvae-lint: allow(hot-alloc)
-  const Matrix* current = &input;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->Forward(*current, &activations_[i], training);
-    current = &activations_[i];
-  }
-  *output = *current;  // capacity-reusing copy once *output has seen the shape
+  RunLayers(layers_, input, output, &activations_,
+            [training](Layer& layer, const Matrix& in, Matrix* out) {
+              layer.Forward(in, out, training);
+            });
+}
+
+void Mlp::Infer(const Matrix& input, Matrix* output,
+                std::vector<Matrix>* scratch) const {
+  FVAE_CHECK(scratch != nullptr) << "Mlp::Infer needs caller-owned scratch";
+  RunLayers(layers_, input, output, scratch,
+            [](const Layer& layer, const Matrix& in, Matrix* out) {
+              layer.Infer(in, out);
+            });
 }
 
 void Mlp::Backward(const Matrix& grad_output, Matrix* grad_input,

@@ -27,6 +27,9 @@ class Mlp : public Layer {
       bool activate_output = false);
 
   void Forward(const Matrix& input, Matrix* output, bool training) override;
+  /// `scratch` is required: it receives each layer's output.
+  void Infer(const Matrix& input, Matrix* output,
+             std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,
                 ThreadPool* pool = nullptr) override;
   void CollectParams(std::vector<ParamRef>* out) override;
@@ -37,7 +40,7 @@ class Mlp : public Layer {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<Matrix> activations_;  // outputs of each layer
+  std::vector<Matrix> activations_;  // Forward's per-layer outputs
   size_t in_dim_;
   size_t out_dim_;
   size_t num_dense_ = 0;

@@ -50,9 +50,8 @@ void SetCurrentTraceContext(const TraceContext& context);
 /// RAII installer for the thread-ambient context; restores the previous
 /// one on destruction. Used at propagation boundaries: the router installs
 /// the minted root around a routed call, the RPC server installs the
-/// wire-extracted context around dispatch so spans (and the batcher's
-/// capture in SubmitAsync) inherit it without plumbing a parameter through
-/// every layer.
+/// wire-extracted context around dispatch so spans (the fold-in encode
+/// included) inherit it without plumbing a parameter through every layer.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(const TraceContext& context)

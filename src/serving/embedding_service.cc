@@ -1,124 +1,54 @@
 #include "serving/embedding_service.h"
 
-#include <chrono>
-
-#include "common/stopwatch.h"
+#include "obs/trace.h"
 
 namespace fvae::serving {
 
 EmbeddingService::EmbeddingService(ShardedEmbeddingStore store,
-                                   FoldInEncoder* encoder,
+                                   const FvaeFoldInEncoder* encoder,
                                    EmbeddingServiceOptions options)
     : store_(std::move(store)),
       encoder_(encoder),
-      options_(options),
-      telemetry_(options.metrics_registry) {
-  if (encoder_ != nullptr && options_.enable_batcher) {
-    batcher_ = std::make_unique<RequestBatcher>(
-        encoder_, options_.batcher, &telemetry_,
-        [this](uint64_t user_id, std::span<const float> embedding,
-               double latency_us) {
-          store_.Put(user_id,
-                     std::vector<float>(embedding.begin(), embedding.end()));
-          telemetry_.fold_ins.Increment();
-          telemetry_.foldin_latency_us().Record(latency_us);
-        });
+      telemetry_(options.metrics_registry) {}
+
+std::optional<std::vector<float>> EmbeddingService::ReadStore(
+    uint64_t user_id, const Stopwatch& watch) {
+  telemetry_.requests.Increment();
+  std::optional<std::vector<float>> embedding = store_.Get(user_id);
+  if (embedding.has_value()) {
+    telemetry_.store_hits.Increment();
+    telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
   }
-}
-
-// Out of line so the batcher (and its worker threads) tears down before the
-// store it materializes into.
-EmbeddingService::~EmbeddingService() { batcher_.reset(); }
-
-std::future<EmbeddingService::EmbeddingResult> EmbeddingService::Ready(
-    EmbeddingResult result) {
-  std::promise<EmbeddingResult> promise;
-  std::future<EmbeddingResult> future = promise.get_future();
-  promise.set_value(std::move(result));
-  return future;
+  return embedding;
 }
 
 EmbeddingService::EmbeddingResult EmbeddingService::Lookup(
     uint64_t user_id) {
   Stopwatch watch;
-  telemetry_.requests.Increment();
-  if (auto embedding = store_.Get(user_id); embedding.has_value()) {
-    telemetry_.store_hits.Increment();
-    telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-    return *std::move(embedding);
-  }
+  if (auto embedding = ReadStore(user_id, watch)) return *std::move(embedding);
   telemetry_.not_found.Increment();
   return Status::NotFound("user not materialized");
 }
 
-std::future<EmbeddingService::EmbeddingResult>
-EmbeddingService::LookupOrEncode(uint64_t user_id,
-                                 const core::RawUserFeatures& features,
-                                 uint64_t deadline_micros) {
+EmbeddingService::EmbeddingResult EmbeddingService::LookupOrEncode(
+    uint64_t user_id, const core::RawUserFeatures& features) {
   Stopwatch watch;
-  telemetry_.requests.Increment();
-  if (auto embedding = store_.Get(user_id); embedding.has_value()) {
-    telemetry_.store_hits.Increment();
-    telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-    return Ready(*std::move(embedding));
-  }
+  if (auto embedding = ReadStore(user_id, watch)) return *std::move(embedding);
   if (encoder_ == nullptr) {
     telemetry_.not_found.Increment();
-    return Ready(Status::NotFound("user not materialized, no encoder"));
+    return Status::NotFound("user not materialized, no encoder");
   }
-  if (deadline_micros == 0) deadline_micros = options_.default_deadline_micros;
-
-  if (batcher_ != nullptr) {
-    // Outcome accounting (fold_ins / rejected / deadline_expired) happens
-    // inside the batcher and its encoded-sink callback.
-    return batcher_->Submit(user_id, features, deadline_micros);
+  std::vector<float> row;
+  {
+    obs::TraceSpan span("serving.fold_in.encode");
+    row = encoder_->Encode(features);
   }
-
-  // Synchronous fallback path (batcher disabled): encode a batch of one on
-  // the request thread. The encoder serializes internally, so concurrent
-  // cold lookups queue on its mutex — the cost the micro-batcher removes.
-  const core::RawUserFeatures* user = &features;
-  const Matrix embedding = encoder_->EncodeBatch({&user, 1});
-  std::vector<float> row(embedding.Row(0), embedding.Row(0) + embedding.cols());
   store_.Put(user_id, row);
   telemetry_.fold_ins.Increment();
+  telemetry_.batches.Increment();
+  telemetry_.batched_users.Increment();
   telemetry_.foldin_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-  return Ready(std::move(row));
-}
-
-void EmbeddingService::LookupOrEncodeAsync(
-    uint64_t user_id, const core::RawUserFeatures& features,
-    uint64_t deadline_micros, RequestBatcher::DoneCallback done) {
-  Stopwatch watch;
-  telemetry_.requests.Increment();
-  if (auto embedding = store_.Get(user_id); embedding.has_value()) {
-    telemetry_.store_hits.Increment();
-    telemetry_.lookup_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-    done(*std::move(embedding));
-    return;
-  }
-  if (encoder_ == nullptr) {
-    telemetry_.not_found.Increment();
-    done(Status::NotFound("user not materialized, no encoder"));
-    return;
-  }
-  if (deadline_micros == 0) deadline_micros = options_.default_deadline_micros;
-
-  if (batcher_ != nullptr) {
-    batcher_->SubmitAsync(user_id, features, deadline_micros,
-                          std::move(done));
-    return;
-  }
-
-  // Synchronous fallback, as in LookupOrEncode.
-  const core::RawUserFeatures* user = &features;
-  const Matrix embedding = encoder_->EncodeBatch({&user, 1});
-  std::vector<float> row(embedding.Row(0),
-                         embedding.Row(0) + embedding.cols());
-  store_.Put(user_id, row);
-  telemetry_.fold_ins.Increment();
-  telemetry_.foldin_latency_us().Record(watch.ElapsedSeconds() * 1e6);
-  done(std::move(row));
+  return row;
 }
 
 std::string EmbeddingService::TelemetryJson() const {

@@ -2,15 +2,14 @@
 #define FVAE_SERVING_EMBEDDING_SERVICE_H_
 
 #include <cstdint>
-#include <future>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "common/stopwatch.h"
 #include "core/fvae_model.h"
 #include "serving/fold_in.h"
-#include "serving/request_batcher.h"
 #include "serving/sharded_store.h"
 #include "serving/telemetry.h"
 
@@ -19,14 +18,6 @@ namespace fvae::serving {
 struct EmbeddingServiceOptions {
   /// Shards of the materialized-embedding store.
   size_t num_shards = 16;
-  /// When false, cold users are encoded synchronously on the request
-  /// thread (one encoder pass per request) — the baseline the load
-  /// benchmark compares the micro-batcher against.
-  bool enable_batcher = true;
-  RequestBatcherOptions batcher;
-  /// Deadline applied to fold-in requests that do not pass their own
-  /// (microseconds; 0 = none).
-  uint64_t default_deadline_micros = 0;
   /// Registry the service's telemetry registers into. Null (default) gives
   /// the service a private registry; pass &obs::MetricsRegistry::Global()
   /// to surface serving metrics in process-wide snapshots.
@@ -36,22 +27,22 @@ struct EmbeddingServiceOptions {
 /// In-process front-end of the online module (Fig. 2): the look-alike
 /// system's view of user embeddings under concurrent traffic.
 ///
-/// Request path:
+/// Request path, all on the calling thread:
 ///   1. sharded store Get            — hot users, reader-concurrent;
-///   2. on miss, fold-in encode      — micro-batched (or synchronous when
-///      the batcher is disabled), result materialized into the store so
-///      the user is hot from then on;
-///   3. overload                     — bounded queue bounces requests with
-///      kUnavailable (admission control); expired deadlines answer
-///      kDeadlineExceeded. Callers degrade gracefully: a kUnavailable
-///      answer means "retry later or serve the cache-only fallback".
+///   2. on miss, fold-in encode      — one amortised encoder pass over the
+///      raw field vector (lock-free, so callers encode in parallel), the
+///      result materialized into the store so the user is hot from then on.
+/// Nothing is queued, so there is no admission queue to overflow and no
+/// deadline to expire: a caller that offers more load than the encoders
+/// absorb is slowed by its own transport (the RPC server's read-pause
+/// backpressure).
 ///
 /// All public methods are safe for concurrent callers. The service holds
 /// no locks of its own: every member is either set in the constructor and
-/// immutable afterwards (`encoder_`, `options_`, `batcher_`) or owns its
-/// synchronization (`store_` is per-shard reader/writer-locked and
-/// capability-annotated, `telemetry_` is lock-free atomics). Adding mutable
-/// service-level state requires a `common::Mutex` with `FVAE_GUARDED_BY`
+/// immutable afterwards (`encoder_`) or owns its synchronization (`store_`
+/// is per-shard reader/writer-locked and capability-annotated,
+/// `telemetry_` is lock-free atomics). Adding mutable service-level state
+/// requires a `common::Mutex` with `FVAE_GUARDED_BY`
 /// (docs/ARCHITECTURE.md §7).
 class EmbeddingService {
  public:
@@ -60,9 +51,9 @@ class EmbeddingService {
   /// `store` seeds the materialized embeddings (moved in). `encoder` may be
   /// null — the service then answers store lookups only — and must outlive
   /// the service.
-  EmbeddingService(ShardedEmbeddingStore store, FoldInEncoder* encoder,
+  EmbeddingService(ShardedEmbeddingStore store,
+                   const FvaeFoldInEncoder* encoder,
                    EmbeddingServiceOptions options = {});
-  ~EmbeddingService();
 
   EmbeddingService(const EmbeddingService&) = delete;
   EmbeddingService& operator=(const EmbeddingService&) = delete;
@@ -70,23 +61,11 @@ class EmbeddingService {
   /// Store-only lookup (no fold-in): kNotFound for unmaterialized users.
   EmbeddingResult Lookup(uint64_t user_id);
 
-  /// Full serving path: store hit answers immediately (the returned future
-  /// is already ready); a miss folds the raw field vector in via the
-  /// batcher. `deadline_micros` overrides the configured default (0 =
-  /// default).
-  std::future<EmbeddingResult> LookupOrEncode(
-      uint64_t user_id, const core::RawUserFeatures& features,
-      uint64_t deadline_micros = 0);
-
-  /// Callback flavor of LookupOrEncode for event-loop callers (the net
-  /// RPC server) that must not park a thread on a future. `done` fires
-  /// exactly once: inline on the calling thread for store hits, rejections
-  /// and the synchronous-encode fallback, or on a batcher worker thread
-  /// otherwise — callers needing loop affinity re-post from the callback.
-  void LookupOrEncodeAsync(uint64_t user_id,
-                           const core::RawUserFeatures& features,
-                           uint64_t deadline_micros,
-                           RequestBatcher::DoneCallback done);
+  /// Full serving path: a store hit answers from the store; a miss folds
+  /// the raw field vector in on the calling thread (traced as the
+  /// `serving.fold_in.encode` span) and materializes the result.
+  EmbeddingResult LookupOrEncode(uint64_t user_id,
+                                 const core::RawUserFeatures& features);
 
   const ShardedEmbeddingStore& store() const { return store_; }
   ServingTelemetry& telemetry() { return telemetry_; }
@@ -96,13 +75,14 @@ class EmbeddingService {
   std::string TelemetryJson() const;
 
  private:
-  static std::future<EmbeddingResult> Ready(EmbeddingResult result);
+  /// The store read both paths start with: counts the request and, on a
+  /// hit, the hit and its latency since `watch` started.
+  std::optional<std::vector<float>> ReadStore(uint64_t user_id,
+                                              const Stopwatch& watch);
 
   ShardedEmbeddingStore store_;
-  FoldInEncoder* encoder_;
-  EmbeddingServiceOptions options_;
+  const FvaeFoldInEncoder* encoder_;
   ServingTelemetry telemetry_;
-  std::unique_ptr<RequestBatcher> batcher_;  // null when batcher disabled
 };
 
 }  // namespace fvae::serving

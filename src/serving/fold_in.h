@@ -2,81 +2,61 @@
 #define FVAE_SERVING_FOLD_IN_H_
 
 #include <span>
+#include <vector>
 
 #include "common/hot_path.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/fvae_model.h"
 #include "math/matrix.h"
 
 namespace fvae::serving {
 
-/// Batch encoder for cold users (fold-in): turns raw sparse field vectors
-/// into embeddings when a user's embedding was never materialized offline.
+/// Fold-in encoder for cold users over a frozen FieldVae: turns raw sparse
+/// field vectors into embeddings when a user's embedding was never
+/// materialized offline.
 ///
-/// Implementations MUST be safe for concurrent callers — the request
-/// batcher may run more than one worker, and the service's synchronous
-/// fallback path calls straight from request threads.
-class FoldInEncoder {
- public:
-  virtual ~FoldInEncoder() = default;
-
-  /// Encodes `users` in one forward pass; returns users.size() x dim().
-  virtual Matrix EncodeBatch(
-      std::span<const core::RawUserFeatures* const> users) = 0;
-
-  /// Encodes into a caller-owned matrix (users.size() x dim()), letting
-  /// steady-state callers reuse `out`'s capacity across batches instead of
-  /// returning a fresh Matrix per call. The default adapter just moves
-  /// EncodeBatch's result; allocation-conscious implementations override.
-  virtual void EncodeBatchInto(
-      std::span<const core::RawUserFeatures* const> users, Matrix* out) {
-    *out = EncodeBatch(users);
-  }
-
-  /// Embedding dimensionality produced by EncodeBatch.
-  virtual size_t dim() const = 0;
-};
-
-/// FoldInEncoder over a frozen FieldVae.
-///
-/// FieldVae's forward passes reuse member scratch buffers, so encodes are
-/// serialized through an internal mutex. That serialization is exactly what
-/// the micro-batcher amortizes: one batched GEMM per batch instead of one
-/// mutex-serialized GEMM per request. The mutex is FVAE_HOT_LOCK_EXEMPT for
-/// the same reason — holding it on the hot path is the design, not a leak.
-class FvaeFoldInEncoder : public FoldInEncoder {
+/// Lock-free and safe for any number of concurrent callers: the model's
+/// fold-in pass is const (nn::Layer::Infer), and each calling thread keeps
+/// its own FieldVae::FoldInScratch, so the RPC workers encode in parallel.
+class FvaeFoldInEncoder {
  public:
   /// `model` must outlive the encoder and must not be trained concurrently.
   explicit FvaeFoldInEncoder(const core::FieldVae* model) : model_(model) {}
 
-  Matrix EncodeBatch(
-      std::span<const core::RawUserFeatures* const> users) override {
-    Matrix out;
-    EncodeBatchInto(users, &out);
-    return out;
-  }
-
-  /// Zero-allocation once warm: the persistent scratch + the caller's `out`
-  /// grow to the high-water batch shape and are reused ever after
-  /// (FVAE_NOALLOC is checked transitively by fvae_lint and witnessed by
-  /// serving_test's operator-new interposer).
+  /// Encodes `users` in one forward pass into a caller-owned matrix
+  /// (users.size() x the model's latent_dim()).
+  /// Zero-allocation once warm: the calling thread's scratch and `out` grow
+  /// to the high-water batch shape and are reused ever after (FVAE_NOALLOC
+  /// is checked transitively by fvae_lint and witnessed by serving_test's
+  /// operator-new interposer).
   void EncodeBatchInto(std::span<const core::RawUserFeatures* const> users,
-                       Matrix* out) override FVAE_EXCLUDES(mutex_)
-      FVAE_HOT FVAE_NOALLOC {
-    MutexLock lock(mutex_);
-    model_->EncodeFoldInInto(users, &scratch_, out);
+                       Matrix* out) const FVAE_HOT FVAE_NOALLOC {
+    model_->EncodeFoldInInto(users, &ThisThread().layers, out);
   }
 
-  size_t dim() const override { return model_->latent_dim(); }
+  /// One user's embedding, encoded on the calling thread. Allocates only
+  /// the returned row.
+  std::vector<float> Encode(const core::RawUserFeatures& user) const {
+    const core::RawUserFeatures* users[] = {&user};
+    Matrix& mu = ThisThread().mu;
+    EncodeBatchInto(users, &mu);
+    return std::vector<float>(mu.Row(0), mu.Row(0) + mu.cols());
+  }
 
  private:
-  // Not FVAE_PT_GUARDED_BY(mutex_): the mutex serializes EncodeFoldInInto's
-  // scratch-buffer use only; genuinely-const reads (latent_dim) are safe
-  // without it.
+  struct ThreadScratch {
+    core::FieldVae::FoldInScratch layers;
+    Matrix mu;
+  };
+
+  /// The calling thread's scratch, shared by every encoder the thread
+  /// runs: buffers only ever grow, so a differently shaped model just
+  /// raises the high-water mark.
+  static ThreadScratch& ThisThread() {
+    thread_local ThreadScratch scratch;
+    return scratch;
+  }
+
   const core::FieldVae* model_;
-  Mutex mutex_ FVAE_HOT_LOCK_EXEMPT;
-  core::FieldVae::FoldInScratch scratch_ FVAE_GUARDED_BY(mutex_);
 };
 
 }  // namespace fvae::serving

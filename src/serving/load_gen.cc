@@ -46,11 +46,13 @@ std::string LoadGenReport::Json() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"qps\":%.1f,\"p50_us\":%.1f,\"p95_us\":%.1f,"
                 "\"p99_us\":%.1f,\"mean_us\":%.1f,\"ok\":%llu,"
-                "\"errors\":%llu,\"elapsed_s\":%.3f}",
+                "\"errors\":%llu,\"cold\":%llu,\"elapsed_s\":%.3f}",
                 Qps(), latency_us.Percentile(50.0),
                 latency_us.Percentile(95.0), latency_us.Percentile(99.0),
                 latency_us.Mean(), static_cast<unsigned long long>(ok),
-                static_cast<unsigned long long>(errors), elapsed_seconds);
+                static_cast<unsigned long long>(errors),
+                static_cast<unsigned long long>(cold_requests),
+                elapsed_seconds);
   return buf;
 }
 
@@ -64,10 +66,15 @@ LoadGenReport RunClosedLoopLoad(EmbeddingService& service,
   FVAE_CHECK(options.hot_fraction <= 0.0 || !hot_ids.empty())
       << "hot traffic requested but no hot ids";
   const size_t num_threads = std::max<size_t>(options.num_threads, 1);
+  // Cold user ids start above every dataset id (uint32) and never repeat in
+  // the process, so a run against a service that earlier runs already
+  // folded users into still misses the store on every cold request.
+  static std::atomic<uint64_t> next_cold_id{uint64_t(1) << 40};
 
   LoadGenReport report;
   std::atomic<uint64_t> ok{0};
   std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> cold{0};
 
   Stopwatch watch;
   std::vector<std::thread> threads;
@@ -75,21 +82,26 @@ LoadGenReport RunClosedLoopLoad(EmbeddingService& service,
   for (size_t t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(options.seed * 1315423911u + t);
-      // Strided walk: thread t owns cold_ids[t], [t + T], ... so each cold
-      // id's first visit belongs to exactly one thread.
+      // Strided walk: thread t takes its features from cold_ids[t],
+      // [t + T], ... so threads spread over the whole cold pool.
       size_t cold_cursor = t;
       for (size_t i = 0; i < options.requests_per_thread; ++i) {
-        uint32_t user;
+        uint64_t user_id;
+        core::RawUserFeatures features;
         if (rng.Uniform() < options.hot_fraction) {
-          user = hot_ids[rng.UniformInt(uint64_t(hot_ids.size()))];
+          const uint32_t user =
+              hot_ids[rng.UniformInt(uint64_t(hot_ids.size()))];
+          user_id = user;
+          features = RawFeaturesOf(dataset, user);
         } else {
-          user = cold_ids[cold_cursor % cold_ids.size()];
+          user_id = next_cold_id.fetch_add(1, std::memory_order_relaxed);
+          features =
+              RawFeaturesOf(dataset, cold_ids[cold_cursor % cold_ids.size()]);
           cold_cursor += num_threads;
+          cold.fetch_add(1, std::memory_order_relaxed);
         }
         Stopwatch request_watch;
-        auto future = service.LookupOrEncode(
-            user, RawFeaturesOf(dataset, user), options.deadline_micros);
-        const auto result = future.get();
+        const auto result = service.LookupOrEncode(user_id, features);
         report.latency_us.Record(request_watch.ElapsedSeconds() * 1e6);
         result.ok() ? ok.fetch_add(1, std::memory_order_relaxed)
                     : errors.fetch_add(1, std::memory_order_relaxed);
@@ -101,6 +113,7 @@ LoadGenReport RunClosedLoopLoad(EmbeddingService& service,
   report.elapsed_seconds = watch.ElapsedSeconds();
   report.ok = ok.load();
   report.errors = errors.load();
+  report.cold_requests = cold.load();
   return report;
 }
 

@@ -32,10 +32,8 @@ struct LoadGenOptions {
   /// Requests each thread issues (and individually waits for — closed
   /// loop: one outstanding request per thread).
   size_t requests_per_thread = 1000;
-  /// Probability a request targets the hot set; the rest walk the cold ids.
+  /// Probability a request targets the hot set; the rest are cold.
   double hot_fraction = 0.8;
-  /// Per-request deadline forwarded to the service (0 = none).
-  uint64_t deadline_micros = 0;
   uint64_t seed = 1;
 };
 
@@ -44,7 +42,9 @@ struct LoadGenReport {
   double elapsed_seconds = 0.0;
   uint64_t ok = 0;
   uint64_t errors = 0;
-  /// Client-observed end-to-end latency (issue -> future resolved), us.
+  /// Requests for never-seen users: each one is a fold-in.
+  uint64_t cold_requests = 0;
+  /// Client-observed end-to-end latency (issue -> answer), us.
   LatencyHistogram latency_us;
 
   double Qps() const {
@@ -56,10 +56,12 @@ struct LoadGenReport {
 };
 
 /// Drives `service` with num_threads closed-loop clients over `dataset`.
-/// Hot requests draw uniformly from `hot_ids`; cold requests walk
-/// `cold_ids` in a per-thread strided order (each cold id is first touched
-/// by exactly one thread, so a pass over cold_ids measures pure fold-in).
-/// Ids index `dataset`, which supplies the raw field vectors.
+/// Hot requests draw uniformly from `hot_ids`. Every cold request asks for
+/// a user id never requested before in this process, so it always misses
+/// the store and folds in, carrying the features of the next `cold_ids`
+/// entry in a per-thread strided walk (wrapping as often as needed). Ids
+/// index `dataset`, which supplies the raw field vectors; they are built
+/// before each request's latency clock starts.
 LoadGenReport RunClosedLoopLoad(EmbeddingService& service,
                                 const MultiFieldDataset& dataset,
                                 std::span<const uint32_t> hot_ids,

@@ -22,7 +22,7 @@ namespace fvae::serving {
 ///
 /// Safe for concurrent callers: the cache and counters are guarded by one
 /// mutex, so throughput is bounded by lock handoff. For the concurrent
-/// serving stack (sharding, micro-batched fold-in, admission control) use
+/// serving stack (sharding, lock-free inline fold-in) use
 /// EmbeddingService; this proxy remains the minimal single-store reference
 /// implementation.
 class ServingProxy {

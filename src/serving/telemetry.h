@@ -14,14 +14,14 @@
 
 namespace fvae::serving {
 
-/// Counters, gauges and latency histograms of the serving stack, registered
-/// in an obs::MetricsRegistry under the `serving.` prefix. One instance is
-/// shared by the EmbeddingService front-end and its RequestBatcher;
-/// everything is atomics / lock-free histograms, so request threads update
-/// it on the hot path without contention. Accordingly the class carries no
-/// capability annotations: there is no lock to hold, and all members are
-/// individually thread-safe (the cross-counter invariant below is
-/// eventually consistent, not a snapshot).
+/// Counters and latency histograms of the serving stack, registered in an
+/// obs::MetricsRegistry under the `serving.` prefix. One instance belongs
+/// to each EmbeddingService; everything is atomics / lock-free histograms,
+/// so request threads update it on the hot path without contention.
+/// Accordingly the class carries no capability annotations: there is no
+/// lock to hold, and all members are individually thread-safe (the
+/// cross-counter invariant below is eventually consistent, not a
+/// snapshot).
 ///
 /// Pass a registry (typically obs::MetricsRegistry::Global()) to surface
 /// the serving metrics in process-wide dumps next to the training, data
@@ -32,7 +32,9 @@ namespace fvae::serving {
 ///   requests == store_hits + fold_ins + rejected + deadline_expired
 ///             + not_found
 /// (every request terminates in exactly one of those outcomes; the stress
-/// test asserts it).
+/// test asserts it). Fold-in runs inline on the calling thread, with no
+/// queue to bounce from or expire in, so `rejected` and `deadline_expired`
+/// stay 0; they remain for the outcome invariant's readers.
 class ServingTelemetry {
  private:
   // Declared before the instrument references below: members initialize in
@@ -55,36 +57,23 @@ class ServingTelemetry {
   obs::Counter& store_hits;
   /// Served by running the encoder on the raw field vector (cold users).
   obs::Counter& fold_ins;
-  /// Admission control: bounced because the fold-in queue was full.
+  /// Turned away at admission (always 0: nothing is queued).
   obs::Counter& rejected;
-  /// Dropped in-queue because the per-request deadline expired.
+  /// Expired before an answer (always 0: nothing waits).
   obs::Counter& deadline_expired;
-  /// Subset of deadline_expired caught at the batcher's dequeue boundary:
-  /// admitted under deadline, expired by the time the batch was taken.
-  /// These never consume a batch slot. Not part of the outcome invariant
-  /// (each is also counted in deadline_expired).
-  obs::Counter& batcher_deadline_expired;
   /// No embedding and no feature vector to fold in.
   obs::Counter& not_found;
 
-  // --- batcher accounting ---
+  // --- encoder accounting: each fold-in encodes a batch of one ---
   obs::Counter& batches;
   obs::Counter& batched_users;
-
-  /// Sets the queue-depth gauge and folds it into the peak watermark.
-  void UpdateQueueDepth(size_t depth) {
-    queue_depth_.Set(double(depth));
-    queue_peak_.SetMax(double(depth));
-  }
-  size_t queue_depth() const { return size_t(queue_depth_.Value()); }
-  size_t queue_peak() const { return size_t(queue_peak_.Value()); }
 
   /// End-to-end latency of store-hit answers, microseconds.
   LatencyHistogram& lookup_latency_us() { return lookup_latency_us_; }
   const LatencyHistogram& lookup_latency_us() const {
     return lookup_latency_us_;
   }
-  /// End-to-end latency of fold-in answers (enqueue -> embedding ready).
+  /// End-to-end latency of fold-in answers (request -> embedding stored).
   LatencyHistogram& foldin_latency_us() { return foldin_latency_us_; }
   const LatencyHistogram& foldin_latency_us() const {
     return foldin_latency_us_;
@@ -118,8 +107,6 @@ class ServingTelemetry {
       const std::vector<ShardedEmbeddingStore::ShardStats>* shards) const;
 
  private:
-  obs::Gauge& queue_depth_;
-  obs::Gauge& queue_peak_;
   LatencyHistogram& lookup_latency_us_;
   LatencyHistogram& foldin_latency_us_;
   std::atomic<int64_t> start_us_;

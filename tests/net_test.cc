@@ -7,7 +7,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <span>
 #include <string>
 #include <thread>
@@ -25,74 +24,29 @@
 #include "net/wire.h"
 #include "serving/embedding_service.h"
 #include "serving/fold_in.h"
+#include "fold_in_test_model.h"
 
 namespace fvae::net {
 namespace {
 
 using serving::EmbeddingService;
-using serving::EmbeddingServiceOptions;
-using serving::FoldInEncoder;
+using serving::FvaeFoldInEncoder;
 using serving::ShardedEmbeddingStore;
 
-/// Deterministic encoder (same contract as serving_test's fake): every
-/// output element equals the first feature id of field 0. Optional
-/// per-batch sleep forces hedging; the gate makes drain races deterministic.
-class FakeEncoder : public FoldInEncoder {
- public:
-  explicit FakeEncoder(size_t dim, int sleep_ms = 0)
-      : dim_(dim), sleep_ms_(sleep_ms) {}
-
-  Matrix EncodeBatch(
-      std::span<const core::RawUserFeatures* const> users) override {
-    calls.fetch_add(1);
-    users_encoded.fetch_add(users.size());
-    if (gated_) {
-      entered.store(true);
-      gate.acquire();
-    }
-    if (sleep_ms_ > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
-    }
-    Matrix out(users.size(), dim_);
-    for (size_t i = 0; i < users.size(); ++i) {
-      const auto& field0 = (*users[i])[0];
-      const float value = field0.empty() ? -1.0f : float(field0[0].id);
-      for (size_t d = 0; d < dim_; ++d) out(i, d) = value;
-    }
-    return out;
-  }
-
-  size_t dim() const override { return dim_; }
-
-  void EnableGate() { gated_ = true; }
-
-  std::atomic<int> calls{0};
-  std::atomic<size_t> users_encoded{0};
-  std::atomic<bool> entered{false};
-  std::counting_semaphore<1024> gate{0};
-
- private:
-  size_t dim_;
-  int sleep_ms_;
-  bool gated_ = false;
-};
-
-core::RawUserFeatures RawUser(uint64_t feature_id) {
-  return {{{feature_id, 1.0f}}};
-}
+using fold_in_test::MakeFoldInModel;
+using fold_in_test::RawUser;
 
 std::string Endpoint(uint16_t port) {
   return "127.0.0.1:" + std::to_string(port);
 }
 
-/// One serve stack: store + encoder + service + RPC server on an ephemeral
+/// One serve stack: model + encoder + service + RPC server on an ephemeral
 /// port.
 struct TestServer {
-  explicit TestServer(size_t dim = 4, RpcServerOptions options = {},
-                      EmbeddingServiceOptions service_options = {},
-                      int encoder_sleep_ms = 0)
-      : encoder(dim, encoder_sleep_ms),
-        service(ShardedEmbeddingStore(4), &encoder, service_options),
+  explicit TestServer(size_t dim = 4, RpcServerOptions options = {})
+      : model(MakeFoldInModel(dim)),
+        encoder(model.get()),
+        service(ShardedEmbeddingStore(4), &encoder),
         server(&service, options) {
     EXPECT_TRUE(server.Start().ok());
   }
@@ -100,7 +54,13 @@ struct TestServer {
 
   std::string endpoint() { return Endpoint(server.port()); }
 
-  FakeEncoder encoder;
+  /// The embedding a fold-in of `features` must answer with.
+  std::vector<float> Reference(const core::RawUserFeatures& features) const {
+    return encoder.Encode(features);
+  }
+
+  std::unique_ptr<core::FieldVae> model;
+  FvaeFoldInEncoder encoder;
   EmbeddingService service;
   RpcServer server;
 };
@@ -518,7 +478,7 @@ TEST(RpcServerTest, HealthLookupFoldInStats) {
   Result<std::vector<float>> encoded = rpc.EncodeFoldIn(7, RawUser(123));
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
   ASSERT_EQ(encoded->size(), 4u);
-  EXPECT_FLOAT_EQ((*encoded)[0], 123.0f);
+  EXPECT_EQ(*encoded, ts.Reference(RawUser(123)));
 
   // Now hot: lookup serves from the store.
   Result<std::vector<float>> looked_up = rpc.Lookup(7);
@@ -629,6 +589,7 @@ TEST(RpcServerTest, BackpressurePausesReadsAndRecovers) {
       RpcChannel::Connect(ts.endpoint());
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE((*warm)->EncodeFoldIn(1, RawUser(5)).ok());
+  const std::vector<float> expected = ts.Reference(RawUser(5));
 
   Result<std::unique_ptr<RpcChannel>> channel =
       RpcChannel::Connect(ts.endpoint());
@@ -649,6 +610,14 @@ TEST(RpcServerTest, BackpressurePausesReadsAndRecovers) {
     ASSERT_TRUE(tag.ok()) << "request " << i;
     tags.push_back(*tag);
   }
+  // Read nothing until the server has paused: a client that starts
+  // draining while a loaded server is still working through the requests
+  // can keep the socket buffers from ever filling.
+  for (int i = 0;
+       i < 10000 && ts.server.metrics().backpressure_pauses.Value() == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Now drain: every response must arrive, in order, intact.
   for (int i = 0; i < kRequests; ++i) {
     Result<Frame> frame =
@@ -659,41 +628,60 @@ TEST(RpcServerTest, BackpressurePausesReadsAndRecovers) {
         DecodeEmbeddingResponse(frame->payload.data(), frame->payload.size());
     ASSERT_TRUE(embedding.ok());
     ASSERT_EQ(embedding->size(), 4096u);
-    EXPECT_FLOAT_EQ((*embedding)[0], 5.0f);
+    EXPECT_EQ((*embedding)[0], expected[0]);
   }
   EXPECT_GE(ts.server.metrics().backpressure_pauses.Value(), 1u);
 }
 
-TEST(RpcServerTest, GracefulDrainFlushesInflightFoldIn) {
-  TestServer ts;
-  ts.encoder.EnableGate();
+TEST(RpcServerTest, GracefulDrainFlushesPendingReplies) {
+  // Reads never pause here, so the server takes in every request while
+  // its replies (~16 KiB each, ~32 MiB in all) pile up in the write buffer
+  // of a client that is not reading yet.
+  RpcServerOptions options;
+  options.write_buffer_high_watermark = size_t(1) << 30;
+  // Far beyond the flush time even under a sanitizer: the drain must end
+  // because the replies went out, not because the budget ran out.
+  options.drain_timeout_micros = 60'000'000;
+  TestServer ts(/*dim=*/4096, options);
 
   Result<std::unique_ptr<RpcChannel>> channel =
       RpcChannel::Connect(ts.endpoint());
   ASSERT_TRUE(channel.ok());
   RpcChannel& rpc = **channel;
+  ASSERT_TRUE(rpc.EncodeFoldIn(1, RawUser(5)).ok());
+  const std::vector<float> expected = ts.Reference(RawUser(5));
 
+  constexpr int kRequests = 2000;
   std::vector<uint8_t> payload;
-  EncodeFoldInRequest(payload, 5, RawUser(55));
-  Result<uint64_t> tag = rpc.SendRequest(Verb::kEncodeFoldIn, payload);
-  ASSERT_TRUE(tag.ok());
-  // Wait until the encoder actually holds the request, so Stop() races a
-  // genuinely in-flight fold-in.
-  for (int i = 0; i < 2000 && !ts.encoder.entered.load(); ++i) {
+  EncodeLookupRequest(payload, 1);
+  std::vector<uint64_t> tags;
+  tags.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    Result<uint64_t> tag = rpc.SendRequest(Verb::kLookup, payload);
+    ASSERT_TRUE(tag.ok()) << "request " << i;
+    tags.push_back(*tag);
+  }
+  // Every request answered (in the write buffer or the socket) before the
+  // drain starts, so Stop() races replies that are still pending.
+  for (int i = 0; i < 10000 && ts.server.metrics().frames_tx.Value() <
+                                   uint64_t(kRequests) + 1;
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(ts.encoder.entered.load());
+  ASSERT_EQ(ts.server.metrics().frames_tx.Value(), uint64_t(kRequests) + 1);
 
   std::thread stopper([&] { ts.server.Stop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ts.encoder.gate.release();  // let the encode finish mid-drain
-
-  Result<Frame> frame = rpc.ReadResponse(*tag, MonotonicMicros() + 5'000'000);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  Result<std::vector<float>> embedding =
-      DecodeEmbeddingResponse(frame->payload.data(), frame->payload.size());
-  ASSERT_TRUE(embedding.ok());
-  EXPECT_FLOAT_EQ((*embedding)[0], 55.0f);
+  for (int i = 0; i < kRequests; ++i) {
+    Result<Frame> frame =
+        rpc.ReadResponse(tags[i], MonotonicMicros() + 10'000'000);
+    ASSERT_TRUE(frame.ok()) << "response " << i << ": "
+                            << frame.status().ToString();
+    Result<std::vector<float>> embedding =
+        DecodeEmbeddingResponse(frame->payload.data(), frame->payload.size());
+    ASSERT_TRUE(embedding.ok());
+    ASSERT_EQ(embedding->size(), 4096u);
+    EXPECT_EQ((*embedding)[0], expected[0]);
+  }
   stopper.join();
 }
 
@@ -720,7 +708,7 @@ TEST(RpcServerTest, ConcurrentClientsUnderLoad) {
         const uint64_t user = uint64_t(t) * 1000 + i;
         Result<std::vector<float>> encoded =
             rpc.EncodeFoldIn(user, RawUser(user + 1));
-        if (!encoded.ok() || (*encoded)[0] != float(user + 1)) {
+        if (!encoded.ok() || *encoded != ts.Reference(RawUser(user + 1))) {
           failures.fetch_add(1);
           continue;
         }
@@ -775,12 +763,12 @@ TEST(ShardRouterTest, RoutedFoldInAndLookup) {
     Result<std::vector<float>> encoded =
         router.EncodeFoldIn(user, RawUser(user + 7));
     ASSERT_TRUE(encoded.ok()) << user << ": " << encoded.status().ToString();
-    EXPECT_FLOAT_EQ((*encoded)[0], float(user + 7));
+    EXPECT_EQ(*encoded, a.Reference(RawUser(user + 7)));
   }
   for (uint64_t user = 0; user < kUsers; ++user) {
     Result<std::vector<float>> looked_up = router.Lookup(user);
     ASSERT_TRUE(looked_up.ok()) << user;
-    EXPECT_FLOAT_EQ((*looked_up)[0], float(user + 7));
+    EXPECT_EQ(*looked_up, a.Reference(RawUser(user + 7)));
   }
   // Per-shard accounting saw every request exactly once (no hedges, no
   // failovers).
@@ -807,6 +795,8 @@ TEST(ShardRouterTest, FailoverKeepsSurvivingShardKeysAt100Percent) {
   ShardRouterClient router({a->endpoint(), b->endpoint()}, options);
 
   // Fold users into their owning shards.
+  const std::unique_ptr<core::FieldVae> model = MakeFoldInModel(4);
+  const FvaeFoldInEncoder reference(model.get());
   std::vector<uint64_t> on_a, on_b;
   for (uint64_t user = 0; user < 40; ++user) {
     (router.OwnerOf(user) == 0 ? on_a : on_b).push_back(user);
@@ -824,7 +814,7 @@ TEST(ShardRouterTest, FailoverKeepsSurvivingShardKeysAt100Percent) {
     ASSERT_TRUE(looked_up.ok())
         << "lost key " << user << " on surviving shard: "
         << looked_up.status().ToString();
-    EXPECT_FLOAT_EQ((*looked_up)[0], float(user + 1));
+    EXPECT_EQ(*looked_up, reference.Encode(RawUser(user + 1)));
   }
   // Keys owned by the dead shard fail over to the survivor, which answers
   // NotFound (alive, but the embedding lived on the dead shard) — that is
@@ -841,10 +831,14 @@ TEST(ShardRouterTest, FailoverKeepsSurvivingShardKeysAt100Percent) {
 }
 
 TEST(ShardRouterTest, HedgedRetryFiresOnSlowShard) {
-  // Both shards stall 60 ms per encode; the router hedges after ~2 ms, so
-  // the duplicate send is guaranteed to fire (and either arm may win).
-  TestServer a(4, {}, {}, /*encoder_sleep_ms=*/60);
-  TestServer b(4, {}, {}, /*encoder_sleep_ms=*/60);
+  // Shard 0 accepts connections (the kernel completes the handshake into
+  // the listen backlog) but never answers; the router hedges after ~2 ms
+  // to shard 1, whose reply must win.
+  Result<Fd> silent = TcpListen(0);
+  ASSERT_TRUE(silent.ok());
+  Result<uint16_t> silent_port = LocalPort(silent->get());
+  ASSERT_TRUE(silent_port.ok());
+  TestServer live(4);
 
   ShardRouterOptions options;
   options.enable_health_checks = false;
@@ -853,12 +847,16 @@ TEST(ShardRouterTest, HedgedRetryFiresOnSlowShard) {
   options.hedge_min_delay_micros = 2'000;
   options.hedge_max_delay_micros = 2'000;
   options.call_deadline_micros = 5'000'000;
-  ShardRouterClient router({a.endpoint(), b.endpoint()}, options);
+  ShardRouterClient router({Endpoint(*silent_port), live.endpoint()},
+                           options);
+  uint64_t user = 0;
+  while (router.OwnerOf(user) != 0) ++user;
 
-  Result<std::vector<float>> encoded = router.EncodeFoldIn(1, RawUser(9));
+  Result<std::vector<float>> encoded = router.EncodeFoldIn(user, RawUser(9));
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  EXPECT_FLOAT_EQ((*encoded)[0], 9.0f);
+  EXPECT_EQ(*encoded, live.Reference(RawUser(9)));
   EXPECT_GE(router.metrics().hedges.Value(), 1u);
+  EXPECT_GE(router.metrics().hedge_wins.Value(), 1u);
 }
 
 TEST(ShardRouterTest, HealthProbesCloseBreaker) {

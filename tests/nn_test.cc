@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "common/random.h"
 #include "math/matrix.h"
@@ -9,6 +12,7 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
+#include "nn/layer_norm.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -193,6 +197,92 @@ TEST(MlpTest, DimsExposed) {
   EXPECT_EQ(mlp.in_dim(), 7u);
   EXPECT_EQ(mlp.out_dim(), 2u);
   EXPECT_EQ(mlp.num_dense_layers(), 3u);
+}
+
+// ---------- Infer: the const inference pass ----------
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Checks Infer against Forward on two twin layers built by `make`:
+///  - Infer's output equals Forward's bit for bit, also on a warm scratch
+///    that last saw a different batch shape;
+///  - Infer leaves Forward's cache alone: a Backward after an interleaved
+///    Infer on other data matches the twin's Backward bit for bit.
+void ExpectInferMatchesForward(
+    const std::function<std::unique_ptr<Layer>()>& make, size_t in_dim,
+    uint64_t seed) {
+  Rng rng(seed);
+  const Matrix x = Matrix::Gaussian(5, in_dim, 1.0f, rng);
+  const Matrix other = Matrix::Gaussian(3, in_dim, 1.0f, rng);
+  std::unique_ptr<Layer> plain = make();
+  std::unique_ptr<Layer> probed = make();
+
+  Matrix forward_out;
+  plain->Forward(x, &forward_out, /*training=*/false);
+  const Layer& frozen = *probed;
+  Matrix infer_out;
+  std::vector<Matrix> scratch;
+  frozen.Infer(other, &infer_out, &scratch);  // warms scratch at 3 rows
+  frozen.Infer(x, &infer_out, &scratch);
+  EXPECT_TRUE(BitwiseEqual(forward_out, infer_out));
+
+  Matrix probed_out;
+  probed->Forward(x, &probed_out, /*training=*/false);
+  frozen.Infer(other, &infer_out, &scratch);  // between Forward and Backward
+  const Matrix grad = Matrix::Gaussian(x.rows(), forward_out.cols(), 1.0f,
+                                       rng);
+  Matrix plain_grad_in, probed_grad_in;
+  plain->Backward(grad, &plain_grad_in);
+  probed->Backward(grad, &probed_grad_in);
+  EXPECT_TRUE(BitwiseEqual(plain_grad_in, probed_grad_in));
+  std::vector<ParamRef> plain_params, probed_params;
+  plain->CollectParams(&plain_params);
+  probed->CollectParams(&probed_params);
+  ASSERT_EQ(plain_params.size(), probed_params.size());
+  for (size_t i = 0; i < plain_params.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(*plain_params[i].grad, *probed_params[i].grad))
+        << "parameter " << i;
+  }
+}
+
+TEST(InferTest, DenseMatchesForward) {
+  ExpectInferMatchesForward(
+      [] {
+        Rng rng(21);
+        return std::make_unique<DenseLayer>(6, 4, rng);
+      },
+      6, 1);
+}
+
+TEST(InferTest, TanhMatchesForward) {
+  ExpectInferMatchesForward([] { return std::make_unique<TanhLayer>(); }, 7,
+                            2);
+}
+
+TEST(InferTest, LayerNormMatchesForward) {
+  ExpectInferMatchesForward(
+      [] {
+        auto norm = std::make_unique<LayerNorm>(6);
+        Rng rng(22);
+        norm->gain() = Matrix::Gaussian(1, 6, 1.0f, rng);
+        norm->bias() = Matrix::Gaussian(1, 6, 1.0f, rng);
+        return norm;
+      },
+      6, 3);
+}
+
+TEST(InferTest, MlpMatchesForward) {
+  ExpectInferMatchesForward(
+      [] {
+        Rng rng(23);
+        return std::make_unique<Mlp>(std::vector<size_t>{6, 8, 5, 3},
+                                     Activation::kTanh, rng,
+                                     /*activate_output=*/true);
+      },
+      6, 4);
 }
 
 // ---------- Optimizers ----------

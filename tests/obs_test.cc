@@ -395,7 +395,7 @@ TEST(TraceContextTest, ContextFreeSpansKeepTheOldSerialization) {
 
 TEST(TraceContextTest, ExplicitContextRecordBypassesAmbient) {
   // The 5-arg RecordSpan is the API for spans whose identity was captured
-  // elsewhere (hedge arms, batcher completions): it must not read the
+  // elsewhere (hedge arms): it must not read the
   // calling thread's ambient context.
   TraceRecorder recorder;
   recorder.Enable();

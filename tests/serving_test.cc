@@ -10,10 +10,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
+#include <memory>
 #include <new>
 #include <numeric>
-#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -25,10 +24,11 @@
 #include "serving/embedding_store.h"
 #include "serving/fold_in.h"
 #include "serving/lru_cache.h"
-#include "serving/request_batcher.h"
+#include "serving/load_gen.h"
 #include "serving/serving_proxy.h"
 #include "serving/sharded_store.h"
 #include "serving/telemetry.h"
+#include "fold_in_test_model.h"
 
 // ---------------------------------------------------------------------------
 // Debug operator-new interposer: the runtime witness for the FVAE_NOALLOC
@@ -602,111 +602,73 @@ TEST(ShardedStoreTest, PutOverwrites) {
   EXPECT_FLOAT_EQ((*store.Get(5))[0], 9.0f);
 }
 
-// ---------- fold-in fakes for batcher/service tests ----------
-
-/// Deterministic encoder: embedding row = first feature id of field 0,
-/// repeated. Optionally sleeps to simulate GEMM cost or blocks on a gate
-/// for deterministic queue-state tests.
-class FakeEncoder : public FoldInEncoder {
- public:
-  explicit FakeEncoder(size_t dim, int sleep_ms = 0)
-      : dim_(dim), sleep_ms_(sleep_ms) {}
-
-  Matrix EncodeBatch(
-      std::span<const core::RawUserFeatures* const> users) override {
-    calls.fetch_add(1);
-    users_encoded.fetch_add(users.size());
-    if (gated_) {
-      entered.store(true);
-      gate.acquire();
-    }
-    if (sleep_ms_ > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
-    }
-    Matrix out(users.size(), dim_);
-    for (size_t i = 0; i < users.size(); ++i) {
-      const auto& field0 = (*users[i])[0];
-      const float value = field0.empty() ? -1.0f : float(field0[0].id);
-      for (size_t d = 0; d < dim_; ++d) out(i, d) = value;
-    }
-    return out;
-  }
-
-  size_t dim() const override { return dim_; }
-
-  void EnableGate() { gated_ = true; }
-
-  std::atomic<int> calls{0};
-  std::atomic<size_t> users_encoded{0};
-  std::atomic<bool> entered{false};
-  std::counting_semaphore<1024> gate{0};
-
- private:
-  size_t dim_;
-  int sleep_ms_;
-  bool gated_ = false;
-};
-
-core::RawUserFeatures RawUser(uint64_t feature_id) {
-  return {{{feature_id, 1.0f}}};
-}
+using fold_in_test::kKnownFeatures;
+using fold_in_test::MakeFoldInModel;
+using fold_in_test::RawUser;
+using fold_in_test::Reference;
 
 // ---------- fold-in hot path: zero-allocation witness ----------
 
-TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
-  // Small but structurally complete model: two encoder hidden layers so
-  // the Mlp trunk runs, plus the per-field embedding sums and the mu head.
-  core::FvaeConfig config;
-  config.latent_dim = 6;
-  config.encoder_hidden = {12, 10};
-  config.decoder_hidden = {12};
-  config.anneal_steps = 4;
-  config.seed = 11;
+/// Structurally complete model for the witness: two encoder hidden layers
+/// so the Mlp trunk runs, plus the per-field embedding sums and the mu
+/// head, with input tables grown by one training step.
+struct WitnessRig {
+  WitnessRig() {
+    core::FvaeConfig config;
+    config.latent_dim = 6;
+    config.encoder_hidden = {12, 10};
+    config.decoder_hidden = {12};
+    config.anneal_steps = 4;
+    config.seed = 11;
 
-  MultiFieldDataset::Builder builder(
-      {FieldSchema{"ch", false}, FieldSchema{"tag", true}});
-  for (uint64_t i = 0; i < 32; ++i) {
-    builder.AddUser({{{i % 4 + 1, 1.0f}},
-                     {{100 + i % 4, 1.0f}, {200 + (i % 7), 1.0f}}});
+    MultiFieldDataset::Builder builder(
+        {FieldSchema{"ch", false}, FieldSchema{"tag", true}});
+    for (uint64_t i = 0; i < 32; ++i) {
+      builder.AddUser({{{i % 4 + 1, 1.0f}},
+                       {{100 + i % 4, 1.0f}, {200 + (i % 7), 1.0f}}});
+    }
+    const MultiFieldDataset data = builder.Build();
+    model = std::make_unique<core::FieldVae>(config, data.fields());
+    std::vector<uint32_t> users(data.num_users());
+    std::iota(users.begin(), users.end(), 0);
+    // One training step grows the input tables so fold-in actually sums
+    // embedding rows instead of skipping every feature as cold.
+    model->TrainStep(data, users, /*beta=*/0.1f);
+
+    raw.reserve(8);
+    for (uint64_t i = 0; i < 8; ++i) {
+      // Mix of known features and one unknown id (cold-feature path).
+      raw.push_back({{{i % 4 + 1, 1.0f}},
+                     {{100 + i % 4, 1.0f}, {987654321, 1.0f}}});
+    }
+    for (const auto& features : raw) ptrs.push_back(&features);
   }
-  const MultiFieldDataset data = builder.Build();
 
-  core::FieldVae model(config, data.fields());
-  std::vector<uint32_t> users(data.num_users());
-  std::iota(users.begin(), users.end(), 0);
-  // One training step grows the input tables so fold-in actually sums
-  // embedding rows instead of skipping every feature as cold.
-  model.TrainStep(data, users, /*beta=*/0.1f);
-
-  FvaeFoldInEncoder encoder(&model);
+  std::unique_ptr<core::FieldVae> model;
   std::vector<core::RawUserFeatures> raw;
-  raw.reserve(8);
-  for (uint64_t i = 0; i < 8; ++i) {
-    // Mix of known features and one unknown id (cold-feature path).
-    raw.push_back({{{i % 4 + 1, 1.0f}},
-                   {{100 + i % 4, 1.0f}, {987654321, 1.0f}}});
-  }
   std::vector<const core::RawUserFeatures*> ptrs;
-  ptrs.reserve(raw.size());
-  for (const auto& features : raw) ptrs.push_back(&features);
+};
 
+TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
+  WitnessRig rig;
+  FvaeFoldInEncoder encoder(rig.model.get());
   Matrix out;
-  encoder.EncodeBatchInto(ptrs, &out);  // grows scratch + out to shape
-  encoder.EncodeBatchInto(ptrs, &out);  // settles any lazy growth
-  ASSERT_EQ(out.rows(), ptrs.size());
-  ASSERT_EQ(out.cols(), model.latent_dim());
+  encoder.EncodeBatchInto(rig.ptrs, &out);  // grows this thread's scratch
+  encoder.EncodeBatchInto(rig.ptrs, &out);  // settles any lazy growth
+  ASSERT_EQ(out.rows(), rig.ptrs.size());
+  ASSERT_EQ(out.cols(), rig.model->latent_dim());
 
   size_t allocations = 0;
   {
     alloc_witness::Scope witness;
-    encoder.EncodeBatchInto(ptrs, &out);
+    encoder.EncodeBatchInto(rig.ptrs, &out);
     allocations = witness.hits();
   }
   EXPECT_EQ(allocations, 0u)
       << "warmed fold-in encode must not touch the heap (FVAE_NOALLOC)";
 
   // The allocation-free pass still computes the real embeddings.
-  const Matrix reference = model.EncodeFoldIn(ptrs);
+  const Matrix reference = rig.model->EncodeFoldIn(rig.ptrs);
   EXPECT_EQ(Matrix::MaxAbsDiff(reference, out), 0.0f);
   bool any_nonzero = false;
   for (size_t i = 0; i < out.rows() && !any_nonzero; ++i) {
@@ -718,6 +680,39 @@ TEST(FoldInZeroAllocTest, WarmedEncodeBatchIsAllocationFree) {
     }
   }
   EXPECT_TRUE(any_nonzero) << "encode produced an all-zero embedding batch";
+}
+
+// The inline path encodes on whichever thread serves the request (an RPC
+// worker), each with scratch of its own: a thread's first encode grows its
+// scratch even when another thread's is warm, and its second is
+// allocation-free.
+TEST(FoldInZeroAllocTest, EachThreadWarmsItsOwnScratch) {
+  WitnessRig rig;
+  const FvaeFoldInEncoder encoder(rig.model.get());
+  Matrix main_out;
+  encoder.EncodeBatchInto(rig.ptrs, &main_out);
+  encoder.EncodeBatchInto(rig.ptrs, &main_out);
+
+  size_t first = 0, warm = 0;
+  Matrix worker_out;
+  std::thread worker([&] {
+    Matrix out(rig.ptrs.size(), rig.model->latent_dim());
+    {
+      alloc_witness::Scope witness;
+      encoder.EncodeBatchInto(rig.ptrs, &out);
+      first = witness.hits();
+    }
+    {
+      alloc_witness::Scope witness;
+      encoder.EncodeBatchInto(rig.ptrs, &out);
+      warm = witness.hits();
+    }
+    worker_out = out;
+  });
+  worker.join();
+  EXPECT_GT(first, 0u) << "a fresh thread must not share a warm scratch";
+  EXPECT_EQ(warm, 0u) << "a warmed worker thread must not touch the heap";
+  EXPECT_EQ(Matrix::MaxAbsDiff(main_out, worker_out), 0.0f);
 }
 
 // The interposer itself must see ordinary allocations — otherwise a silent
@@ -733,194 +728,26 @@ TEST(FoldInZeroAllocTest, InterposerCountsOrdinaryAllocations) {
   EXPECT_GE(allocations, 1u);
 }
 
-// ---------- RequestBatcher ----------
-
-TEST(RequestBatcherTest, CoalescesConcurrentRequests) {
-  FakeEncoder encoder(4, /*sleep_ms=*/10);
-  RequestBatcherOptions options;
-  options.max_batch_size = 8;
-  options.max_wait_micros = 2000;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  for (uint64_t i = 0; i < 16; ++i) {
-    futures.push_back(batcher.Submit(i, RawUser(100 + i)));
-  }
-  for (uint64_t i = 0; i < 16; ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->size(), 4u);
-    EXPECT_FLOAT_EQ((*result)[0], float(100 + i));
-  }
-  EXPECT_EQ(encoder.users_encoded.load(), 16u);
-  // 16 requests submitted while the encoder sleeps 10ms per call must
-  // coalesce well below one call per request (worst case: 1 + ceil(15/8)).
-  EXPECT_LT(encoder.calls.load(), 16);
-  EXPECT_EQ(telemetry.batched_users.Value(), 16u);
-  EXPECT_GT(telemetry.MeanBatchSize(), 1.0);
-}
-
-TEST(RequestBatcherTest, AdmissionControlRejectsWhenQueueFull) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  options.queue_capacity = 2;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  // First request is picked up by the worker, which blocks inside the
-  // encoder; the queue is now empty and its state is deterministic.
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  for (uint64_t i = 1; i <= 4; ++i) {
-    futures.push_back(batcher.Submit(i, RawUser(i)));
-  }
-  EXPECT_EQ(telemetry.rejected.Value(), 2u);  // capacity 2: two bounced
-  EXPECT_EQ(telemetry.queue_peak(), 2u);
-
-  encoder.gate.release(64);  // unblock all remaining batches
-  ASSERT_TRUE(warm.get().ok());
-  size_t ok = 0, unavailable = 0;
-  for (auto& future : futures) {
-    auto result = future.get();
-    if (result.ok()) {
-      ++ok;
-    } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-      ++unavailable;
-    }
-  }
-  EXPECT_EQ(ok, 2u);
-  EXPECT_EQ(unavailable, 2u);
-}
-
-TEST(RequestBatcherTest, ExpiredDeadlineSkipsEncoding) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  // Queued behind the blocked worker with a 1ms deadline; by the time the
-  // worker drains it, it is long expired and must not be encoded.
-  auto doomed = batcher.Submit(1, RawUser(1), /*deadline_micros=*/1000);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  encoder.gate.release(64);
-
-  ASSERT_TRUE(warm.get().ok());
-  auto result = doomed.get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(telemetry.deadline_expired.Value(), 1u);
-  // The request was admitted live and expired while queued, so it was
-  // caught at the dequeue boundary — the batcher-specific counter must see
-  // it too (it is a subset of deadline_expired).
-  EXPECT_EQ(telemetry.batcher_deadline_expired.Value(), 1u);
-  EXPECT_EQ(encoder.users_encoded.load(), 1u);  // only the warm request
-}
-
-TEST(RequestBatcherTest, SubmitAsyncDeliversViaCallback) {
-  FakeEncoder encoder(3);
-  RequestBatcherOptions options;
-  options.max_batch_size = 4;
-  options.max_wait_micros = 500;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  std::promise<RequestBatcher::EmbeddingResult> delivered;
-  batcher.SubmitAsync(7, RawUser(42), /*deadline_micros=*/0,
-                      [&](RequestBatcher::EmbeddingResult result) {
-                        delivered.set_value(std::move(result));
-                      });
-  auto result = delivered.get_future().get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->size(), 3u);
-  EXPECT_FLOAT_EQ((*result)[0], 42.0f);
-}
-
-TEST(RequestBatcherTest, SubmitAsyncExpiredDeadlineResolvesCallback) {
-  FakeEncoder encoder(2);
-  encoder.EnableGate();
-  RequestBatcherOptions options;
-  options.max_batch_size = 1;
-  options.max_wait_micros = 0;
-  ServingTelemetry telemetry;
-  RequestBatcher batcher(&encoder, options, &telemetry);
-
-  // Same dequeue-boundary setup as ExpiredDeadlineSkipsEncoding, but the
-  // doomed request is callback-flavored: admitted just under its deadline,
-  // dequeued after it, it must resolve kDeadlineExceeded through the
-  // callback — never silently encode.
-  auto warm = batcher.Submit(0, RawUser(0));
-  while (!encoder.entered.load()) std::this_thread::yield();
-
-  std::promise<RequestBatcher::EmbeddingResult> delivered;
-  batcher.SubmitAsync(1, RawUser(1), /*deadline_micros=*/1000,
-                      [&](RequestBatcher::EmbeddingResult result) {
-                        delivered.set_value(std::move(result));
-                      });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  encoder.gate.release(64);
-
-  ASSERT_TRUE(warm.get().ok());
-  auto result = delivered.get_future().get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(telemetry.batcher_deadline_expired.Value(), 1u);
-  EXPECT_EQ(encoder.users_encoded.load(), 1u);
-}
-
-TEST(RequestBatcherTest, DestructorDrainsQueue) {
-  FakeEncoder encoder(2, /*sleep_ms=*/5);
-  RequestBatcherOptions options;
-  options.max_batch_size = 4;
-  options.max_wait_micros = 50000;  // long window: drain must not wait it out
-  std::vector<std::future<RequestBatcher::EmbeddingResult>> futures;
-  {
-    RequestBatcher batcher(&encoder, options);
-    for (uint64_t i = 0; i < 12; ++i) {
-      futures.push_back(batcher.Submit(i, RawUser(i)));
-    }
-  }  // destructor joins workers after draining
-  for (auto& future : futures) {
-    auto result = future.get();  // never a broken promise
-    ASSERT_TRUE(result.ok() ||
-                result.status().code() == StatusCode::kUnavailable);
-  }
-}
-
 // ---------- EmbeddingService ----------
 
 EmbeddingServiceOptions FastServiceOptions() {
   EmbeddingServiceOptions options;
   options.num_shards = 4;
-  options.batcher.max_batch_size = 8;
-  options.batcher.max_wait_micros = 200;
-  options.batcher.queue_capacity = 4096;
   return options;
 }
 
 TEST(EmbeddingServiceTest, HotLookupHitsStore) {
   ShardedEmbeddingStore store(4);
   store.Put(42, {1.0f, 2.0f});
-  FakeEncoder encoder(2);
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  FvaeFoldInEncoder encoder(model.get());
   EmbeddingService service(std::move(store), &encoder, FastServiceOptions());
 
   auto result = service.Lookup(42);
   ASSERT_TRUE(result.ok());
   EXPECT_FLOAT_EQ((*result)[1], 2.0f);
   EXPECT_EQ(service.telemetry().store_hits.Value(), 1u);
-  EXPECT_EQ(encoder.calls.load(), 0);
+  EXPECT_EQ(service.telemetry().fold_ins.Value(), 0u);
 
   auto missing = service.Lookup(7);
   EXPECT_FALSE(missing.ok());
@@ -929,55 +756,47 @@ TEST(EmbeddingServiceTest, HotLookupHitsStore) {
 }
 
 TEST(EmbeddingServiceTest, ColdUserFoldsInAndMaterializes) {
-  FakeEncoder encoder(2);
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  FvaeFoldInEncoder encoder(model.get());
   EmbeddingService service(ShardedEmbeddingStore(4), &encoder,
                            FastServiceOptions());
 
-  auto future = service.LookupOrEncode(900, RawUser(55));
-  auto result = future.get();
+  auto result = service.LookupOrEncode(900, RawUser(55));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FLOAT_EQ((*result)[0], 55.0f);
+  EXPECT_EQ(*result, Reference(*model, RawUser(55)));
   EXPECT_EQ(service.telemetry().fold_ins.Value(), 1u);
   EXPECT_EQ(service.telemetry().foldin_latency_us().Count(), 1u);
+  // Each inline encode is accounted as a batch of one.
+  EXPECT_EQ(service.telemetry().batches.Value(), 1u);
+  EXPECT_EQ(service.telemetry().batched_users.Value(), 1u);
 
-  // Materialized: the next request is a store hit, no second encode.
-  auto again = service.LookupOrEncode(900, RawUser(55));
-  ASSERT_TRUE(again.get().ok());
+  // Materialized: the next request is a store hit, no second encode —
+  // even with different features, the stored embedding answers.
+  auto again = service.LookupOrEncode(900, RawUser(56));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *result);
   EXPECT_EQ(service.telemetry().store_hits.Value(), 1u);
-  EXPECT_EQ(encoder.users_encoded.load(), 1u);
-  EXPECT_TRUE(service.store().Contains(900));
-}
-
-TEST(EmbeddingServiceTest, SynchronousPathWhenBatcherDisabled) {
-  FakeEncoder encoder(3);
-  EmbeddingServiceOptions options = FastServiceOptions();
-  options.enable_batcher = false;
-  EmbeddingService service(ShardedEmbeddingStore(4), &encoder, options);
-
-  auto result = service.LookupOrEncode(1, RawUser(11)).get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 3u);
-  EXPECT_FLOAT_EQ((*result)[0], 11.0f);
   EXPECT_EQ(service.telemetry().fold_ins.Value(), 1u);
-  EXPECT_TRUE(service.store().Contains(1));
+  EXPECT_TRUE(service.store().Contains(900));
 }
 
 TEST(EmbeddingServiceTest, NoEncoderAnswersNotFound) {
   ShardedEmbeddingStore store(2);
   store.Put(1, {5.0f});
   EmbeddingService service(std::move(store), nullptr);
-  ASSERT_TRUE(service.LookupOrEncode(1, RawUser(1)).get().ok());
-  auto cold = service.LookupOrEncode(2, RawUser(2)).get();
+  ASSERT_TRUE(service.LookupOrEncode(1, RawUser(1)).ok());
+  auto cold = service.LookupOrEncode(2, RawUser(2));
   EXPECT_FALSE(cold.ok());
   EXPECT_EQ(cold.status().code(), StatusCode::kNotFound);
 }
 
 TEST(EmbeddingServiceTest, TelemetryJsonContainsKeyFields) {
-  FakeEncoder encoder(2);
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  FvaeFoldInEncoder encoder(model.get());
   EmbeddingService service(ShardedEmbeddingStore(2), &encoder,
                            FastServiceOptions());
   // Only the telemetry side effect matters here, not the embedding.
-  (void)service.LookupOrEncode(1, RawUser(1)).get();
+  (void)service.LookupOrEncode(1, RawUser(1));
   const std::string json = service.TelemetryJson();
   EXPECT_NE(json.find("\"qps\""), std::string::npos);
   EXPECT_NE(json.find("\"fold_ins\":1"), std::string::npos);
@@ -986,51 +805,96 @@ TEST(EmbeddingServiceTest, TelemetryJsonContainsKeyFields) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
+// ---------- closed-loop load generator ----------
+
+// Every cold request asks for a never-seen user, so fold-ins keep pace with
+// cold requests however many laps the walk takes over the cold pool.
+TEST(LoadGenTest, EveryColdRequestFoldsIn) {
+  MultiFieldDataset::Builder builder({FieldSchema{"f", false}});
+  for (uint64_t i = 0; i < 24; ++i) builder.AddUser({{{i + 1, 1.0f}}});
+  const MultiFieldDataset data = builder.Build();
+  std::vector<uint32_t> hot_ids(16), cold_ids(8);
+  std::iota(hot_ids.begin(), hot_ids.end(), 0u);
+  std::iota(cold_ids.begin(), cold_ids.end(), 16u);
+
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  FvaeFoldInEncoder encoder(model.get());
+  EmbeddingService service(
+      MaterializeEmbeddings(*model, data, hot_ids, /*num_shards=*/4),
+      &encoder, FastServiceOptions());
+
+  LoadGenOptions options;
+  options.num_threads = 2;
+  options.requests_per_thread = cold_ids.size();  // two laps of the pool
+  options.hot_fraction = 0.0;
+  const LoadGenReport cold = RunClosedLoopLoad(service, data, hot_ids,
+                                               cold_ids, options);
+  EXPECT_EQ(cold.errors, 0u);
+  EXPECT_EQ(cold.cold_requests, 2 * cold_ids.size());
+  EXPECT_EQ(service.telemetry().fold_ins.Value(), cold.cold_requests);
+  EXPECT_EQ(service.telemetry().store_hits.Value(), 0u);
+
+  // A second run on the same service still folds every cold request in.
+  options.hot_fraction = 0.5;
+  options.requests_per_thread = 200;
+  const LoadGenReport mixed = RunClosedLoopLoad(service, data, hot_ids,
+                                                cold_ids, options);
+  EXPECT_EQ(mixed.errors, 0u);
+  EXPECT_GT(mixed.cold_requests, 0u);
+  EXPECT_EQ(service.telemetry().fold_ins.Value(),
+            cold.cold_requests + mixed.cold_requests);
+}
+
 // ---------- concurrency stress (run under -DFVAE_SANITIZE=thread) ----------
 
-TEST(EmbeddingServiceStressTest, ConcurrentMixedTrafficLosesNothing) {
+TEST(EmbeddingServiceStressTest, ConcurrentFoldInsMatchSerialEncode) {
   constexpr size_t kThreads = 8;
-  constexpr size_t kRequestsPerThread = 1500;
+  constexpr size_t kRequestsPerThread = 600;
   constexpr size_t kHotUsers = 128;
 
   ShardedEmbeddingStore store(8);
   for (uint64_t id = 0; id < kHotUsers; ++id) {
     store.Put(id, {float(id), 0.0f});
   }
-  FakeEncoder encoder(2);
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  const FvaeFoldInEncoder encoder(model.get());
   EmbeddingServiceOptions options = FastServiceOptions();
   options.num_shards = 8;
-  options.batcher.max_batch_size = 16;
-  options.batcher.max_wait_micros = 100;
   EmbeddingService service(std::move(store), &encoder, options);
+
+  // The single-threaded oracle for every feature id the cold traffic uses.
+  std::vector<std::vector<float>> reference(kKnownFeatures);
+  for (uint64_t id = 0; id < kKnownFeatures; ++id) {
+    reference[id] = Reference(*model, RawUser(id));
+  }
 
   std::atomic<size_t> ok_responses{0};
   std::atomic<size_t> error_responses{0};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> start_gate{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::future<EmbeddingService::EmbeddingResult>> inflight;
+      // All threads start together so their encodes overlap.
+      start_gate.fetch_add(1);
+      while (start_gate.load() < kThreads) std::this_thread::yield();
       for (size_t i = 0; i < kRequestsPerThread; ++i) {
-        uint64_t user_id;
-        if (i % 3 != 0) {
-          user_id = (t * 31 + i) % kHotUsers;          // hot traffic
-        } else {
-          user_id = 100000 + t * kRequestsPerThread + (i % 700);  // cold-ish
+        const bool hot = i % 3 == 1;
+        const uint64_t user_id = hot ? (t * 31 + i) % kHotUsers
+                                     : 100000 + t * kRequestsPerThread + i;
+        const uint64_t feature = hot ? 0 : (t * 997 + i * 13) % kKnownFeatures;
+        const EmbeddingService::EmbeddingResult result =
+            service.LookupOrEncode(user_id, RawUser(feature));
+        if (!result.ok()) {
+          error_responses.fetch_add(1);
+          continue;
         }
-        inflight.push_back(
-            service.LookupOrEncode(user_id, RawUser(user_id)));
-        if (inflight.size() >= 32) {
-          for (auto& future : inflight) {
-            future.get().ok() ? ok_responses.fetch_add(1)
-                              : error_responses.fetch_add(1);
-          }
-          inflight.clear();
-        }
-      }
-      for (auto& future : inflight) {
-        future.get().ok() ? ok_responses.fetch_add(1)
-                          : error_responses.fetch_add(1);
+        ok_responses.fetch_add(1);
+        const std::vector<float> expected =
+            hot ? std::vector<float>{float(user_id), 0.0f}
+                : reference[feature];
+        if (*result != expected) mismatches.fetch_add(1);
       }
     });
   }
@@ -1038,8 +902,10 @@ TEST(EmbeddingServiceStressTest, ConcurrentMixedTrafficLosesNothing) {
 
   const auto& telemetry = service.telemetry();
   const uint64_t total = kThreads * kRequestsPerThread;
-  // No lost responses: every request resolved exactly once.
-  EXPECT_EQ(ok_responses.load() + error_responses.load(), total);
+  // Every concurrently encoded embedding equals the serial encode, bitwise.
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(error_responses.load(), 0u);
+  EXPECT_EQ(ok_responses.load(), total);
   EXPECT_EQ(telemetry.requests.Value(), total);
   // Outcome counters partition the request count.
   EXPECT_EQ(telemetry.store_hits.Value() + telemetry.fold_ins.Value() +
@@ -1047,14 +913,12 @@ TEST(EmbeddingServiceStressTest, ConcurrentMixedTrafficLosesNothing) {
                 telemetry.deadline_expired.Value() +
                 telemetry.not_found.Value(),
             total);
-  // Successful answers are exactly hits + fold-ins.
-  EXPECT_EQ(ok_responses.load(),
-            telemetry.store_hits.Value() + telemetry.fold_ins.Value());
+  EXPECT_EQ(telemetry.rejected.Value(), 0u);
+  EXPECT_EQ(telemetry.deadline_expired.Value(), 0u);
   EXPECT_EQ(telemetry.not_found.Value(), 0u);
-  EXPECT_GT(telemetry.fold_ins.Value(), 0u);
-  EXPECT_GT(telemetry.store_hits.Value(), 0u);
-  // Encoder accounting matches telemetry.
-  EXPECT_EQ(encoder.users_encoded.load(), telemetry.fold_ins.Value());
+  // Cold ids are all distinct, so every cold request is one fold-in.
+  EXPECT_EQ(telemetry.fold_ins.Value(), total - total / 3);
+  EXPECT_EQ(telemetry.batched_users.Value(), telemetry.fold_ins.Value());
   // Per-shard hits/misses add up to the store traffic (every request does
   // exactly one store Get before any fold-in).
   uint64_t shard_hits = 0, shard_misses = 0;

@@ -28,9 +28,11 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -59,34 +61,61 @@ namespace {
 
 using namespace fvae;
 
-/// Minimal --flag value parser: flags must be "--name value" pairs.
+/// Strict --flag value parser for one command. Every token must be a
+/// "--name value" pair naming a flag the command declares, so a typo, a
+/// removed flag, a trailing flag without a value or a stray token fails
+/// the command instead of silently running it on defaults. Reading an
+/// undeclared flag is a programming error and aborts.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      values_[key.substr(2)] = argv[i + 1];
+  /// Parses argv[first..argc) against `known`; on failure returns the
+  /// message naming the offending token.
+  static Result<Args> Parse(int argc, char** argv, int first,
+                            std::set<std::string> known) {
+    Args args;
+    args.known_ = std::move(known);
+    for (int i = first; i < argc; i += 2) {
+      const std::string token = argv[i];
+      if (token.rfind("--", 0) != 0 || token.size() == 2) {
+        return Status::InvalidArgument("unexpected argument '" + token +
+                                       "' (flags are --name value pairs)");
+      }
+      const std::string key = token.substr(2);
+      if (args.known_.count(key) == 0) {
+        return Status::InvalidArgument("unknown flag " + token);
+      }
+      if (i + 1 >= argc) {
+        return Status::InvalidArgument("flag " + token + " needs a value");
+      }
+      args.values_[key] = argv[i + 1];
     }
+    return args;
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     if (it == values_.end()) return fallback;
     return ParseInt64(it->second).value_or(fallback);
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
+    auto it = Find(key);
     if (it == values_.end()) return fallback;
     return ParseDouble(it->second).value_or(fallback);
   }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
 
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    FVAE_CHECK(known_.count(key) > 0) << "flag --" << key << " not declared";
+    return values_.find(key);
+  }
+
+  std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 
@@ -382,18 +411,9 @@ int CmdServeBench(const Args& args) {
   serving::EmbeddingServiceOptions options;
   options.metrics_registry = &obs::MetricsRegistry::Global();
   options.num_shards = size_t(args.GetInt("shards", 16));
-  options.enable_batcher = args.GetInt("batcher", 1) != 0;
-  // Default batch size matches client concurrency so closed-loop batches
-  // fill (and dispatch) without burning the whole wait window.
-  const int64_t batch = args.GetInt("batch", 0);
-  options.batcher.max_batch_size = batch > 0 ? size_t(batch) : threads;
-  options.batcher.max_wait_micros = uint64_t(args.GetInt("wait-us", 100));
-  options.batcher.queue_capacity = size_t(args.GetInt("queue", 8192));
-  options.default_deadline_micros =
-      uint64_t(args.GetInt("deadline-us", 0));
 
   // Materialize the leading half of the users (the offline dump); the rest
-  // arrive cold and exercise the fold-in path.
+  // supply the features of cold requests, which exercise the fold-in path.
   const size_t num_hot = data->num_users() / 2;
   if (num_hot == 0 || num_hot == data->num_users()) {
     return Fail("dataset too small to split into hot/cold users");
@@ -418,15 +438,12 @@ int CmdServeBench(const Args& args) {
   load.num_threads = threads;
   load.requests_per_thread = std::max<size_t>(requests / threads, 1);
   load.hot_fraction = hot_frac;
-  load.deadline_micros = options.default_deadline_micros;
   load.seed = uint64_t(args.GetInt("seed", 42));
   const serving::LoadGenReport report =
       serving::RunClosedLoopLoad(service, *data, hot_ids, cold_ids, load);
 
-  std::printf("load: %zu threads x %zu requests, hot fraction %.2f, "
-              "batcher %s\n",
-              threads, load.requests_per_thread, hot_frac,
-              options.enable_batcher ? "on" : "off");
+  std::printf("load: %zu threads x %zu requests, hot fraction %.2f\n",
+              threads, load.requests_per_thread, hot_frac);
   std::printf("client: %s\n", report.Json().c_str());
   std::printf("service: %s\n", service.TelemetryJson().c_str());
   obs_session.Finish();
@@ -451,11 +468,6 @@ int CmdServe(const Args& args) {
   serving::EmbeddingServiceOptions options;
   options.metrics_registry = &obs::MetricsRegistry::Global();
   options.num_shards = size_t(args.GetInt("shards", 16));
-  options.enable_batcher = args.GetInt("batcher", 1) != 0;
-  options.batcher.max_batch_size = size_t(args.GetInt("batch", 8));
-  options.batcher.max_wait_micros = uint64_t(args.GetInt("wait-us", 100));
-  options.batcher.queue_capacity = size_t(args.GetInt("queue", 8192));
-  options.default_deadline_micros = uint64_t(args.GetInt("deadline-us", 0));
 
   // Default: materialize every user, so any shard replica can answer any
   // key — the failover path then keeps full coverage when a peer dies.
@@ -831,13 +843,11 @@ void PrintUsage() {
       "  inspect   --model F | --data F\n"
       "  metrics   --in metrics.jsonl\n"
       "  serve-bench --data F --model F [--threads N --requests N\n"
-      "             --hot-frac H --batcher 0|1 --batch B --wait-us W\n"
-      "             --queue Q --deadline-us D --shards S --seed S\n"
-      "             --trace-out F --metrics-out F]\n"
+      "             --hot-frac H --shards S --seed S --trace-out F\n"
+      "             --metrics-out F --metrics-every-s N]\n"
       "  serve     --data F --model F [--port P --workers W --shards S\n"
-      "             --batcher 0|1 --batch B --wait-us W --queue Q\n"
-      "             --deadline-us D --hot-frac H --metrics-out F\n"
-      "             --slow-us N --trace-out F]\n"
+      "             --hot-frac H --slow-us N --trace-out F\n"
+      "             --metrics-out F --metrics-every-s N]\n"
       "  net-load  --endpoints h:p[,h:p...] [--threads N --requests N\n"
       "             --users N --deadline-us D --hedge 0|1\n"
       "             --breaker-threshold N --trace-out F]\n"
@@ -847,23 +857,54 @@ void PrintUsage() {
 
 }  // namespace
 
+/// One subcommand: its entry point and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
 int main(int argc, char** argv) {
+  // ObsSession's flags, for the commands that open one.
+  const std::set<std::string> obs = {"trace-out", "metrics-out",
+                                     "metrics-every-s"};
+  const auto with_obs = [&](std::set<std::string> flags) {
+    flags.insert(obs.begin(), obs.end());
+    return flags;
+  };
+  const Command commands[] = {
+      {"generate", CmdGenerate, {"preset", "users", "seed", "out", "text"}},
+      {"train", CmdTrain,
+       with_obs({"data", "model", "latent", "hidden", "beta", "strategy",
+                 "rate", "seed", "batch", "epochs", "checkpoint-every",
+                 "checkpoint-dir", "checkpoint-retain", "resume"})},
+      {"evaluate", CmdEvaluate,
+       {"data", "model", "task", "eval-users", "seed", "field", "holdout"}},
+      {"export", CmdExport, {"data", "model", "out"}},
+      {"inspect", CmdInspect, {"model", "data"}},
+      {"metrics", CmdMetrics, {"in"}},
+      {"serve-bench", CmdServeBench,
+       with_obs({"data", "model", "threads", "requests", "hot-frac",
+                 "shards", "seed"})},
+      {"serve", CmdServe,
+       with_obs({"data", "model", "shards", "hot-frac", "port", "workers",
+                 "slow-us"})},
+      {"net-load", CmdNetLoad,
+       with_obs({"endpoints", "threads", "requests", "users", "deadline-us",
+                 "hedge", "breaker-threshold"})},
+      {"top", CmdTop, {"endpoints", "interval-s", "once", "prom"}},
+  };
   if (argc < 2) {
     PrintUsage();
     return 1;
   }
   const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "train") return CmdTrain(args);
-  if (command == "evaluate") return CmdEvaluate(args);
-  if (command == "export") return CmdExport(args);
-  if (command == "inspect") return CmdInspect(args);
-  if (command == "metrics") return CmdMetrics(args);
-  if (command == "serve-bench") return CmdServeBench(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "net-load") return CmdNetLoad(args);
-  if (command == "top") return CmdTop(args);
+  for (const Command& c : commands) {
+    if (command != c.name) continue;
+    Result<Args> args = Args::Parse(argc, argv, 2, c.flags);
+    if (!args.ok()) return Fail(command + ": " + args.status().message());
+    return c.run(*args);
+  }
   PrintUsage();
   return 1;
 }
