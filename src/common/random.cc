@@ -104,6 +104,22 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
+void Rng::SkipNormals(size_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  if (n == 0) return;
+  for (size_t pair = 1; pair < (n + 1) / 2; ++pair) {
+    Next64();
+    Next64();
+  }
+  // The last pair runs for real: an odd n leaves its second value cached,
+  // an even n consumed it (GetState still reports the spent value).
+  Normal();
+  if (n % 2 == 0) has_cached_normal_ = false;
+}
+
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 double Rng::Gamma(double shape) {

@@ -18,6 +18,8 @@ struct RngState {
   uint64_t s[4] = {0, 0, 0, 0};
   bool has_cached_normal = false;
   double cached_normal = 0.0;
+
+  bool operator==(const RngState&) const = default;
 };
 
 /// Fast, reproducible PRNG (xoshiro256**), seeded via SplitMix64.
@@ -58,6 +60,12 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
+
+  /// Leaves the generator exactly as `n` Normal() calls would, Box-Muller
+  /// cache included, without computing the values it skips: a pending
+  /// cached value costs nothing and every pair but the last costs two
+  /// Next64. The last pair is computed, since it decides the cache.
+  void SkipNormals(size_t n);
 
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);

@@ -31,21 +31,44 @@ std::vector<float> NormalizedAlpha(const std::vector<float>& alpha,
   return weights;
 }
 
+/// One row of the encoder's first layer at inference: out = tanh(bias +
+/// sum value * embedding_row) over the features the input tables know;
+/// cold feature IDs are skipped. `features(k)` yields the user's entries
+/// of field k.
+template <typename FieldFeatures>
+void InferFirstLayerRow(
+    const std::vector<std::unique_ptr<nn::EmbeddingTable>>& tables,
+    const float* bias, const FieldFeatures& features, float* out,
+    size_t h1_dim) {
+  for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
+  for (size_t k = 0; k < tables.size(); ++k) {
+    const nn::EmbeddingTable& table = *tables[k];
+    for (const FeatureEntry& e : features(k)) {
+      const auto found = table.FindRow(e.id);
+      if (!found.has_value()) continue;  // cold feature at inference
+      Kernels().axpy(e.value, table.Row(*found).data(), out, h1_dim);
+    }
+  }
+  Kernels().tanh_inplace(out, h1_dim);
+}
+
+/// Clamps log-variance for numeric safety (exp() in KL and reparam).
+void ClampLogvar(Matrix* logvar) {
+  for (size_t i = 0; i < logvar->size(); ++i) {
+    logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
+  }
+}
+
 }  // namespace
 
-/// Activations and per-user feature lists the backward pass needs.
-struct FieldVae::EncoderCache {
-  /// Per batch row: (field, table row, value) of every input feature.
-  struct InputRef {
-    uint32_t field;
-    uint32_t row;
-    float value;
-  };
-  std::vector<std::vector<InputRef>> inputs;
-  Matrix h1;  // tanh output of the embedding-sum first layer (B x H1)
-};
-
 struct FieldVae::StepScratch {
+  // Encoder inputs of the batch, CSR per field like the dataset: user i's
+  // refs into input table k are field_refs[k][field_begin[k][i],
+  // field_begin[k][i + 1]), in the order the dataset lists the features.
+  std::vector<std::vector<nn::EmbeddingTable::SparseRef>> field_refs;
+  std::vector<std::vector<uint32_t>> field_begin;  // batch + 1 offsets each
+  Matrix h1;  // tanh output of the embedding-sum first layer (B x H1)
+
   std::unordered_map<uint64_t, uint32_t> position;  // candidate -> column
   std::vector<Candidate> candidates;
   std::vector<uint64_t> chosen_ids;
@@ -116,67 +139,98 @@ FieldVae::FieldVae(const FvaeConfig& config,
 
 FieldVae::~FieldVae() = default;
 
-void FieldVae::EncodeInternal(const MultiFieldDataset& dataset,
-                              std::span<const uint32_t> users, bool training,
-                              Matrix* mu, Matrix* logvar,
-                              EncoderCache* cache) {
+void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
+                                 std::span<const uint32_t> users,
+                                 ThreadPool* pool, Matrix* mu,
+                                 Matrix* logvar) {
   FVAE_CHECK(dataset.num_fields() == field_schemas_.size())
       << "dataset field count mismatch";
   const size_t batch = users.size();
   const size_t h1_dim = config_.encoder_hidden.front();
+  StepScratch& scratch = *step_scratch_;
 
-  Matrix h1(batch, h1_dim);
-  if (cache != nullptr) {
-    cache->inputs.assign(batch, {});
+  // Hash inserts and the tables' generators stay on this thread: new rows
+  // are created deferred, in the same order as a row-at-a-time pass.
+  obs::TraceSpan resolve_span("train.embed.resolve");
+  const size_t num_fields = field_schemas_.size();
+  scratch.field_refs.resize(num_fields);
+  scratch.field_begin.resize(num_fields);
+  for (size_t k = 0; k < num_fields; ++k) {
+    scratch.field_refs[k].clear();
+    scratch.field_begin[k].assign(1, 0);
   }
   for (size_t i = 0; i < batch; ++i) {
-    float* out = h1.Row(i);
-    const float* bias = first_bias_.Row(0);
-    for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
-    for (size_t k = 0; k < field_schemas_.size(); ++k) {
+    for (size_t k = 0; k < num_fields; ++k) {
       nn::EmbeddingTable& table = *input_tables_[k];
+      std::vector<nn::EmbeddingTable::SparseRef>& refs = scratch.field_refs[k];
       for (const FeatureEntry& e : dataset.UserField(users[i], k)) {
-        uint32_t row;
-        if (training) {
-          row = table.GetOrCreateRow(e.id);
-        } else {
-          auto found = table.FindRow(e.id);
-          if (!found.has_value()) continue;  // cold feature at inference
-          row = *found;
-        }
-        std::span<const float> weights = table.Row(row);
-        Kernels().axpy(e.value, weights.data(), out, h1_dim);
-        if (cache != nullptr) {
-          cache->inputs[i].push_back(
-              {static_cast<uint32_t>(k), row, e.value});
+        refs.push_back({static_cast<uint32_t>(i),
+                        table.GetOrCreateRowDeferred(e.id), e.value});
+      }
+      scratch.field_begin[k].push_back(static_cast<uint32_t>(refs.size()));
+    }
+  }
+  resolve_span.End();
+
+  obs::TraceSpan init_span("train.embed.init");
+  for (auto& table : input_tables_) table->InitPendingRows(pool);
+  init_span.End();
+
+  obs::TraceSpan gather_span("train.embed.gather");
+  Matrix& h1 = scratch.h1;
+  h1.Resize(batch, h1_dim);
+  ParallelForRange(pool, 0, batch, /*align=*/1, [&](size_t lo, size_t hi) {
+    const float* bias = first_bias_.Row(0);
+    for (size_t i = lo; i < hi; ++i) {
+      float* out = h1.Row(i);
+      for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
+      for (size_t k = 0; k < num_fields; ++k) {
+        const nn::EmbeddingTable& table = *input_tables_[k];
+        const std::vector<uint32_t>& begin = scratch.field_begin[k];
+        for (uint32_t j = begin[i]; j < begin[i + 1]; ++j) {
+          const nn::EmbeddingTable::SparseRef& ref = scratch.field_refs[k][j];
+          Kernels().axpy(ref.value, table.Row(ref.row).data(), out, h1_dim);
         }
       }
+      Kernels().tanh_inplace(out, h1_dim);
     }
-    Kernels().tanh_inplace(out, h1_dim);
-  }
-  if (cache != nullptr) cache->h1 = h1;
+  });
+  gather_span.End();
 
   const Matrix* enc_out = &h1;
   Matrix trunk_out;
   if (encoder_trunk_) {
-    encoder_trunk_->Forward(h1, &trunk_out, training);
+    encoder_trunk_->Forward(h1, &trunk_out, /*training=*/true);
     enc_out = &trunk_out;
   }
-  mu_head_->Forward(*enc_out, mu, training);
-  logvar_head_->Forward(*enc_out, logvar, training);
-  // Clamp log-variance for numeric safety (exp() in KL and reparam).
-  for (size_t i = 0; i < logvar->size(); ++i) {
-    logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
-  }
+  mu_head_->Forward(*enc_out, mu, /*training=*/true);
+  logvar_head_->Forward(*enc_out, logvar, /*training=*/true);
+  ClampLogvar(logvar);
 }
 
 void FieldVae::EncodeConst(const MultiFieldDataset& dataset,
                            std::span<const uint32_t> users, Matrix* mu,
                            Matrix* logvar) const {
-  // Lookups are read-only; layer forward passes touch only scratch caches.
-  auto* self = const_cast<FieldVae*>(this);
-  self->EncodeInternal(dataset, users, /*training=*/false, mu, logvar,
-                       nullptr);
+  FVAE_CHECK(dataset.num_fields() == field_schemas_.size())
+      << "dataset field count mismatch";
+  const size_t h1_dim = config_.encoder_hidden.front();
+  Matrix h1(users.size(), h1_dim);
+  for (size_t i = 0; i < users.size(); ++i) {
+    InferFirstLayerRow(
+        input_tables_, first_bias_.Row(0),
+        [&](size_t k) { return dataset.UserField(users[i], k); }, h1.Row(i),
+        h1_dim);
+  }
+  const Matrix* enc_out = &h1;
+  Matrix trunk_out;
+  std::vector<Matrix> trunk_activations;
+  if (encoder_trunk_) {
+    encoder_trunk_->Infer(h1, &trunk_out, &trunk_activations);
+    enc_out = &trunk_out;
+  }
+  mu_head_->Infer(*enc_out, mu);
+  logvar_head_->Infer(*enc_out, logvar);
+  ClampLogvar(logvar);
 }
 
 Matrix FieldVae::Encode(const MultiFieldDataset& dataset,
@@ -203,10 +257,9 @@ Matrix FieldVae::EncodeFoldIn(
 void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
                                 FoldInScratch* scratch, Matrix* mu) const {
   // The first hidden activation is computed straight from the raw feature
-  // vectors — no throwaway dataset build (the old fold-in path copied every
-  // feature into a MultiFieldDataset::Builder first). Mirrors
-  // EncodeInternal's inference branch exactly: cold feature IDs are
-  // skipped, h1 = tanh(bias + sum value * embedding_row).
+  // vectors — no throwaway dataset build — by the same row pass as
+  // EncodeConst: cold feature IDs are skipped, h1 = tanh(bias + sum value *
+  // embedding_row).
   const size_t batch = users.size();
   const size_t h1_dim = config_.encoder_hidden.front();
   Matrix& h1 = scratch->h1;
@@ -217,19 +270,10 @@ void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
     FVAE_CHECK(user->size() == field_schemas_.size())
         << "fold-in user has " << user->size() << " fields, model expects "
         << field_schemas_.size();
-    float* out = h1.Row(i);
-    const float* bias = first_bias_.Row(0);
-    for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
-    for (size_t k = 0; k < field_schemas_.size(); ++k) {
-      const nn::EmbeddingTable& table = *input_tables_[k];
-      for (const FeatureEntry& e : (*user)[k]) {
-        const auto found = table.FindRow(e.id);
-        if (!found.has_value()) continue;  // cold feature at inference
-        std::span<const float> weights = table.Row(*found);
-        Kernels().axpy(e.value, weights.data(), out, h1_dim);
-      }
-    }
-    Kernels().tanh_inplace(out, h1_dim);
+    InferFirstLayerRow(
+        input_tables_, first_bias_.Row(0),
+        [user](size_t k) { return std::span<const FeatureEntry>((*user)[k]); },
+        h1.Row(i), h1_dim);
   }
   // The const inference pass writes only into the caller's scratch; the
   // logvar head is never run — fold-in consumers use the posterior mean
@@ -334,9 +378,8 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
 
   // ---- Encoder forward ----
   obs::TraceSpan forward_span("train.forward");
-  EncoderCache cache;
   Matrix mu, logvar;
-  EncodeInternal(dataset, users, /*training=*/true, &mu, &logvar, &cache);
+  EncodeForTraining(dataset, users, pool, &mu, &logvar);
   const size_t latent = config_.latent_dim;
 
   // ---- Reparameterization ----
@@ -362,9 +405,10 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   forward_span.End();
 
   // ---- Per-field batched softmax + feature sampling + likelihood ----
-  // Candidate construction, sampling and every table access stay on this
-  // thread (they draw from rng_ and grow tables); the GEMMs and the per-user
-  // NLL rows go to the pool, each writing disjoint output rows.
+  // Candidate construction, sampling and output-row resolution stay on this
+  // thread (they draw from rng_ and grow tables); row init, the candidate
+  // copies, the GEMMs, the per-user NLL rows and the per-candidate gradient
+  // accumulation go to the pool, each writing disjoint rows.
   obs::TraceSpan fields_span("train.fields");
   StepScratch& scratch = *step_scratch_;
   // The batch union stays per step: its iteration order fixes the order
@@ -374,6 +418,7 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   std::unordered_map<uint64_t, uint32_t> freq;
 
   for (size_t k = 0; k < num_fields; ++k) {
+    nn::EmbeddingTable& out_table = *output_tables_[k];
     // Batch union of observed features with in-batch frequencies.
     freq.clear();
     for (uint32_t u : users) {
@@ -386,10 +431,8 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     } else {
       // Legacy full softmax: every feature the model has ever seen, plus
       // this batch's new ones.
-      for (const auto& [id, f] : freq) {
-        output_tables_[k]->GetOrCreateRow(id);
-      }
-      for (const auto& [id, row] : output_tables_[k]->Items()) {
+      for (const auto& [id, f] : freq) out_table.GetOrCreateRowDeferred(id);
+      for (const auto& [id, row] : out_table.Items()) {
         (void)row;
         auto it = freq.find(id);
         scratch.candidates.push_back(
@@ -416,18 +459,26 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     const size_t num_cand = scratch.chosen_ids.size();
     stats.candidates_per_field[k] = num_cand;
 
+    obs::TraceSpan resolve_span("train.embed.resolve");
     scratch.position.clear();
     scratch.rows.resize(num_cand);
-    scratch.wc.Resize(num_cand, dec_dim);
-    scratch.bc.resize(num_cand);
     for (size_t c = 0; c < num_cand; ++c) {
       scratch.position[scratch.chosen_ids[c]] = static_cast<uint32_t>(c);
-      scratch.rows[c] =
-          output_tables_[k]->GetOrCreateRow(scratch.chosen_ids[c]);
-      std::span<const float> w = output_tables_[k]->Row(scratch.rows[c]);
-      std::copy(w.begin(), w.end(), scratch.wc.Row(c));
-      scratch.bc[c] = output_tables_[k]->bias(scratch.rows[c]);
+      scratch.rows[c] = out_table.GetOrCreateRowDeferred(scratch.chosen_ids[c]);
     }
+    resolve_span.End();
+    obs::TraceSpan init_span("train.embed.init");
+    out_table.InitPendingRows(pool);
+    init_span.End();
+    scratch.wc.Resize(num_cand, dec_dim);
+    scratch.bc.resize(num_cand);
+    ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {
+      for (size_t c = lo; c < hi; ++c) {
+        std::span<const float> w = out_table.Row(scratch.rows[c]);
+        std::copy(w.begin(), w.end(), scratch.wc.Row(c));
+        scratch.bc[c] = out_table.bias(scratch.rows[c]);
+      }
+    });
 
     // logits = hdec * Wc^T (+ bc, added per row below).
     GemmNTPooled(hdec, scratch.wc, &scratch.logits, pool, &scratch.panel);
@@ -469,18 +520,20 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     // Backprop into the decoder hidden state and the candidate rows.
     GemmAccumulatePooled(scratch.logits_grad, scratch.wc, &hdec_grad, pool);
     GemmTNPooled(scratch.logits_grad, hdec, &scratch.wc_grad, pool);
-    // Bias gradient = column sums of logits_grad, accumulated row by row so
-    // the reads stay contiguous (each column still sums in row order).
+    // Candidate rows are distinct, so each column's bias-gradient sum (in
+    // row order) and its table-row accumulation run on one worker.
+    for (uint32_t row : scratch.rows) out_table.MarkTouched(row);
     scratch.bias_grad.assign(num_cand, 0.0);
-    for (size_t i = 0; i < batch; ++i) {
-      const float* g = scratch.logits_grad.Row(i);
-      for (size_t c = 0; c < num_cand; ++c) scratch.bias_grad[c] += g[c];
-    }
-    for (size_t c = 0; c < num_cand; ++c) {
-      output_tables_[k]->AccumulateGrad(
-          scratch.rows[c], {scratch.wc_grad.Row(c), dec_dim},
-          static_cast<float>(scratch.bias_grad[c]));
-    }
+    ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {
+      for (size_t i = 0; i < batch; ++i) {
+        const float* g = scratch.logits_grad.Row(i);
+        for (size_t c = lo; c < hi; ++c) scratch.bias_grad[c] += g[c];
+      }
+      for (size_t c = lo; c < hi; ++c) {
+        out_table.AddGrad(scratch.rows[c], {scratch.wc_grad.Row(c), dec_dim},
+                          static_cast<float>(scratch.bias_grad[c]));
+      }
+    });
   }
   fields_span.End();
 
@@ -522,7 +575,7 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   const size_t h1_dim = config_.encoder_hidden.front();
   FVAE_CHECK(h1_grad.rows() == batch && h1_grad.cols() == h1_dim);
   for (size_t i = 0; i < h1_grad.size(); ++i) {
-    const float y = cache.h1.data()[i];
+    const float y = scratch.h1.data()[i];
     h1_grad.data()[i] *= (1.0f - y * y);
   }
 
@@ -533,23 +586,20 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     for (size_t d = 0; d < h1_dim; ++d) bg[d] += g[d];
   }
 
-  std::vector<float> scaled(h1_dim);
-  for (size_t i = 0; i < batch; ++i) {
-    const float* g = h1_grad.Row(i);
-    for (const EncoderCache::InputRef& ref : cache.inputs[i]) {
-      for (size_t d = 0; d < h1_dim; ++d) scaled[d] = ref.value * g[d];
-      input_tables_[ref.field]->AccumulateGrad(ref.row, scaled);
-    }
+  obs::TraceSpan scatter_span("train.embed.scatter");
+  for (size_t k = 0; k < num_fields; ++k) {
+    input_tables_[k]->ScatterGrad(scratch.field_refs[k], h1_grad, pool);
   }
-
+  scatter_span.End();
   backward_span.End();
 
   // ---- Parameter updates ----
   obs::TraceSpan update_span("train.update");
   dense_optimizer_->Step();
+  obs::TraceSpan sparse_span("train.update.sparse");
   for (size_t k = 0; k < num_fields; ++k) {
-    input_tables_[k]->ApplyGradients(config_.sparse_learning_rate);
-    output_tables_[k]->ApplyGradients(config_.sparse_learning_rate);
+    input_tables_[k]->ApplyGradients(config_.sparse_learning_rate, pool);
+    output_tables_[k]->ApplyGradients(config_.sparse_learning_rate, pool);
   }
   return stats;
 }

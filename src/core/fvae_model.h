@@ -69,15 +69,20 @@ class FieldVae {
 
   /// One Algorithm-1 training step over `users` from `dataset`, with the
   /// current annealed KL weight `beta`. A non-null `pool` row-splits the
-  /// per-field GEMMs, the per-user multinomial NLL and the dense-layer
-  /// backward GEMMs over it; the step's stats and parameter updates are
-  /// bitwise identical to a serial step with any pool size.
+  /// per-field GEMMs, the per-user multinomial NLL, the dense-layer
+  /// backward GEMMs and the sparse-table passes (row init, embedding
+  /// gather, gradient scatter, AdaGrad) over it; the step's stats and
+  /// parameter updates are bitwise identical to a serial step with any
+  /// pool size.
   StepStats TrainStep(const MultiFieldDataset& dataset,
                       std::span<const uint32_t> users, float beta,
                       ThreadPool* pool = nullptr);
 
   /// Posterior means (num users x latent_dim) — the user embeddings.
-  /// Unknown feature IDs are skipped (cold-start behaviour).
+  /// Unknown feature IDs are skipped (cold-start behaviour). This and the
+  /// other const encode/score methods run the layers' const inference
+  /// pass, so concurrent callers are safe; training must not run
+  /// concurrently.
   Matrix Encode(const MultiFieldDataset& dataset,
                 std::span<const uint32_t> users) const;
 
@@ -179,18 +184,18 @@ class FieldVae {
   void set_rng_state(const RngState& state) { rng_.SetState(state); }
 
  private:
-  struct EncoderCache;
   struct StepScratch;
 
-  /// Shared encoder computation. When `cache` is non-null, the per-user
-  /// feature lists and intermediate activations needed by backprop are
-  /// stored (and tables grow for unseen IDs); otherwise lookup is
-  /// read-only.
-  void EncodeInternal(const MultiFieldDataset& dataset,
-                      std::span<const uint32_t> users, bool training,
-                      Matrix* mu, Matrix* logvar, EncoderCache* cache);
+  /// Training encoder forward: resolves every (user, field, feature) to an
+  /// input-table row on this thread (growing the tables), then initializes
+  /// new rows and computes the first layer on `pool`. Leaves the batch's
+  /// input refs and first-layer activations in step_scratch_ for backprop.
+  void EncodeForTraining(const MultiFieldDataset& dataset,
+                         std::span<const uint32_t> users, ThreadPool* pool,
+                         Matrix* mu, Matrix* logvar);
 
-  /// Read-only encode used by the const public methods.
+  /// Read-only encode used by the const public methods: the layers' const
+  /// inference pass over local scratch, so concurrent callers are safe.
   void EncodeConst(const MultiFieldDataset& dataset,
                    std::span<const uint32_t> users, Matrix* mu,
                    Matrix* logvar) const;
@@ -213,8 +218,9 @@ class FieldVae {
 
   std::unique_ptr<nn::AdamOptimizer> dense_optimizer_;
 
-  // Field-loop buffers of TrainStep, reused across steps: they only grow
-  // to the high-water candidate count.
+  // Buffers of TrainStep (input refs, first-layer activations, field-loop
+  // candidates), reused across steps: they only grow to the high-water
+  // batch shape.
   std::unique_ptr<StepScratch> step_scratch_;
 };
 

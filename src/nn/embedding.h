@@ -9,6 +9,11 @@
 
 #include "common/random.h"
 #include "hash/dynamic_hash_table.h"
+#include "math/matrix.h"
+
+namespace fvae {
+class ThreadPool;
+}  // namespace fvae
 
 namespace fvae::nn {
 
@@ -28,6 +33,11 @@ namespace fvae::nn {
 ///
 /// Training uses sparse AdaGrad: gradients are accumulated per touched row
 /// and applied in ApplyGradients, which also clears the accumulation state.
+///
+/// Threading: hash inserts, the generator and the touched/dirty bookkeeping
+/// belong to one calling thread. The row-disjoint arithmetic (replaying a
+/// deferred row's initial draws, AddGrad, the AdaGrad step) may run on pool
+/// workers, with results bitwise identical to running it inline.
 class EmbeddingTable {
  public:
   /// `dim` > 0; `with_bias` adds a scalar bias per row.
@@ -36,6 +46,17 @@ class EmbeddingTable {
 
   /// Dense row index for `key`, creating and initializing it if new.
   uint32_t GetOrCreateRow(uint64_t key);
+
+  /// Dense row index for `key`; a new row is inserted but its weights stay
+  /// zero until InitPendingRows. The generator is advanced past the row's
+  /// `dim` normals now (Rng::SkipNormals) and the state it started from is
+  /// recorded, so later rows draw what GetOrCreateRow would give them.
+  uint32_t GetOrCreateRowDeferred(uint64_t key);
+
+  /// Fills every row created by GetOrCreateRowDeferred since the last call
+  /// by replaying its recorded generator state, split by row over `pool`
+  /// (null runs inline).
+  void InitPendingRows(ThreadPool* pool);
 
   /// Dense row index for `key`, or nullopt for unseen keys.
   std::optional<uint32_t> FindRow(uint64_t key) const;
@@ -51,16 +72,48 @@ class EmbeddingTable {
   size_t dim() const { return dim_; }
   bool with_bias() const { return with_bias_; }
 
-  /// Accumulates a gradient contribution for a row (and its bias).
+  /// Accumulates a gradient contribution for a row (and its bias):
+  /// MarkTouched, then AddGrad.
   void AccumulateGrad(uint32_t row, std::span<const float> grad,
-                      float bias_grad = 0.0f);
+                      float bias_grad = 0.0f) {
+    MarkTouched(row);
+    AddGrad(row, grad, bias_grad);
+  }
+
+  /// Puts `row` on the touched list (first-touch order) if it is not yet.
+  void MarkTouched(uint32_t row);
+
+  /// Adds a gradient contribution to a row marked touched, without any
+  /// bookkeeping: calls on distinct rows may run on different threads.
+  void AddGrad(uint32_t row, std::span<const float> grad,
+               float bias_grad = 0.0f);
+
+  /// One sparse input of a batch: batch item `item` used table row `row`
+  /// with weight `value`.
+  struct SparseRef {
+    uint32_t item;
+    uint32_t row;
+    float value;
+  };
+
+  /// Adds value * grads.Row(item) to each ref's row, leaving every row
+  /// gradient and the touched order exactly as one AccumulateGrad call per
+  /// ref, in `refs` order, would. A stable counting sort transposes the
+  /// refs into per-row lists on this thread; the rows are then split over
+  /// `pool` (null runs inline), each summing its terms in `refs` order.
+  void ScatterGrad(std::span<const SparseRef> refs, const Matrix& grads,
+                   ThreadPool* pool);
 
   /// AdaGrad update over all rows touched since the last call, then resets
-  /// the accumulated gradients. `epsilon` guards the adaptive denominator.
-  void ApplyGradients(float learning_rate, float epsilon = 1e-8f);
+  /// the accumulated gradients. The per-row steps are split over `pool`
+  /// (null runs inline); the dirty list is kept in touched order either
+  /// way. `epsilon` guards the adaptive denominator.
+  void ApplyGradients(float learning_rate, ThreadPool* pool = nullptr,
+                      float epsilon = 1e-8f);
 
-  /// Rows touched by AccumulateGrad since the last ApplyGradients (for
-  /// tests and for the distributed trainer's gradient exchange).
+  /// Rows touched (AccumulateGrad, MarkTouched, ScatterGrad) since the last
+  /// ApplyGradients, in first-touch order (for tests and for the
+  /// distributed trainer's gradient exchange).
   const std::vector<uint32_t>& touched_rows() const { return touched_; }
 
   /// Direct access to accumulated row gradient (valid for touched rows).
@@ -96,6 +149,12 @@ class EmbeddingTable {
  private:
   void EnsureCapacity(uint32_t row);
 
+  /// A row created by GetOrCreateRowDeferred, not yet initialized.
+  struct PendingRow {
+    uint32_t row;
+    RngState state;  // generator state before the row's draws
+  };
+
   size_t dim_;
   bool with_bias_;
   float init_stddev_;
@@ -113,6 +172,19 @@ class EmbeddingTable {
   std::vector<uint64_t> keys_;       // row -> raw key
   std::vector<uint32_t> dirty_;      // rows updated since TakeDirtyRows
   std::vector<bool> is_dirty_;
+  std::vector<PendingRow> pending_;
+  // ScatterGrad's transpose, reused across calls: slot s (one per distinct
+  // row, first-touch order) owns slot_terms_[slot_begin_[s],
+  // slot_begin_[s + 1]). slot_of_row_ is kNoSlot outside a call.
+  struct SlotTerm {
+    uint32_t item;
+    float value;
+  };
+  std::vector<uint32_t> slot_of_row_;
+  std::vector<uint32_t> slot_rows_;
+  std::vector<uint32_t> slot_begin_;
+  std::vector<uint32_t> slot_fill_;
+  std::vector<SlotTerm> slot_terms_;
 };
 
 }  // namespace fvae::nn

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <tuple>
 
 #include "common/random.h"
@@ -319,13 +321,38 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/// Two tables equal row for row, bit for bit: keys, weights, biases and
+/// AdaGrad accumulators, plus the row-init generator and the dirty-row
+/// order the distributed trainer's delta sync reads.
+void ExpectSameTable(nn::EmbeddingTable& a, nn::EmbeddingTable& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  const size_t bytes = a.dim() * sizeof(float);
+  for (uint32_t row = 0; row < a.num_rows(); ++row) {
+    EXPECT_EQ(a.KeyOfRow(row), b.KeyOfRow(row)) << what << " row " << row;
+    EXPECT_EQ(std::memcmp(a.Row(row).data(), b.Row(row).data(), bytes), 0)
+        << what << " weights of row " << row;
+    EXPECT_EQ(std::memcmp(a.AdagradRow(row).data(), b.AdagradRow(row).data(),
+                          bytes),
+              0)
+        << what << " accumulators of row " << row;
+    if (a.with_bias()) {
+      EXPECT_EQ(a.bias(row), b.bias(row)) << what << " bias of row " << row;
+      EXPECT_EQ(a.adagrad_bias(row), b.adagrad_bias(row))
+          << what << " bias accumulator of row " << row;
+    }
+  }
+  EXPECT_TRUE(a.rng_state() == b.rng_state()) << what;
+  EXPECT_EQ(a.TakeDirtyRows(), b.TakeDirtyRows()) << what;
+}
+
 /// (batched softmax, deep trunks)
 class PooledStepTest
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
-// A pooled step only re-partitions work over output rows, so N pooled steps
-// must reproduce N serial steps bit for bit: stats, dense parameters, and
-// the encoder output built from the sparse tables.
+// A pooled step only re-partitions work over output rows and table rows,
+// so N pooled steps must reproduce N serial steps bit for bit: stats, dense
+// parameters, every input and output table, and the encoder output.
 TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   const auto [batched, deep] = GetParam();
   const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(160, 5));
@@ -359,10 +386,58 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
     EXPECT_TRUE(BitwiseEqual(*pooled_params[i], *serial_params[i]))
         << "dense param " << i;
   }
+  for (size_t k = 0; k < serial.num_fields(); ++k) {
+    ExpectSameTable(pooled.input_table(k), serial.input_table(k),
+                    "input table " + std::to_string(k));
+    ExpectSameTable(pooled.output_table(k), serial.output_table(k),
+                    "output table " + std::to_string(k));
+  }
   std::vector<uint32_t> all(gen.dataset.num_users());
   std::iota(all.begin(), all.end(), 0u);
   EXPECT_TRUE(BitwiseEqual(pooled.Encode(gen.dataset, all),
                            serial.Encode(gen.dataset, all)));
+}
+
+// The const encode methods run the layers' read-only inference pass, so
+// threads sharing one model get the serial answer bit for bit (and, under
+// ThreadSanitizer, race on nothing).
+TEST(FieldVaeTest, ConcurrentEncodesMatchSerial) {
+  const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(120, 3));
+  FvaeConfig config = SmallConfig();
+  config.encoder_hidden = {16, 12};
+  FieldVae model(config, gen.dataset.fields());
+  std::vector<uint32_t> users(gen.dataset.num_users());
+  std::iota(users.begin(), users.end(), 0u);
+  for (size_t step = 0; step < 3; ++step) {
+    model.TrainStep(gen.dataset, std::span(users).first(40), 0.1f);
+  }
+  Matrix mu, logvar;
+  model.EncodeWithVariance(gen.dataset, users, &mu, &logvar);
+  const std::vector<uint64_t> candidates = {1, 2, 3, 5, 8};
+  const Matrix scores = model.EncodeAndScore(gen.dataset, users, 0, candidates);
+
+  constexpr size_t kThreads = 4;
+  std::vector<Matrix> got_mu(kThreads), got_logvar(kThreads),
+      got_encode(kThreads), got_scores(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        got_encode[t] = model.Encode(gen.dataset, users);
+        model.EncodeWithVariance(gen.dataset, users, &got_mu[t],
+                                 &got_logvar[t]);
+        got_scores[t] =
+            model.EncodeAndScore(gen.dataset, users, 0, candidates);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(BitwiseEqual(got_encode[t], mu)) << "thread " << t;
+    EXPECT_TRUE(BitwiseEqual(got_mu[t], mu)) << "thread " << t;
+    EXPECT_TRUE(BitwiseEqual(got_logvar[t], logvar)) << "thread " << t;
+    EXPECT_TRUE(BitwiseEqual(got_scores[t], scores)) << "thread " << t;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

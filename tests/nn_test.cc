@@ -4,9 +4,11 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "math/matrix.h"
 #include "math/vector_ops.h"
 #include "nn/activations.h"
@@ -382,6 +384,154 @@ TEST(EmbeddingTableTest, GradientsAccumulateUntilApplied) {
   EXPECT_EQ(table.touched_rows().size(), 1u);  // deduplicated
   table.ApplyGradients(0.1f);
   EXPECT_FLOAT_EQ(table.RowGrad(row)[0], 0.0f);
+}
+
+bool SameFloats(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Rows created deferred and filled on a pool must hold the draws a
+// row-at-a-time initializer takes from the table's generator, in creation
+// order, and leave the generator where it would. The odd dim makes every
+// other row start from a cached Box-Muller value; the `cached` leg starts
+// the very first row from one.
+TEST(EmbeddingTableTest, DeferredRowsMatchGetOrCreateRow) {
+  constexpr size_t kDim = 7;
+  constexpr float kStddev = 0.3f;
+  ThreadPool pool(4);
+  for (const bool cached : {false, true}) {
+    EmbeddingTable eager(kDim, /*with_bias=*/true, kStddev, 11);
+    EmbeddingTable deferred(kDim, /*with_bias=*/true, kStddev, 11);
+    Rng reference(11);
+    if (cached) {
+      reference.Normal();
+      eager.set_rng_state(reference.GetState());
+      deferred.set_rng_state(reference.GetState());
+    }
+    std::vector<float> expected;  // reference draws, one row after another
+    std::vector<uint32_t> eager_rows, deferred_rows;
+    // Two rounds of 45 lookups over 61 keys: new rows, repeats within a
+    // round, and rows created in an earlier round.
+    for (uint64_t round = 0; round < 2; ++round) {
+      for (uint64_t i = round * 45; i < (round + 1) * 45; ++i) {
+        const uint64_t key = 1000 + (i * 37) % 61;
+        if (!eager.FindRow(key).has_value()) {
+          for (size_t d = 0; d < kDim; ++d) {
+            expected.push_back(
+                static_cast<float>(reference.Normal(0.0, kStddev)));
+          }
+        }
+        eager_rows.push_back(eager.GetOrCreateRow(key));
+        deferred_rows.push_back(deferred.GetOrCreateRowDeferred(key));
+      }
+      deferred.InitPendingRows(&pool);
+    }
+    EXPECT_EQ(deferred_rows, eager_rows);
+    ASSERT_EQ(eager.num_rows() * kDim, expected.size());
+    ASSERT_EQ(deferred.num_rows(), eager.num_rows());
+    for (uint32_t row = 0; row < eager.num_rows(); ++row) {
+      const std::span<const float> want(expected.data() + row * kDim, kDim);
+      EXPECT_TRUE(SameFloats(eager.Row(row), want))
+          << "row " << row << " cached=" << cached;
+      EXPECT_TRUE(SameFloats(deferred.Row(row), want))
+          << "row " << row << " cached=" << cached;
+    }
+    EXPECT_TRUE(eager.rng_state() == reference.GetState());
+    EXPECT_TRUE(deferred.rng_state() == reference.GetState());
+  }
+}
+
+// ScatterGrad on a pool must leave every row gradient and the touched
+// order exactly as one AccumulateGrad per ref, in ref order: each row sums
+// its terms in that order (float addition does not reassociate).
+TEST(EmbeddingTableTest, ScatterGradMatchesAccumulateGrad) {
+  constexpr size_t kDim = 9;
+  ThreadPool pool(4);
+  EmbeddingTable serial(kDim, /*with_bias=*/false, 0.1f, 17);
+  EmbeddingTable scattered(kDim, /*with_bias=*/false, 0.1f, 17);
+  for (uint64_t key = 0; key < 30; ++key) {
+    serial.GetOrCreateRow(key);
+    scattered.GetOrCreateRow(key);
+  }
+  Rng rng(23);
+  Matrix grads(40, kDim);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    grads.data()[i] = static_cast<float>(rng.Normal());
+  }
+  // Items in batch order, several refs per item; rows repeat many times.
+  std::vector<EmbeddingTable::SparseRef> refs;
+  for (uint32_t item = 0; item < 40; ++item) {
+    for (uint32_t f = 0; f < 4; ++f) {
+      refs.push_back({item, uint32_t(rng.UniformInt(uint64_t{12}) * 2),
+                      static_cast<float>(rng.Uniform(-2.0, 2.0))});
+    }
+  }
+  std::vector<float> scaled(kDim);
+  for (const EmbeddingTable::SparseRef& ref : refs) {
+    for (size_t d = 0; d < kDim; ++d) {
+      scaled[d] = ref.value * grads(ref.item, d);
+    }
+    serial.AccumulateGrad(ref.row, scaled);
+  }
+  scattered.ScatterGrad(refs, grads, &pool);
+  EXPECT_EQ(scattered.touched_rows(), serial.touched_rows());
+  for (uint32_t row = 0; row < 30; ++row) {
+    EXPECT_TRUE(SameFloats(scattered.RowGrad(row), serial.RowGrad(row)))
+        << "row " << row;
+  }
+  // The transpose scratch is reset: a second scatter adds on top.
+  serial.ApplyGradients(0.1f);
+  scattered.ApplyGradients(0.1f, &pool);
+  scattered.ScatterGrad(refs, grads, &pool);
+  for (const EmbeddingTable::SparseRef& ref : refs) {
+    for (size_t d = 0; d < kDim; ++d) {
+      scaled[d] = ref.value * grads(ref.item, d);
+    }
+    serial.AccumulateGrad(ref.row, scaled);
+  }
+  EXPECT_EQ(scattered.touched_rows(), serial.touched_rows());
+  for (uint32_t row = 0; row < 30; ++row) {
+    EXPECT_TRUE(SameFloats(scattered.RowGrad(row), serial.RowGrad(row)))
+        << "row " << row;
+    EXPECT_TRUE(SameFloats(scattered.Row(row), serial.Row(row))) << row;
+  }
+}
+
+// AdaGrad split over a pool updates every row exactly as the serial pass
+// does and lists dirty rows in the same (touched) order.
+TEST(EmbeddingTableTest, PooledAdagradMatchesSerial) {
+  ThreadPool pool(4);
+  EmbeddingTable serial(5, /*with_bias=*/true, 0.2f, 13);
+  EmbeddingTable pooled(5, /*with_bias=*/true, 0.2f, 13);
+  for (uint64_t key = 0; key < 40; ++key) {
+    serial.GetOrCreateRow(key);
+    pooled.GetOrCreateRow(key);
+  }
+  std::vector<float> grad(5);
+  for (uint32_t step = 0; step < 3; ++step) {
+    for (uint32_t t = 0; t < 50; ++t) {
+      const uint32_t row = (t * 17 + step * 5) % 40;
+      for (size_t d = 0; d < grad.size(); ++d) {
+        grad[d] = 0.01f * float((t + d * 3 + step) % 11) - 0.05f;
+      }
+      serial.AccumulateGrad(row, grad, grad[0]);
+      pooled.MarkTouched(row);
+      pooled.AddGrad(row, grad, grad[0]);
+    }
+    EXPECT_EQ(pooled.touched_rows(), serial.touched_rows());
+    serial.ApplyGradients(0.1f);
+    pooled.ApplyGradients(0.1f, &pool);
+  }
+  for (uint32_t row = 0; row < 40; ++row) {
+    EXPECT_TRUE(SameFloats(pooled.Row(row), serial.Row(row))) << row;
+    EXPECT_TRUE(SameFloats(pooled.AdagradRow(row), serial.AdagradRow(row)))
+        << row;
+    EXPECT_EQ(pooled.bias(row), serial.bias(row)) << row;
+    EXPECT_EQ(pooled.adagrad_bias(row), serial.adagrad_bias(row)) << row;
+  }
+  EXPECT_TRUE(pooled.touched_rows().empty());
+  EXPECT_EQ(pooled.TakeDirtyRows(), serial.TakeDirtyRows());
 }
 
 TEST(EmbeddingTableTest, AdagradShrinksEffectiveStep) {

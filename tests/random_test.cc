@@ -92,6 +92,25 @@ TEST(RngTest, NormalWithParameters) {
   EXPECT_NEAR(sum / 50000.0, 5.0, 0.1);
 }
 
+TEST(RngTest, SkipNormalsMatchesNormalCalls) {
+  for (const bool cached : {false, true}) {
+    for (const size_t n : {0, 1, 2, 3, 8, 255, 256}) {
+      Rng drawn(29);
+      if (cached) drawn.Normal();  // leaves the pair's second value cached
+      Rng skipped;
+      skipped.SetState(drawn.GetState());
+      for (size_t i = 0; i < n; ++i) drawn.Normal();
+      skipped.SkipNormals(n);
+      // The whole state, the spent Box-Muller value included: checkpoints
+      // persist it.
+      EXPECT_TRUE(skipped.GetState() == drawn.GetState())
+          << "n=" << n << " cached=" << cached;
+      EXPECT_EQ(skipped.Normal(), drawn.Normal());
+      EXPECT_EQ(skipped.Next64(), drawn.Next64());
+    }
+  }
+}
+
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(19);
   int hits = 0;
