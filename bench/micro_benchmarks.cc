@@ -1,7 +1,7 @@
 // Micro-benchmarks of the performance-critical kernels (google-benchmark):
-// GEMM, the dynamic hash table vs std::unordered_map, alias sampling,
-// batched-softmax candidate construction, and the LRU cache. These back the
-// complexity claims of paper §IV-C.
+// GEMM, the dynamic hash table vs std::unordered_map, alias sampling and
+// batched-softmax candidate construction. These back the complexity claims
+// of paper §IV-C.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "math/matrix.h"
 #include "math/vector_ops.h"
 #include "nn/losses.h"
-#include "serving/lru_cache.h"
 
 namespace fvae {
 namespace {
@@ -115,18 +114,6 @@ void BM_SampleCandidates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SampleCandidates)->Arg(10000);
-
-void BM_LruCache(benchmark::State& state) {
-  serving::LruCache<uint64_t, std::vector<float>> cache(4096);
-  Rng rng(11);
-  std::vector<float> value(64, 1.0f);
-  for (auto _ : state) {
-    const uint64_t key = rng.UniformInt(uint64_t{8192});
-    if (!cache.Get(key).has_value()) cache.Put(key, value);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruCache);
 
 }  // namespace
 }  // namespace fvae

@@ -1,21 +1,26 @@
 // End-to-end deployment walkthrough of Fig. 2: offline training and
-// embedding inference, dump to the (HDFS stand-in) embedding store, online
-// serving through the proxy + LRU cache, and look-alike account recall.
+// embedding inference, the embedding dump (HDFS stand-in), the online
+// EmbeddingService loading the dump and serving it (with fold-in for users
+// the dump lacks), and look-alike account recall over the served
+// embeddings. Exits non-zero if any user goes unanswered. Writes (and then
+// removes) its dump in the working directory.
 //
 //   ./build/examples/lookalike_service
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
 
 #include "baselines/fvae_adapter.h"
-#include "common/stopwatch.h"
 #include "datagen/profile_generator.h"
 #include "lookalike/ab_test.h"
 #include "lookalike/ann_index.h"
 #include "lookalike/lookalike_system.h"
-#include "serving/embedding_store.h"
-#include "serving/serving_proxy.h"
+#include "serving/embedding_service.h"
+#include "serving/fold_in.h"
+#include "serving/load_gen.h"
+#include "serving/sharded_store.h"
 
 int main() {
   using namespace fvae;
@@ -40,34 +45,58 @@ int main() {
   std::printf("[offline] training FVAE...\n");
   fvae.Fit(gen.dataset);
 
-  std::vector<uint32_t> users(gen.dataset.num_users());
-  std::iota(users.begin(), users.end(), 0u);
-  const Matrix embeddings = fvae.Embed(gen.dataset, users);
-
+  // The last 100 users stay out of the dump: the online module folds them
+  // in from their raw features when they are first requested.
+  const size_t num_users = gen.dataset.num_users();
+  const size_t num_dumped = num_users - 100;
+  std::vector<uint32_t> dumped(num_dumped);
+  std::iota(dumped.begin(), dumped.end(), 0u);
   const std::string store_path = "lookalike_embeddings.bin";
   {
-    serving::EmbeddingStore store;
-    std::vector<uint64_t> ids(users.begin(), users.end());
-    store.PutBatch(ids, embeddings);
-    const Status status = store.Save(store_path);
-    std::printf("[offline] dumped %zu embeddings to %s (%s)\n",
-                store.size(), store_path.c_str(),
-                status.ToString().c_str());
+    const serving::ShardedEmbeddingStore dump = serving::MaterializeEmbeddings(
+        fvae.model(), gen.dataset, dumped, /*num_shards=*/16);
+    const Status status = dump.Save(store_path);
+    std::printf("[offline] dumped %zu embeddings to %s (%s)\n", dump.size(),
+                store_path.c_str(), status.ToString().c_str());
+    if (!status.ok()) return 1;
   }
 
-  // ---- Online module: serving proxy + cache ----
-  auto loaded = serving::EmbeddingStore::Load(store_path);
-  if (!loaded.ok()) {
-    std::printf("load failed: %s\n", loaded.status().ToString().c_str());
+  // ---- Online module: load the dump, serve it, fold in the rest ----
+  const serving::FvaeFoldInEncoder encoder(&fvae.model());
+  serving::EmbeddingService service(serving::ShardedEmbeddingStore(16),
+                                    &encoder);
+  const Status reloaded = service.ReloadFromFile(store_path);
+  std::filesystem::remove(store_path);
+  if (!reloaded.ok()) {
+    std::printf("reload failed: %s\n", reloaded.ToString().c_str());
     return 1;
   }
-  serving::ServingProxy proxy(&*loaded, /*cache_capacity=*/512);
-  for (int round = 0; round < 3; ++round) {
-    for (uint64_t user = 0; user < 300; ++user) proxy.Lookup(user);
+  // Every user's served embedding, as the look-alike system receives it.
+  Matrix embeddings(num_users, encoder.dim());
+  size_t misses = 0;
+  for (uint32_t user = 0; user < num_users; ++user) {
+    const serving::EmbeddingService::EmbeddingResult result =
+        user < num_dumped
+            ? service.Lookup(user)
+            : service.LookupOrEncode(user,
+                                     serving::RawFeaturesOf(gen.dataset, user));
+    if (!result.ok()) {
+      ++misses;
+      continue;
+    }
+    std::copy(result->begin(), result->end(), embeddings.Row(user));
   }
-  std::printf("[online] %zu lookups, cache hit rate %.1f%%\n",
-              proxy.stats().requests,
-              100.0 * proxy.stats().CacheHitRate());
+  const serving::ServingTelemetry& telemetry = service.telemetry();
+  std::printf("[online] %llu requests: %llu store hits, %llu fold-ins, "
+              "%zu misses\n",
+              static_cast<unsigned long long>(telemetry.requests.Value()),
+              static_cast<unsigned long long>(telemetry.store_hits.Value()),
+              static_cast<unsigned long long>(telemetry.fold_ins.Value()),
+              misses);
+  if (misses != 0) {
+    std::printf("[online] FAIL: %zu users went unanswered\n", misses);
+    return 1;
+  }
 
   // ---- Look-alike recall ----
   lookalike::AbTestConfig ab_config;
@@ -108,7 +137,7 @@ int main() {
   // ---- A/B sanity: FVAE vs noise embeddings ----
   Rng noise_rng(5);
   const Matrix noise =
-      Matrix::Gaussian(users.size(), embeddings.cols(), 1.0f, noise_rng);
+      Matrix::Gaussian(num_users, embeddings.cols(), 1.0f, noise_rng);
   const lookalike::ArmMetrics fvae_arm = ab.RunArm("fvae", embeddings);
   const lookalike::ArmMetrics noise_arm = ab.RunArm("noise", noise);
   std::printf(
@@ -118,6 +147,5 @@ int main() {
                    std::max<size_t>(1, noise_arm.following_clicks) -
                1.0));
 
-  std::filesystem::remove(store_path);
   return 0;
 }

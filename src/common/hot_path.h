@@ -8,8 +8,8 @@
 ///
 /// Conventions (docs/ARCHITECTURE.md §7):
 ///
-///  - `FVAE_HOT` marks a function on a serving hot path: the store reads
-///    (ServingProxy lookup, sharded store Get) and the fold-in encode chain
+///  - `FVAE_HOT` marks a function on a serving hot path: the store read
+///    (ShardedEmbeddingStore::Get) and the fold-in encode chain
 ///    (FvaeFoldInEncoder, run inline on the RPC worker -> FieldVae encode
 ///    -> the layers' const Infer -> GEMM kernels). The linter transitively
 ///    walks every resolvable callee and fails if any reachable function

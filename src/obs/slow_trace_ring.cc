@@ -10,20 +10,30 @@ SlowTraceRing::SlowTraceRing(size_t capacity)
     : slots_(capacity == 0 ? 1 : capacity) {}
 
 void SlowTraceRing::Record(const Entry& entry) {
-  const uint64_t index =
-      head_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-  Slot& slot = slots_[index];
-  // Odd sequence marks the slot dirty; readers that observe it (or see the
-  // sequence move across their read) discard the slot.
-  slot.sequence.fetch_add(1, std::memory_order_acq_rel);
-  slot.trace_id.store(entry.trace_id, std::memory_order_relaxed);
-  slot.parent_span_id.store(entry.parent_span_id, std::memory_order_relaxed);
-  slot.tag.store(entry.tag, std::memory_order_relaxed);
-  slot.start_us.store(entry.start_us, std::memory_order_relaxed);
-  slot.duration_us.store(entry.duration_us, std::memory_order_relaxed);
-  slot.verb.store(entry.verb, std::memory_order_relaxed);
-  slot.status.store(entry.status, std::memory_order_relaxed);
-  slot.sequence.fetch_add(1, std::memory_order_release);
+  // Claim a slot by moving its sequence from even (stable) to odd
+  // (writing). A slot another writer holds is skipped for the next index,
+  // so exactly one writer fills a slot between two even sequences.
+  Slot* slot = nullptr;
+  uint64_t sequence = 0;
+  do {
+    slot = &slots_[head_.fetch_add(1, std::memory_order_relaxed) %
+                   slots_.size()];
+    sequence = slot->sequence.load(std::memory_order_relaxed);
+  } while ((sequence & 1) != 0 ||
+           !slot->sequence.compare_exchange_strong(
+               sequence, sequence + 1, std::memory_order_acquire,
+               std::memory_order_relaxed));
+  // Release field stores pair with the reader's acquire fence: a reader
+  // that loads any of these values then loads at least the odd sequence
+  // on its second sequence load, and drops the slot.
+  slot->trace_id.store(entry.trace_id, std::memory_order_release);
+  slot->parent_span_id.store(entry.parent_span_id, std::memory_order_release);
+  slot->tag.store(entry.tag, std::memory_order_release);
+  slot->start_us.store(entry.start_us, std::memory_order_release);
+  slot->duration_us.store(entry.duration_us, std::memory_order_release);
+  slot->verb.store(entry.verb, std::memory_order_release);
+  slot->status.store(entry.status, std::memory_order_release);
+  slot->sequence.store(sequence + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -44,7 +54,10 @@ std::vector<SlowTraceRing::Entry> SlowTraceRing::Snapshot() const {
         slot.verb.load(std::memory_order_relaxed));
     entry.status = static_cast<uint8_t>(
         slot.status.load(std::memory_order_relaxed));
-    const uint64_t after = slot.sequence.load(std::memory_order_acquire);
+    // Keeps the field loads above from sinking below the second sequence
+    // load: a field written by a later Record shows up as a moved sequence.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const uint64_t after = slot.sequence.load(std::memory_order_relaxed);
     if (after != before) continue;  // overwritten while reading
     entries.push_back(entry);
   }

@@ -16,14 +16,14 @@ namespace fvae::obs {
 /// requests ate the p99" with real trace ids that can be grepped out of
 /// the Chrome trace export.
 ///
-/// Concurrency: Record() claims a slot with one fetch_add and publishes it
-/// under a per-slot sequence counter (odd = write in progress); Snapshot()
-/// skips slots whose sequence moved while being read. Every data word is
-/// an atomic with relaxed ordering bracketed by acq_rel sequence bumps —
-/// wait-free for writers, no locks anywhere, TSan-clean by construction.
-/// Under a wrap race two writers can hit the same slot; the sequence
-/// protocol then discards the slot from snapshots rather than exposing a
-/// torn record.
+/// Concurrency: a per-slot sequence counter is a seqlock (odd = write in
+/// progress). Record() takes the next ring index and claims its slot with
+/// a CAS of the sequence from even to odd; when a wrap race finds the slot
+/// held by another writer, it moves on to the next index, so one slot
+/// never has two writers. Snapshot() skips slots that are mid-write or
+/// whose sequence moved while being read. Every data word is an atomic
+/// (release stores, relaxed loads followed by an acquire fence) — lock-free
+/// for writers, no locks anywhere, TSan-clean by construction.
 class SlowTraceRing {
  public:
   struct Entry {
@@ -41,7 +41,7 @@ class SlowTraceRing {
   SlowTraceRing(const SlowTraceRing&) = delete;
   SlowTraceRing& operator=(const SlowTraceRing&) = delete;
 
-  /// Publishes one completed slow/errored request. Wait-free.
+  /// Publishes one completed slow/errored request. Lock-free.
   void Record(const Entry& entry);
 
   /// Stable entries, sorted by duration descending.

@@ -115,16 +115,6 @@ void TraceRecorder::RecordSpan(const char* name, int64_t start_us,
   it->second.Record(double(duration_us));
 }
 
-void SpanScratch::Flush(TraceRecorder* recorder) {
-  if (recorder == nullptr) recorder = &TraceRecorder::Global();
-  for (const TraceEvent& span : spans_) {
-    recorder->RecordSpan(span.name, span.start_us, span.duration_us,
-                         TraceContext{span.trace_id, span.span_id},
-                         span.parent_span_id);
-  }
-  spans_.clear();
-}
-
 std::vector<TraceEvent> TraceRecorder::Events() const {
   std::vector<TraceEvent> events;
   {

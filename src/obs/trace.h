@@ -126,7 +126,7 @@ class TraceRecorder {
   /// As above, with an explicit distributed identity: `context` carries the
   /// span's own (trace_id, span_id); `parent_span_id` is the enclosing
   /// span (0 for roots). Used by code that cannot rely on the thread-
-  /// ambient context (hedge arms, cross-thread completions, SpanScratch).
+  /// ambient context (hedge arms, cross-thread completions).
   void RecordSpan(const char* name, int64_t start_us, int64_t duration_us,
                   const TraceContext& context, uint64_t parent_span_id);
 
@@ -199,8 +199,7 @@ class TraceRecorder {
 /// behaviour (and the serialized output) is exactly the PR-3 span.
 ///
 /// Never construct on an FVAE_HOT path — RecordSpan locks and may
-/// allocate. Hot code records through a worker-owned SpanScratch instead
-/// (fvae_lint's `hot-trace` rule enforces this).
+/// allocate (fvae_lint's `hot-trace` rule enforces this).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, TraceRecorder* recorder = nullptr)
@@ -248,43 +247,6 @@ class TraceSpan {
   TraceContext previous_;
   uint64_t parent_span_id_ = 0;
   bool installed_ = false;
-};
-
-/// Fixed-capacity span staging area for FVAE_HOT code, owned by a worker's
-/// scratch state. NoteSpan() is a bounded write into pre-reserved storage
-/// (no lock, no allocation once constructed); Flush() — called off the hot
-/// path — moves the staged spans into the recorder. Spans noted beyond
-/// capacity are dropped and counted.
-class SpanScratch {
- public:
-  explicit SpanScratch(size_t capacity) { spans_.reserve(capacity); }
-
-  SpanScratch(const SpanScratch&) = delete;
-  SpanScratch& operator=(const SpanScratch&) = delete;
-
-  /// Stages one completed span. Safe on hot paths.
-  FVAE_HOT void NoteSpan(const char* name, int64_t start_us,
-                         int64_t duration_us, const TraceContext& context,
-                         uint64_t parent_span_id = 0) {
-    if (spans_.size() < spans_.capacity()) {
-      spans_.push_back(  // fvae-lint: allow(hot-alloc)
-          {name, start_us, duration_us, /*tid=*/0, context.trace_id,
-           context.span_id, parent_span_id});
-    } else {
-      ++dropped_;
-    }
-  }
-
-  /// Moves staged spans into `recorder` (global by default) and clears the
-  /// stage. NOT hot — call from worker housekeeping, never per-request.
-  void Flush(TraceRecorder* recorder = nullptr);
-
-  size_t staged() const { return spans_.size(); }
-  uint64_t dropped() const { return dropped_; }
-
- private:
-  std::vector<TraceEvent> spans_;
-  uint64_t dropped_ = 0;
 };
 
 #define FVAE_TRACE_CONCAT_INNER_(a, b) a##b

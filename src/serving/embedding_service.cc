@@ -51,6 +51,21 @@ EmbeddingService::EmbeddingResult EmbeddingService::LookupOrEncode(
   return row;
 }
 
+Status EmbeddingService::ReloadFromFile(const std::string& path) {
+  FVAE_ASSIGN_OR_RETURN(
+      ShardedEmbeddingStore fresh,
+      ShardedEmbeddingStore::Load(path, store_.num_shards()));
+  size_t served_dim = store_.dim();
+  if (served_dim == 0 && encoder_ != nullptr) served_dim = encoder_->dim();
+  if (served_dim != 0 && fresh.dim() != served_dim) {
+    return Status::InvalidArgument(
+        "dump " + path + " has dim " + std::to_string(fresh.dim()) +
+        ", service serves dim " + std::to_string(served_dim));
+  }
+  store_.ReplaceRows(std::move(fresh));
+  return Status::Ok();
+}
+
 std::string EmbeddingService::TelemetryJson() const {
   const auto shards = store_.Stats();
   return telemetry_.ToJson(&shards);

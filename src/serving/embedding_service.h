@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "common/stopwatch.h"
 #include "core/fvae_model.h"
 #include "serving/fold_in.h"
@@ -66,6 +67,26 @@ class EmbeddingService {
   /// `serving.fold_in.encode` span) and materializes the result.
   EmbeddingResult LookupOrEncode(uint64_t user_id,
                                  const core::RawUserFeatures& features);
+
+  /// Swaps in a fresh embedding dump written by ShardedEmbeddingStore::Save
+  /// — the online module's "new day's embeddings landed on HDFS" step
+  /// (Fig. 2). The dump is read and CRC-checked into a fresh store with this
+  /// service's shard count while no lock is held, then swapped in shard by
+  /// shard under each shard's writer lock (ShardedEmbeddingStore::
+  /// ReplaceRows). On any error — missing file, torn write, bad CRC, or a
+  /// dim other than the one served (the store's, or the encoder's while the
+  /// store is empty) — nothing is swapped and the old rows keep serving.
+  ///
+  /// Semantics:
+  ///   - a reload replaces every row: keys absent from the dump are gone,
+  ///     including users folded in since the last dump;
+  ///   - concurrent readers see each key's old row or its new row, never a
+  ///     torn one (a shard swaps whole under its writer lock);
+  ///   - a fold-in that races the swap may land in either map: before its
+  ///     shard swaps (then the dump's row, or no row, replaces it) or after
+  ///     (then it stays until the next reload).
+  /// Reloads must not overlap each other; run them from one thread.
+  Status ReloadFromFile(const std::string& path);
 
   const ShardedEmbeddingStore& store() const { return store_; }
   ServingTelemetry& telemetry() { return telemetry_; }

@@ -33,6 +33,9 @@ class FvaeFoldInEncoder {
     model_->EncodeFoldInInto(users, &ThisThread().layers, out);
   }
 
+  /// Width of every embedding this encoder produces.
+  size_t dim() const { return model_->latent_dim(); }
+
   /// One user's embedding, encoded on the calling thread. Allocates only
   /// the returned row.
   std::vector<float> Encode(const core::RawUserFeatures& user) const {

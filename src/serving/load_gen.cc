@@ -25,12 +25,12 @@ core::RawUserFeatures RawFeaturesOf(const MultiFieldDataset& dataset,
 ShardedEmbeddingStore MaterializeEmbeddings(const core::FieldVae& model,
                                             const MultiFieldDataset& dataset,
                                             std::span<const uint32_t> users,
-                                            size_t num_shards,
-                                            size_t chunk_size) {
-  chunk_size = std::max<size_t>(chunk_size, 1);
+                                            size_t num_shards) {
+  // Encoding in chunks bounds the peak size of the activation matrices.
+  constexpr size_t kChunk = 1024;
   ShardedEmbeddingStore store(num_shards);
-  for (size_t begin = 0; begin < users.size(); begin += chunk_size) {
-    const size_t end = std::min(begin + chunk_size, users.size());
+  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
+    const size_t end = std::min(begin + kChunk, users.size());
     const std::span<const uint32_t> chunk = users.subspan(begin, end - begin);
     const Matrix mu = model.Encode(dataset, chunk);
     for (size_t i = 0; i < chunk.size(); ++i) {

@@ -18,13 +18,13 @@ namespace fvae::serving {
 core::RawUserFeatures RawFeaturesOf(const MultiFieldDataset& dataset,
                                     uint32_t user);
 
-/// Offline-dump stand-in: encodes `users` in chunks and materializes their
-/// embeddings into a fresh sharded store (Fig. 2's HDFS -> online load).
+/// The offline module's inference step (Fig. 2): encodes `users` in
+/// chunks into a fresh sharded store keyed by user index, ready to serve or
+/// to Save as the embedding dump.
 ShardedEmbeddingStore MaterializeEmbeddings(const core::FieldVae& model,
                                             const MultiFieldDataset& dataset,
                                             std::span<const uint32_t> users,
-                                            size_t num_shards,
-                                            size_t chunk_size = 1024);
+                                            size_t num_shards);
 
 /// Closed-loop workload shape.
 struct LoadGenOptions {

@@ -1,13 +1,28 @@
 #include "serving/sharded_store.h"
 
 #include <algorithm>
+#include <cstring>
+#include <sstream>
+#include <utility>
 
+#include "common/atomic_file.h"
+#include "common/binary_io.h"
 #include "common/check.h"
+#include "common/crc32.h"
+#include "common/failpoint.h"
 #include "common/mutex.h"
 
 namespace fvae::serving {
 
 namespace {
+
+constexpr char kMagic[4] = {'F', 'V', 'E', 'B'};
+constexpr uint32_t kVersionV1 = 1;
+// v2 appends a CRC-32 of the body (everything after the 8-byte header) as
+// a 4-byte footer; writes go through the atomic-rename path. Load verifies
+// the checksum before returning, so a reload (load, then swap) can never
+// swap a corrupt dump in.
+constexpr uint32_t kVersion = 2;
 
 /// splitmix64 finalizer: user ids are often sequential, so mix before
 /// taking the shard residue to spread them across shards.
@@ -27,15 +42,6 @@ ShardedEmbeddingStore::ShardedEmbeddingStore(size_t num_shards)
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-ShardedEmbeddingStore ShardedEmbeddingStore::FromStore(
-    const EmbeddingStore& store, size_t num_shards) {
-  ShardedEmbeddingStore out(num_shards);
-  for (uint64_t id : store.Ids()) {
-    out.Put(id, *store.Get(id));
-  }
-  return out;
 }
 
 size_t ShardedEmbeddingStore::ShardOf(uint64_t user_id) const {
@@ -99,6 +105,122 @@ std::vector<ShardedEmbeddingStore::ShardStats> ShardedEmbeddingStore::Stats()
     out.push_back(stats);
   }
   return out;
+}
+
+Status ShardedEmbeddingStore::Save(const std::string& path) const {
+  AtomicFileWriter writer;
+  FVAE_RETURN_IF_ERROR(writer.Open(path, "embedding_store.save"));
+  std::ostream& out = writer.stream();
+  out.write(kMagic, 4);
+  WritePod(out, kVersion);
+
+  std::ostringstream body;
+  WritePod(body, static_cast<uint32_t>(dim()));
+  WritePod(body, uint64_t{0});  // row count, patched once the rows are in
+  uint64_t count = 0;
+  for (const auto& shard : shards_) {
+    ReaderMutexLock lock(shard->mutex);
+    for (const auto& [user_id, embedding] : shard->table) {
+      WritePod(body, user_id);
+      body.write(reinterpret_cast<const char*>(embedding.data()),
+                 static_cast<std::streamsize>(embedding.size() *
+                                              sizeof(float)));
+    }
+    count += shard->table.size();
+  }
+  body.seekp(sizeof(uint32_t));
+  WritePod(body, count);
+  const std::string_view payload = body.view();
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  WritePod(out, Crc32(payload));
+  return writer.Commit();
+}
+
+Result<ShardedEmbeddingStore> ShardedEmbeddingStore::Load(
+    const std::string& path, size_t num_shards) {
+  // Transient-read-failure injection point for the reload tests (a kError
+  // arming models "HDFS read bounced"; the service must keep serving the
+  // rows it has).
+  FVAE_RETURN_IF_ERROR(FailpointCheck("embedding_store.load"));
+  FVAE_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
+  BufferReader header(data);
+  char magic[4];
+  if (!header.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
+    return Status::InvalidArgument("bad magic in " + path +
+                                   ", want \"FVEB\"");
+  }
+  uint32_t version = 0;
+  if (!header.ReadPod(&version)) {
+    return Status::IoError("truncated header in " + path);
+  }
+  std::string_view payload = std::string_view(data).substr(8);
+  if (version == kVersion) {
+    if (data.size() < 8 + sizeof(uint32_t)) {
+      return Status::IoError("truncated checksum footer in " + path);
+    }
+    payload.remove_suffix(sizeof(uint32_t));
+    uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
+                sizeof(uint32_t));
+    const uint32_t computed_crc = Crc32(payload);
+    if (stored_crc != computed_crc) {
+      return Status::IoError("checksum mismatch in " + path + ": stored " +
+                             std::to_string(stored_crc) + ", computed " +
+                             std::to_string(computed_crc));
+    }
+  } else if (version != kVersionV1) {
+    return Status::InvalidArgument(
+        "unsupported store version " + std::to_string(version) + " in " +
+        path + " (supported: " + std::to_string(kVersionV1) + ".." +
+        std::to_string(kVersion) + ")");
+  }
+  // Legacy v1 dumps have no checksum footer: the body runs to end-of-file.
+  BufferReader body(payload);
+  uint32_t dim = 0;
+  uint64_t count = 0;
+  if (!body.ReadPod(&dim) || !body.ReadPod(&count)) {
+    return Status::IoError("truncated store header in " + path);
+  }
+  if (dim == 0 || dim > 1u << 20) {
+    return Status::InvalidArgument("bad embedding dimension");
+  }
+  ShardedEmbeddingStore store(num_shards);
+  store.dim_->store(dim, std::memory_order_release);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t user_id = 0;
+    std::vector<float> embedding(dim);
+    if (!body.ReadPod(&user_id) ||
+        !body.ReadBytes(embedding.data(), size_t(dim) * sizeof(float))) {
+      return Status::IoError("truncated store: " + path);
+    }
+    store.Put(user_id, std::move(embedding));
+  }
+  return store;
+}
+
+void ShardedEmbeddingStore::ReplaceRows(ShardedEmbeddingStore fresh) {
+  FVAE_CHECK(fresh.num_shards() == num_shards())
+      << "shard count mismatch: store " << num_shards() << ", fresh "
+      << fresh.num_shards();
+  size_t expected = 0;
+  if (!dim_->compare_exchange_strong(expected, fresh.dim(),
+                                     std::memory_order_acq_rel)) {
+    FVAE_CHECK(fresh.dim() == expected)
+        << "embedding dim mismatch: store " << expected << ", fresh "
+        << fresh.dim();
+  }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    std::unordered_map<uint64_t, std::vector<float>> rows;
+    {
+      WriterMutexLock lock(fresh.shards_[i]->mutex);
+      rows.swap(fresh.shards_[i]->table);
+    }
+    {
+      WriterMutexLock lock(shards_[i]->mutex);
+      shards_[i]->table.swap(rows);
+    }
+    // `rows` now holds the shard's old rows and frees them outside the lock.
+  }
 }
 
 }  // namespace fvae::serving

@@ -5,26 +5,32 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hot_path.h"
 #include "common/mutex.h"
+#include "common/result.h"
+#include "common/status.h"
 #include "common/thread_annotations.h"
-#include "serving/embedding_store.h"
 
 namespace fvae::serving {
 
-/// Reader-concurrent in-memory embedding store, sharded by hashed user id.
+/// Reader-concurrent in-memory embedding store, sharded by hashed user id —
+/// the online module's store (Fig. 2), and the only one in the repository.
 ///
-/// Replaces the global single-map EmbeddingStore on the serving hot path:
-/// each shard owns an independent hash map guarded by a shared_mutex, so
+/// Each shard owns an independent hash map guarded by a shared_mutex, so
 /// concurrent Gets on different (and, via shared locking, the same) shards
 /// never contend on one global lock, and a Put only stalls readers of its
 /// own shard. Hit/miss counters are per-shard relaxed atomics.
 ///
-/// The file-backed EmbeddingStore remains the offline interchange format
-/// (HDFS stand-in); FromStore() is the online module's load step.
+/// Save/Load are the offline dump (the paper's HDFS hand-off). File format
+/// "FVEB" (little-endian): magic, uint32 version, uint32 dim, uint64 count,
+/// then count x (uint64 user_id, dim x float). Version 2 appends a CRC-32
+/// footer over the body and Save publishes via atomic rename, so a reload
+/// verifies the checksum before it swaps a dump in; truncated or corrupt
+/// files load as IoError. Version 1 files (no footer) remain loadable.
 class ShardedEmbeddingStore {
  public:
   struct ShardStats {
@@ -44,10 +50,6 @@ class ShardedEmbeddingStore {
   ShardedEmbeddingStore(ShardedEmbeddingStore&&) = default;
   ShardedEmbeddingStore& operator=(ShardedEmbeddingStore&&) = default;
 
-  /// Builds a sharded store holding a copy of every embedding in `store`.
-  static ShardedEmbeddingStore FromStore(const EmbeddingStore& store,
-                                         size_t num_shards = 16);
-
   /// Inserts or overwrites one embedding. All embeddings must share the
   /// dimension of the first Put. Thread-safe.
   void Put(uint64_t user_id, std::vector<float> embedding);
@@ -62,13 +64,32 @@ class ShardedEmbeddingStore {
   /// Total entries across shards (locks each shard briefly).
   size_t size() const;
 
-  /// Embedding dimension (0 until the first Put).
+  /// Embedding dimension (0 until the first Put or a Load).
   size_t dim() const { return dim_->load(std::memory_order_acquire); }
 
   size_t num_shards() const { return shards_.size(); }
 
   /// Per-shard hit/miss/occupancy snapshot.
   std::vector<ShardStats> Stats() const;
+
+  /// Writes every row to `path` as an FVEB v2 dump (atomic publish,
+  /// failpoints `embedding_store.save.*`). Thread-safe: each shard is read
+  /// under its reader lock, so rows Put during the save may or may not be
+  /// included.
+  Status Save(const std::string& path) const;
+
+  /// Reads an FVEB v1/v2 dump (failpoint `embedding_store.load`) into a
+  /// fresh store of `num_shards` shards. dim() is the dump's, even when it
+  /// holds no rows.
+  static Result<ShardedEmbeddingStore> Load(const std::string& path,
+                                            size_t num_shards = 16);
+
+  /// Replaces every row with `fresh`'s, one shard at a time under that
+  /// shard's writer lock; the old rows are freed after the lock is
+  /// released. `fresh` must have the same shard count and, unless this
+  /// store has no dim yet, the same dim. Readers see each key's old or
+  /// new row, never a mix of rows.
+  void ReplaceRows(ShardedEmbeddingStore fresh);
 
  private:
   struct Shard {

@@ -11,8 +11,8 @@
 #include "datagen/profile_generator.h"
 #include "eval/tasks.h"
 #include "lookalike/ab_test.h"
-#include "serving/embedding_store.h"
-#include "serving/serving_proxy.h"
+#include "serving/embedding_service.h"
+#include "serving/sharded_store.h"
 
 namespace fvae {
 namespace {
@@ -105,20 +105,23 @@ TEST_F(IntegrationTest, EmbeddingsFlowThroughServingToLookalike) {
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "embeddings.bin").string();
   {
-    serving::EmbeddingStore offline;
-    std::vector<uint64_t> ids(users_.begin(), users_.end());
-    offline.PutBatch(ids, embeddings);
+    serving::ShardedEmbeddingStore offline;
+    for (size_t u = 0; u < users_.size(); ++u) {
+      const float* row = embeddings.Row(u);
+      offline.Put(users_[u],
+                  std::vector<float>(row, row + embeddings.cols()));
+    }
     ASSERT_TRUE(offline.Save(path).ok());
   }
-  auto online = serving::EmbeddingStore::Load(path);
-  ASSERT_TRUE(online.ok());
-  serving::ServingProxy proxy(&*online, 128);
+  serving::EmbeddingService service(serving::ShardedEmbeddingStore(),
+                                    /*encoder=*/nullptr);
+  ASSERT_TRUE(service.ReloadFromFile(path).ok());
 
   // Serve every user's embedding back into a matrix.
   Matrix served(users_.size(), embeddings.cols());
   for (size_t u = 0; u < users_.size(); ++u) {
-    auto emb = proxy.Lookup(users_[u]);
-    ASSERT_TRUE(emb.has_value());
+    auto emb = service.Lookup(users_[u]);
+    ASSERT_TRUE(emb.ok()) << emb.status().ToString();
     for (size_t d = 0; d < emb->size(); ++d) {
       served(u, d) = (*emb)[d];
     }

@@ -239,8 +239,8 @@ TEST(LintBannedRandomTest, RandomModuleIsAllowed) {
 // ---------- header hygiene ----------
 
 TEST(LintHeaderGuardTest, ExpectedGuardFollowsPath) {
-  EXPECT_EQ(ExpectedGuard("src/serving/lru_cache.h"),
-            "FVAE_SERVING_LRU_CACHE_H_");
+  EXPECT_EQ(ExpectedGuard("src/serving/sharded_store.h"),
+            "FVAE_SERVING_SHARDED_STORE_H_");
   EXPECT_EQ(ExpectedGuard("bench/model_zoo.h"), "FVAE_BENCH_MODEL_ZOO_H_");
   EXPECT_EQ(ExpectedGuard("tools/lint_rules.h"), "FVAE_TOOLS_LINT_RULES_H_");
   EXPECT_EQ(ExpectedGuard("src/core/trainer.cc"), "");
@@ -336,8 +336,7 @@ TEST(LintSpanNameTest, BadNamesFireAcrossAllForms) {
        {"obs::TraceSpan span(\"ParseFrame\");",       // named variable
         "obs::TraceSpan(\"no_dots\");",               // temporary
         "FVAE_TRACE_SCOPE(\"net..parse\");",          // scope macro
-        "recorder.RecordSpan(\"Net.Reply\", s, d);",  // explicit record
-        "scratch.NoteSpan(\"queue wait\", s, d, ctx);"}) {
+        "recorder.RecordSpan(\"Net.Reply\", s, d);"}) {  // explicit record
     const auto findings = Lint(std::string("  ") + expr + "\n");
     EXPECT_TRUE(HasRule(findings, "span-name")) << expr;
   }
@@ -347,8 +346,7 @@ TEST(LintSpanNameTest, DottedSnakeCasePathsStaySilent) {
   const auto findings = Lint(
       "  obs::TraceSpan parse_span(\"net.server.parse\");\n"
       "  FVAE_TRACE_SCOPE(\"train.step\");\n"
-      "  recorder.RecordSpan(\"net.client.send\", start, dur, ctx, parent);\n"
-      "  scratch.NoteSpan(\"serving.batcher.queue_wait\", s, d, ctx);\n");
+      "  recorder.RecordSpan(\"net.client.send\", start, dur, ctx, parent);\n");
   EXPECT_FALSE(HasRule(findings, "span-name"));
 }
 
@@ -661,18 +659,6 @@ TEST(HotPathTest, TraceScopeMacroOnHotPathFires) {
       "}\n"
       "}  // namespace fvae\n");
   EXPECT_TRUE(HasRule(findings, "hot-trace"));
-}
-
-TEST(HotPathTest, NoteSpanOnHotPathStaysSilent) {
-  // SpanScratch::NoteSpan is the sanctioned hot-path span API: a bounded
-  // write into pre-reserved storage, flushed off the hot path.
-  const auto findings = AnalyzeOne(
-      "namespace fvae {\n"
-      "void Serve(obs::SpanScratch& scratch) FVAE_HOT {\n"
-      "  scratch.NoteSpan(\"serving.batcher.encode\", 0, 1, ctx);\n"
-      "}\n"
-      "}  // namespace fvae\n");
-  EXPECT_FALSE(HasRule(findings, "hot-trace"));
 }
 
 TEST(HotPathTest, TraceSpanOffHotPathStaysSilent) {

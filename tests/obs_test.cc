@@ -408,26 +408,6 @@ TEST(TraceContextTest, ExplicitContextRecordBypassesAmbient) {
   EXPECT_EQ(events[0].parent_span_id, 9u);
 }
 
-TEST(SpanScratchTest, StagesFlushesAndCountsOverflow) {
-  TraceRecorder recorder;
-  recorder.Enable();
-  SpanScratch scratch(2);
-  scratch.NoteSpan("test.a", 10, 1, TraceContext{1, 2}, 3);
-  scratch.NoteSpan("test.b", 20, 1, TraceContext{1, 4}, 2);
-  scratch.NoteSpan("test.c", 30, 1, TraceContext{1, 5}, 2);  // over capacity
-  EXPECT_EQ(scratch.staged(), 2u);
-  EXPECT_EQ(scratch.dropped(), 1u);
-  EXPECT_EQ(recorder.EventCount(), 0u);  // nothing recorded until Flush
-
-  scratch.Flush(&recorder);
-  EXPECT_EQ(scratch.staged(), 0u);
-  const std::vector<TraceEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].trace_id, 1u);
-  EXPECT_EQ(events[0].span_id, 2u);
-  EXPECT_EQ(events[0].parent_span_id, 3u);
-}
-
 // ---------- slow-trace ring ----------
 
 TEST(SlowTraceRingTest, CapturesAndSortsByDuration) {

@@ -13,7 +13,9 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -21,11 +23,8 @@
 #include "data/dataset.h"
 #include "math/matrix.h"
 #include "serving/embedding_service.h"
-#include "serving/embedding_store.h"
 #include "serving/fold_in.h"
-#include "serving/lru_cache.h"
 #include "serving/load_gen.h"
-#include "serving/serving_proxy.h"
 #include "serving/sharded_store.h"
 #include "serving/telemetry.h"
 #include "fold_in_test_model.h"
@@ -127,421 +126,6 @@ void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
 namespace fvae::serving {
 namespace {
 
-// ---------- EmbeddingStore ----------
-
-class StoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("fvae_store_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(StoreTest, PutAndGet) {
-  EmbeddingStore store;
-  store.Put(7, {1.0f, 2.0f});
-  store.Put(8, {3.0f, 4.0f});
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.dim(), 2u);
-  ASSERT_TRUE(store.Get(7).has_value());
-  EXPECT_EQ((*store.Get(7))[1], 2.0f);
-  EXPECT_FALSE(store.Get(99).has_value());
-}
-
-TEST_F(StoreTest, PutOverwrites) {
-  EmbeddingStore store;
-  store.Put(7, {1.0f});
-  store.Put(7, {5.0f});
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ((*store.Get(7))[0], 5.0f);
-}
-
-TEST_F(StoreTest, PutBatchFromMatrix) {
-  EmbeddingStore store;
-  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
-  store.PutBatch({10, 20, 30}, m);
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ((*store.Get(20))[0], 3.0f);
-  EXPECT_EQ((*store.Get(30))[1], 6.0f);
-}
-
-TEST_F(StoreTest, SaveLoadRoundTrip) {
-  EmbeddingStore store;
-  store.Put(1, {1.5f, -2.5f, 3.5f});
-  store.Put(0xFFFFFFFFFFFFFFFFULL, {0.0f, 0.0f, 9.0f});
-  ASSERT_TRUE(store.Save(Path("emb.bin")).ok());
-
-  auto loaded = EmbeddingStore::Load(Path("emb.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(loaded->dim(), 3u);
-  EXPECT_EQ((*loaded->Get(1))[2], 3.5f);
-  EXPECT_EQ((*loaded->Get(0xFFFFFFFFFFFFFFFFULL))[2], 9.0f);
-}
-
-TEST_F(StoreTest, LoadMissingFileFails) {
-  auto loaded = EmbeddingStore::Load(Path("missing.bin"));
-  EXPECT_FALSE(loaded.ok());
-}
-
-TEST_F(StoreTest, LoadRejectsTruncatedFile) {
-  EmbeddingStore store;
-  for (uint64_t i = 0; i < 50; ++i) store.Put(i, {1.0f, 2.0f});
-  ASSERT_TRUE(store.Save(Path("big.bin")).ok());
-  std::filesystem::resize_file(
-      Path("big.bin"), std::filesystem::file_size(Path("big.bin")) / 2);
-  EXPECT_FALSE(EmbeddingStore::Load(Path("big.bin")).ok());
-}
-
-TEST_F(StoreTest, LoadDetectsBitFlips) {
-  // The reload path swaps a dump in only after Load succeeds, so the CRC
-  // check here is what keeps a corrupt dump out of serving.
-  EmbeddingStore store;
-  for (uint64_t i = 0; i < 20; ++i) store.Put(i, {float(i), -1.0f});
-  ASSERT_TRUE(store.Save(Path("crc.bin")).ok());
-
-  std::ifstream in(Path("crc.bin"), std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  {
-    std::ofstream out(Path("crc.bin"), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto loaded = EmbeddingStore::Load(Path("crc.bin"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("checksum"), std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST_F(StoreTest, LoadsLegacyV1Files) {
-  EmbeddingStore store;
-  store.Put(5, {1.0f, 2.0f, 3.0f});
-  store.Put(6, {4.0f, 5.0f, 6.0f});
-  ASSERT_TRUE(store.Save(Path("v2.bin")).ok());
-
-  // A v1 file is the v2 file with version 1 and the CRC footer stripped.
-  std::ifstream in(Path("v2.bin"), std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  std::string v1 = bytes.substr(0, bytes.size() - 4);
-  const uint32_t version = 1;
-  std::memcpy(v1.data() + 4, &version, sizeof(version));
-  {
-    std::ofstream out(Path("v1.bin"), std::ios::binary);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
-  }
-  auto loaded = EmbeddingStore::Load(Path("v1.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded->Get(6))[2], 6.0f);
-}
-
-// ---------- LruCache ----------
-
-TEST(LruCacheTest, BasicPutGet) {
-  LruCache<uint64_t, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
-  EXPECT_EQ(cache.Get(1).value(), 100);
-  EXPECT_EQ(cache.Get(2).value(), 200);
-  EXPECT_FALSE(cache.Get(3).has_value());
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<uint64_t, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
-  cache.Put(3, 300);  // evicts 1
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_TRUE(cache.Get(2).has_value());
-  EXPECT_TRUE(cache.Get(3).has_value());
-}
-
-TEST(LruCacheTest, GetRefreshesRecency) {
-  LruCache<uint64_t, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
-  cache.Get(1);       // 1 becomes most recent
-  cache.Put(3, 300);  // evicts 2, not 1
-  EXPECT_TRUE(cache.Get(1).has_value());
-  EXPECT_FALSE(cache.Get(2).has_value());
-}
-
-TEST(LruCacheTest, PutRefreshesAndOverwrites) {
-  LruCache<uint64_t, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
-  cache.Put(1, 111);  // overwrite, 1 most recent
-  cache.Put(3, 300);  // evicts 2
-  EXPECT_EQ(cache.Get(1).value(), 111);
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheTest, CapacityOne) {
-  LruCache<int, int> cache(1);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_EQ(cache.Get(2).value(), 20);
-}
-
-TEST(LruCacheTest, CapacityZeroNeverCaches) {
-  LruCache<int, int> cache(0);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCacheTest, CapacityOneReinsertUpdatesValueAndSurvives) {
-  LruCache<int, int> cache(1);
-  cache.Put(1, 10);
-  cache.Put(1, 11);  // re-insert of the only key must not evict it
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get(1).value(), 11);
-}
-
-TEST(LruCacheTest, ReinsertRefreshesRecency) {
-  LruCache<int, int> cache(3);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(3, 30);
-  cache.Put(1, 11);   // 1 becomes most recent; LRU order is now 2,3,1
-  cache.Put(4, 40);   // evicts 2
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(cache.Get(1).value(), 11);
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_TRUE(cache.Contains(4));
-}
-
-TEST(LruCacheTest, EvictionOrderUnderInterleavedGetPut) {
-  LruCache<int, int> cache(3);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(3, 30);   // recency: 3,2,1
-  cache.Get(1);       // recency: 1,3,2
-  cache.Put(4, 40);   // evicts 2 -> recency: 4,1,3
-  EXPECT_FALSE(cache.Contains(2));
-  cache.Get(3);       // recency: 3,4,1
-  cache.Put(5, 50);   // evicts 1 -> recency: 5,3,4
-  EXPECT_FALSE(cache.Contains(1));
-  cache.Put(6, 60);   // evicts 4
-  EXPECT_FALSE(cache.Contains(4));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_TRUE(cache.Contains(5));
-  EXPECT_TRUE(cache.Contains(6));
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-// Misses on a full cache must not evict (Get has no side effect on misses).
-TEST(LruCacheTest, MissDoesNotDisturbOrder) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  EXPECT_FALSE(cache.Get(99).has_value());
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-}
-
-// ---------- ServingProxy ----------
-
-TEST(ServingProxyTest, LookupPathsAndStats) {
-  EmbeddingStore store;
-  store.Put(1, {1.0f});
-  store.Put(2, {2.0f});
-  ServingProxy proxy(&store, /*cache_capacity=*/1);
-
-  // Cold lookup: store hit.
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-  EXPECT_EQ(proxy.stats().store_hits, 1u);
-  EXPECT_EQ(proxy.stats().cache_hits, 0u);
-
-  // Warm lookup: cache hit.
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-  EXPECT_EQ(proxy.stats().cache_hits, 1u);
-
-  // Different user evicts (capacity 1), then a miss for unknown.
-  ASSERT_TRUE(proxy.Lookup(2).has_value());
-  EXPECT_FALSE(proxy.Lookup(999).has_value());
-  EXPECT_EQ(proxy.stats().misses, 1u);
-  EXPECT_EQ(proxy.stats().requests, 4u);
-  EXPECT_NEAR(proxy.stats().CacheHitRate(), 0.25, 1e-12);
-}
-
-TEST(ServingProxyTest, OfflineToOnlinePipeline) {
-  // Offline: dump embeddings; online: load + serve (Fig. 2 flow).
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("fvae_proxy_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "dump.bin").string();
-  {
-    EmbeddingStore offline;
-    Matrix m = Matrix::FromRows({{0.1f, 0.2f}, {0.3f, 0.4f}});
-    offline.PutBatch({100, 200}, m);
-    ASSERT_TRUE(offline.Save(path).ok());
-  }
-  auto online = EmbeddingStore::Load(path);
-  ASSERT_TRUE(online.ok());
-  ServingProxy proxy(&*online, 16);
-  ASSERT_TRUE(proxy.Lookup(100).has_value());
-  EXPECT_FLOAT_EQ((*proxy.Lookup(100))[1], 0.2f);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------- ServingProxy reload ----------
-
-class ProxyReloadTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("fvae_reload_test_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(ProxyReloadTest, ReloadSwapsStoreAndInvalidatesCache) {
-  EmbeddingStore day1;
-  day1.Put(1, {1.0f, 1.0f});
-  day1.Put(2, {2.0f, 2.0f});
-  ServingProxy proxy(&day1, /*cache_capacity=*/16);
-
-  // Warm the cache with day-1 values.
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-  EXPECT_EQ(proxy.stats().cache_hits, 1u);
-
-  // Day 2 lands: user 1 re-embedded, user 2 gone, user 3 new.
-  const std::string path = Path("day2.bin");
-  {
-    EmbeddingStore day2;
-    day2.Put(1, {10.0f, 10.0f});
-    day2.Put(3, {30.0f, 30.0f});
-    ASSERT_TRUE(day2.Save(path).ok());
-  }
-  Status reloaded = proxy.ReloadFromFile(path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
-  EXPECT_EQ(proxy.stats().reloads, 1u);
-
-  // The cached day-1 value must not survive the swap.
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-  EXPECT_FLOAT_EQ((*proxy.Lookup(1))[0], 10.0f);
-  EXPECT_FALSE(proxy.Lookup(2).has_value());
-  ASSERT_TRUE(proxy.Lookup(3).has_value());
-  EXPECT_FLOAT_EQ((*proxy.Lookup(3))[1], 30.0f);
-}
-
-TEST_F(ProxyReloadTest, FailedReloadKeepsServingOldStore) {
-  EmbeddingStore old_store;
-  old_store.Put(1, {1.0f});
-  ServingProxy proxy(&old_store, 16);
-  ASSERT_TRUE(proxy.Lookup(1).has_value());
-
-  EmbeddingStore fresh;
-  fresh.Put(1, {9.0f});
-  const std::string path = Path("fresh.bin");
-  ASSERT_TRUE(fresh.Save(path).ok());
-
-  // A transient read failure ("HDFS bounced") must leave the proxy on the
-  // old store — and a later retry succeeds.
-  {
-    ScopedFailpoint fp("embedding_store.load", FailpointAction::kError);
-    Status status = proxy.ReloadFromFile(path);
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-    EXPECT_EQ(proxy.stats().reloads, 0u);
-    ASSERT_TRUE(proxy.Lookup(1).has_value());
-    EXPECT_FLOAT_EQ((*proxy.Lookup(1))[0], 1.0f);
-  }
-  ASSERT_TRUE(proxy.ReloadFromFile(path).ok());
-  EXPECT_FLOAT_EQ((*proxy.Lookup(1))[0], 9.0f);
-  EXPECT_EQ(proxy.stats().reloads, 1u);
-
-  // A corrupt dump is equally rejected (CRC), old store keeps serving.
-  {
-    std::ofstream out(Path("torn.bin"), std::ios::binary);
-    out << "FVEB garbage that is not a complete dump";
-  }
-  EXPECT_FALSE(proxy.ReloadFromFile(Path("torn.bin")).ok());
-  EXPECT_FLOAT_EQ((*proxy.Lookup(1))[0], 9.0f);
-}
-
-// Kill matrix over the dump writer: SIGKILL the producer at every
-// registered save failpoint and prove a subsequent reload always swaps in
-// a *complete* dump — the old day's or the new day's, never a torn hybrid.
-// This closes the loop on the atomic-rename + CRC design: the proxy's
-// Load-validate-then-swap can only ever observe all-or-nothing files.
-TEST_F(ProxyReloadTest, KillAtEverySaveStageNeverServesTornDump) {
-  const char* kStages[] = {
-      "embedding_store.save.before_tmp_write",
-      "embedding_store.save.after_tmp_write",
-      "embedding_store.save.before_rename",
-      "embedding_store.save.after_rename",
-  };
-
-  for (const char* stage : kStages) {
-    SCOPED_TRACE(stage);
-    const std::string path = Path("dump.bin");
-
-    EmbeddingStore old_dump;
-    old_dump.Put(1, {1.0f, 1.0f});
-    old_dump.Put(2, {2.0f, 2.0f});
-    ASSERT_TRUE(old_dump.Save(path).ok());
-
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      // Child: die mid-overwrite. No gtest machinery in here.
-      ArmFailpoint(stage, FailpointAction::kKill);
-      EmbeddingStore new_dump;
-      new_dump.Put(1, {10.0f, 10.0f});
-      new_dump.Put(3, {30.0f, 30.0f});
-      // The kill failpoint fires mid-save; the status never materializes.
-      (void)new_dump.Save(path);
-      ::_exit(77);  // reached only if the failpoint failed to fire
-    }
-    int wstatus = 0;
-    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited instead of dying";
-    ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
-
-    EmbeddingStore seed;  // what the proxy served before the reload
-    seed.Put(1, {1.0f, 1.0f});
-    seed.Put(2, {2.0f, 2.0f});
-    ServingProxy proxy(&seed, 16);
-    ASSERT_TRUE(proxy.ReloadFromFile(path).ok())
-        << "canonical dump must stay loadable at every kill point";
-
-    auto user1 = proxy.Lookup(1);
-    ASSERT_TRUE(user1.has_value());
-    if (proxy.Lookup(3).has_value()) {
-      // The rename landed: the proxy must see the complete new dump.
-      EXPECT_FLOAT_EQ((*user1)[0], 10.0f);
-      EXPECT_FALSE(proxy.Lookup(2).has_value());
-    } else {
-      // The rename did not land: the complete old dump, untouched.
-      EXPECT_FLOAT_EQ((*user1)[0], 1.0f);
-      ASSERT_TRUE(proxy.Lookup(2).has_value());
-      EXPECT_FLOAT_EQ((*proxy.Lookup(2))[0], 2.0f);
-    }
-    std::filesystem::remove(path);
-    std::filesystem::remove(path + ".tmp");
-  }
-}
-
 // ---------- ShardedEmbeddingStore ----------
 
 TEST(ShardedStoreTest, PutGetAcrossShards) {
@@ -579,19 +163,6 @@ TEST(ShardedStoreTest, SequentialIdsSpreadOverShards) {
     EXPECT_GT(s.entries, 0u);
     EXPECT_LT(s.entries, 800u / 2);
   }
-}
-
-TEST(ShardedStoreTest, FromStoreCopiesEverything) {
-  EmbeddingStore offline;
-  offline.Put(7, {1.0f, 2.0f});
-  offline.Put(1ULL << 40, {3.0f, 4.0f});
-  const ShardedEmbeddingStore online =
-      ShardedEmbeddingStore::FromStore(offline, 4);
-  EXPECT_EQ(online.size(), 2u);
-  EXPECT_EQ(online.dim(), 2u);
-  EXPECT_TRUE(online.Contains(7));
-  ASSERT_TRUE(online.Get(1ULL << 40).has_value());
-  EXPECT_FLOAT_EQ((*online.Get(1ULL << 40))[1], 4.0f);
 }
 
 TEST(ShardedStoreTest, PutOverwrites) {
@@ -803,6 +374,305 @@ TEST(EmbeddingServiceTest, TelemetryJsonContainsKeyFields) {
   EXPECT_NE(json.find("\"foldin_latency_us\""), std::string::npos);
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+}
+
+// ---------- embedding dump: save, load and reload ----------
+
+/// Per-test temp directory for dump files.
+class ReloadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("fvae_reload_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::string Path(const std::string& name) { return (dir_ / name).string(); }
+
+  std::filesystem::path dir_;
+};
+
+using Rows = std::vector<std::pair<uint64_t, std::vector<float>>>;
+
+ShardedEmbeddingStore StoreOf(const Rows& rows, size_t num_shards = 4) {
+  ShardedEmbeddingStore store(num_shards);
+  for (const auto& [id, row] : rows) store.Put(id, row);
+  return store;
+}
+
+/// The row `service` serves for `user_id`, or an empty row on any error.
+std::vector<float> Served(EmbeddingService& service, uint64_t user_id) {
+  EmbeddingService::EmbeddingResult result = service.Lookup(user_id);
+  return result.ok() ? *std::move(result) : std::vector<float>{};
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(ReloadTest, SaveLoadRoundTrip) {
+  const std::string path = Path("emb.bin");
+  ASSERT_TRUE(StoreOf({{1, {1.5f, -2.5f, 3.5f}},
+                       {0xFFFFFFFFFFFFFFFFULL, {0.0f, 0.0f, 9.0f}}})
+                  .Save(path)
+                  .ok());
+
+  auto loaded = ShardedEmbeddingStore::Load(path, /*num_shards=*/8);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 2u);
+  EXPECT_EQ(loaded->dim(), 3u);
+  EXPECT_EQ(loaded->num_shards(), 8u);
+
+  EmbeddingService service(ShardedEmbeddingStore(4), nullptr);
+  Status reloaded = service.ReloadFromFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+  EXPECT_EQ(service.store().size(), 2u);
+  EXPECT_EQ(service.store().dim(), 3u);
+  EXPECT_EQ(Served(service, 1), (std::vector<float>{1.5f, -2.5f, 3.5f}));
+  EXPECT_EQ(Served(service, 0xFFFFFFFFFFFFFFFFULL),
+            (std::vector<float>{0.0f, 0.0f, 9.0f}));
+}
+
+TEST_F(ReloadTest, MissingFileKeepsOldRows) {
+  EmbeddingService service(StoreOf({{1, {1.0f, 2.0f}}}), nullptr);
+  EXPECT_FALSE(service.ReloadFromFile(Path("missing.bin")).ok());
+  EXPECT_EQ(Served(service, 1), (std::vector<float>{1.0f, 2.0f}));
+}
+
+TEST_F(ReloadTest, TruncatedDumpKeepsOldRows) {
+  Rows rows;
+  for (uint64_t i = 0; i < 50; ++i) rows.push_back({i, {1.0f, 2.0f}});
+  const std::string path = Path("big.bin");
+  ASSERT_TRUE(StoreOf(rows).Save(path).ok());
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_FALSE(ShardedEmbeddingStore::Load(path).ok());
+
+  EmbeddingService service(StoreOf({{7, {3.0f, 4.0f}}}), nullptr);
+  EXPECT_FALSE(service.ReloadFromFile(path).ok());
+  EXPECT_EQ(service.store().size(), 1u);
+  EXPECT_EQ(Served(service, 7), (std::vector<float>{3.0f, 4.0f}));
+}
+
+TEST_F(ReloadTest, BitFlipIsCaughtByChecksum) {
+  // A reload swaps a dump in only after Load succeeds, so the CRC check is
+  // what keeps a corrupt dump out of serving.
+  Rows rows;
+  for (uint64_t i = 0; i < 20; ++i) rows.push_back({i, {float(i), -1.0f}});
+  const std::string path = Path("crc.bin");
+  ASSERT_TRUE(StoreOf(rows).Save(path).ok());
+  std::string bytes = ReadBytes(path);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  WriteBytes(path, bytes);
+
+  EmbeddingService service(StoreOf({{3, {5.0f, 5.0f}}}), nullptr);
+  const Status status = service.ReloadFromFile(path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("checksum"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(Served(service, 3), (std::vector<float>{5.0f, 5.0f}));
+}
+
+TEST_F(ReloadTest, LoadsLegacyV1Dumps) {
+  ASSERT_TRUE(StoreOf({{5, {1.0f, 2.0f, 3.0f}}, {6, {4.0f, 5.0f, 6.0f}}})
+                  .Save(Path("v2.bin"))
+                  .ok());
+  // A v1 file is the v2 file with version 1 and the CRC footer stripped.
+  const std::string bytes = ReadBytes(Path("v2.bin"));
+  std::string v1 = bytes.substr(0, bytes.size() - 4);
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + 4, &version, sizeof(version));
+  WriteBytes(Path("v1.bin"), v1);
+
+  EmbeddingService service(ShardedEmbeddingStore(4), nullptr);
+  Status reloaded = service.ReloadFromFile(Path("v1.bin"));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+  EXPECT_EQ(service.store().size(), 2u);
+  EXPECT_EQ(Served(service, 6), (std::vector<float>{4.0f, 5.0f, 6.0f}));
+}
+
+TEST_F(ReloadTest, ReloadReplacesEveryRow) {
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  const FvaeFoldInEncoder encoder(model.get());
+  EmbeddingService service(StoreOf({{1, {1.0f, 1.0f}}, {2, {2.0f, 2.0f}}}),
+                           &encoder);
+  // A user folded in since the last dump is not in the next one either.
+  ASSERT_TRUE(service.LookupOrEncode(900, RawUser(55)).ok());
+  ASSERT_TRUE(service.store().Contains(900));
+
+  // Day 2 lands: user 1 re-embedded, user 2 gone, user 3 new.
+  const std::string path = Path("day2.bin");
+  ASSERT_TRUE(
+      StoreOf({{1, {10.0f, 10.0f}}, {3, {30.0f, 30.0f}}}).Save(path).ok());
+  Status reloaded = service.ReloadFromFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+
+  EXPECT_EQ(service.store().size(), 2u);
+  EXPECT_EQ(Served(service, 1), (std::vector<float>{10.0f, 10.0f}));
+  EXPECT_EQ(service.Lookup(2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(Served(service, 3), (std::vector<float>{30.0f, 30.0f}));
+  EXPECT_FALSE(service.store().Contains(900));
+}
+
+TEST_F(ReloadTest, FailedReloadKeepsServingOldRows) {
+  EmbeddingService service(StoreOf({{1, {1.0f}}}), nullptr);
+  const std::string path = Path("fresh.bin");
+  ASSERT_TRUE(StoreOf({{1, {9.0f}}}).Save(path).ok());
+
+  // A transient read failure ("HDFS bounced") must leave the old rows
+  // serving — and a later retry succeeds.
+  {
+    ScopedFailpoint fp("embedding_store.load", FailpointAction::kError);
+    const Status status = service.ReloadFromFile(path);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(Served(service, 1), std::vector<float>{1.0f});
+  }
+  ASSERT_TRUE(service.ReloadFromFile(path).ok());
+  EXPECT_EQ(Served(service, 1), std::vector<float>{9.0f});
+
+  // A torn dump is equally rejected and the rows it would replace stay.
+  WriteBytes(Path("torn.bin"), "FVEB garbage that is not a complete dump");
+  EXPECT_FALSE(service.ReloadFromFile(Path("torn.bin")).ok());
+  EXPECT_EQ(Served(service, 1), std::vector<float>{9.0f});
+}
+
+TEST_F(ReloadTest, WrongDimIsRejectedAndOldRowsServe) {
+  const std::string path = Path("dim3.bin");
+  ASSERT_TRUE(StoreOf({{1, {7.0f, 7.0f, 7.0f}}}).Save(path).ok());
+
+  // Against the store's dim.
+  EmbeddingService service(StoreOf({{1, {1.0f, 2.0f}}}), nullptr);
+  Status status = service.ReloadFromFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(service.store().dim(), 2u);
+  EXPECT_EQ(Served(service, 1), (std::vector<float>{1.0f, 2.0f}));
+
+  // Against the encoder's latent dim while the store is still empty: the
+  // dump's rows and later fold-ins must share one width.
+  const auto model = MakeFoldInModel(/*latent_dim=*/2);
+  const FvaeFoldInEncoder encoder(model.get());
+  EmbeddingService empty(ShardedEmbeddingStore(4), &encoder);
+  status = empty.ReloadFromFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(empty.store().size(), 0u);
+  EXPECT_EQ(empty.store().dim(), 0u);
+
+  const std::string good = Path("dim2.bin");
+  ASSERT_TRUE(StoreOf({{1, {3.0f, 4.0f}}}).Save(good).ok());
+  ASSERT_TRUE(empty.ReloadFromFile(good).ok());
+  EXPECT_EQ(Served(empty, 1), (std::vector<float>{3.0f, 4.0f}));
+}
+
+// Kill matrix over the dump writer: SIGKILL the producer at every
+// registered save failpoint and prove a later reload always swaps in a
+// *complete* dump — the old day's or the new day's, never a torn hybrid.
+// This closes the loop on the atomic-rename + CRC design: load-then-swap
+// can only ever observe all-or-nothing files.
+TEST_F(ReloadTest, KillAtEverySaveStageNeverServesTornDump) {
+  const char* kStages[] = {
+      "embedding_store.save.before_tmp_write",
+      "embedding_store.save.after_tmp_write",
+      "embedding_store.save.before_rename",
+      "embedding_store.save.after_rename",
+  };
+  const Rows old_rows = {{1, {1.0f, 1.0f}}, {2, {2.0f, 2.0f}}};
+
+  for (const char* stage : kStages) {
+    SCOPED_TRACE(stage);
+    const std::string path = Path("dump.bin");
+    ASSERT_TRUE(StoreOf(old_rows).Save(path).ok());
+
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Child: die mid-overwrite. No gtest machinery in here.
+      ArmFailpoint(stage, FailpointAction::kKill);
+      // The kill failpoint fires mid-save; the status never materializes.
+      (void)StoreOf({{1, {10.0f, 10.0f}}, {3, {30.0f, 30.0f}}}).Save(path);
+      ::_exit(77);  // reached only if the failpoint failed to fire
+    }
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited instead of dying";
+    ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+    // What the service served before the reload.
+    EmbeddingService service(StoreOf(old_rows), nullptr);
+    ASSERT_TRUE(service.ReloadFromFile(path).ok())
+        << "canonical dump must stay loadable at every kill point";
+
+    if (service.store().Contains(3)) {
+      // The rename landed: the complete new dump.
+      EXPECT_EQ(Served(service, 1), (std::vector<float>{10.0f, 10.0f}));
+      EXPECT_FALSE(service.store().Contains(2));
+    } else {
+      // The rename did not land: the complete old dump, untouched.
+      EXPECT_EQ(Served(service, 1), (std::vector<float>{1.0f, 1.0f}));
+      EXPECT_EQ(Served(service, 2), (std::vector<float>{2.0f, 2.0f}));
+    }
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".tmp");
+  }
+}
+
+// Readers racing reloads (run under -DFVAE_SANITIZE=thread): every answer
+// is one dump's whole row for that key, and the last dump wins.
+TEST_F(ReloadTest, ConcurrentLookupsSeeOneDumpsRow) {
+  constexpr uint64_t kKeys = 512;
+  constexpr size_t kReaders = 4;
+  constexpr int kReloads = 20;
+  // Rows of dump d for key k: every element differs, so a row mixing two
+  // dumps (or two keys) matches neither.
+  const auto row_of = [](int d, uint64_t k) {
+    std::vector<float> row(4);
+    for (size_t i = 0; i < row.size(); ++i) {
+      row[i] = float(d * 100000 + int(k) * 10 + int(i));
+    }
+    return row;
+  };
+  Rows dumps[2];
+  for (int d = 0; d < 2; ++d) {
+    for (uint64_t k = 0; k < kKeys; ++k) dumps[d].push_back({k, row_of(d, k)});
+    ASSERT_TRUE(StoreOf(dumps[d], 8).Save(Path("dump" + std::to_string(d)))
+                    .ok());
+  }
+
+  EmbeddingService service(StoreOf(dumps[0], 8), nullptr);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> bad{0};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (uint64_t i = t; !done.load(std::memory_order_relaxed); ++i) {
+        const uint64_t key = (i * 7) % kKeys;
+        const std::vector<float> row = Served(service, key);
+        if (row != row_of(0, key) && row != row_of(1, key)) bad.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Reload only once the readers are running.
+  while (reads.load() < kReaders) std::this_thread::yield();
+  for (int r = 1; r <= kReloads; ++r) {
+    const Status status =
+        service.ReloadFromFile(Path("dump" + std::to_string(r % 2)));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(Served(service, k), row_of(kReloads % 2, k)) << "key " << k;
+  }
 }
 
 // ---------- closed-loop load generator ----------

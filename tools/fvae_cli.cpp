@@ -52,7 +52,6 @@
 #include "obs/periodic_dumper.h"
 #include "obs/trace.h"
 #include "serving/embedding_service.h"
-#include "serving/embedding_store.h"
 #include "serving/fold_in.h"
 #include "serving/load_gen.h"
 #include "serving/sharded_store.h"
@@ -379,16 +378,8 @@ int CmdExport(const Args& args) {
   Stopwatch watch;
   std::vector<uint32_t> users(data->num_users());
   std::iota(users.begin(), users.end(), 0u);
-  serving::EmbeddingStore store;
-  // Batch to bound peak memory.
-  constexpr size_t kChunk = 4096;
-  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
-    const size_t end = std::min(users.size(), begin + kChunk);
-    std::span<const uint32_t> chunk{users.data() + begin, end - begin};
-    const Matrix z = (*model)->Encode(*data, chunk);
-    std::vector<uint64_t> ids(chunk.begin(), chunk.end());
-    store.PutBatch(ids, z);
-  }
+  const serving::ShardedEmbeddingStore store = serving::MaterializeEmbeddings(
+      **model, *data, users, /*num_shards=*/16);
   const Status status = store.Save(out);
   if (!status.ok()) return Fail(status.ToString());
   std::printf("exported %zu embeddings (dim %zu) to %s in %.1fs\n",

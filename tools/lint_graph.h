@@ -555,9 +555,7 @@ inline std::vector<Finding> AnalyzeHotPaths(const ProgramFacts& pf) {
         report("hot-trace", fn, trace.line,
                "'" + trace.token + "' construction reachable from " +
                    root_attr + " " + pf.functions[root].qualified + " via " +
-                   chain_of(fi) +
-                   " — TraceSpan locks and may allocate; hot code stages "
-                   "spans through SpanScratch::NoteSpan instead");
+                   chain_of(fi) + " — TraceSpan locks and may allocate");
       }
       for (const LockAcq& acq : fn.acquisitions) {
         const LockDecl* lock = ResolveLock(pf, fn, acq.lock);

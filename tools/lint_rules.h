@@ -296,7 +296,7 @@ inline void CollectStatusFunctions(
 }
 
 /// Derives the expected include guard from a repo-relative path:
-/// src/serving/lru_cache.h -> FVAE_SERVING_LRU_CACHE_H_,
+/// src/serving/sharded_store.h -> FVAE_SERVING_SHARDED_STORE_H_,
 /// bench/model_zoo.h -> FVAE_BENCH_MODEL_ZOO_H_. Empty for non-headers.
 inline std::string ExpectedGuard(std::string rel_path) {
   if (rel_path.size() < 2 || rel_path.substr(rel_path.size() - 2) != ".h") {
@@ -444,12 +444,11 @@ inline std::vector<Finding> LintFile(const std::string& path_label,
     // Span-name hygiene: trace span names share the metric-name grammar so
     // Chrome exports, span profiles and the hop-breakdown bench all key on
     // one vocabulary. Covers FVAE_TRACE_SCOPE("x"), TraceSpan s("x"),
-    // TraceSpan("x"), RecordSpan("x", ...) and NoteSpan("x", ...).
+    // TraceSpan("x") and RecordSpan("x", ...).
     for (size_t i = 0; i + 2 < line.size(); ++i) {
       if (line[i].kind != TokKind::kIdent ||
           (line[i].text != "FVAE_TRACE_SCOPE" &&
-           line[i].text != "TraceSpan" && line[i].text != "RecordSpan" &&
-           line[i].text != "NoteSpan")) {
+           line[i].text != "TraceSpan" && line[i].text != "RecordSpan")) {
         continue;
       }
       // The named-variable form puts one identifier between the type and
@@ -709,7 +708,7 @@ inline std::vector<Finding> LintTree(const std::filesystem::path& root,
         path.rfind("src/core/checkpoint", 0) == 0 ||
         path.rfind("src/data/io", 0) == 0 ||
         path.rfind("src/data/streaming", 0) == 0 ||
-        path.rfind("src/serving/embedding_store", 0) == 0 ||
+        path.rfind("src/serving/sharded_store", 0) == 0 ||
         path.rfind("src/obs/", 0) == 0;
     options.status_functions = &status_functions;
     std::vector<Finding> file_findings = LintFile(path, body, options);
