@@ -1,12 +1,12 @@
 #ifndef FVAE_COMMON_BINARY_IO_H_
 #define FVAE_COMMON_BINARY_IO_H_
 
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -16,12 +16,15 @@ namespace fvae {
 /// Little shared vocabulary of the binary persistence formats (FVMD
 /// checkpoints, FVDS datasets, FVST streams, FVEB embedding stores): raw
 /// little-endian PODs written to any std::ostream, read back through a
-/// bounds-checked cursor over an in-memory buffer.
+/// bounds-checked cursor over an in-memory buffer, plus the one header and
+/// footer check the FVMD, FVDS and FVEB loaders share.
 ///
-/// Readers deliberately go through memory rather than streaming from an
-/// ifstream: every format verifies CRC-32 checksums over raw payload bytes
-/// (common/crc32.h), which need the bytes anyway, and a cursor makes the
-/// "every read is bounds-checked" property trivial to audit.
+/// Those three loaders deliberately go through memory rather than
+/// streaming from an ifstream: they verify CRC-32 checksums over raw
+/// payload bytes (common/crc32.h) — per section in FVMD, one footer over
+/// the body in FVDS and FVEB — which need the bytes anyway, and a cursor
+/// makes the "every read is bounds-checked" property trivial to audit.
+/// FVST is read one record at a time and carries no checksum.
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -60,14 +63,24 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
-inline Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  return std::move(buffer).str();
-}
+Result<std::string> ReadFileToString(const std::string& path);
+
+/// Checks the 8-byte header that opens an FVMD, FVDS or FVEB file — the
+/// 4-byte `magic`, then a u32 version that must equal `version`, the one
+/// version each format reads — and returns the bytes after it. A wrong
+/// magic is InvalidArgument naming the bytes found, a file too short for
+/// the version is IoError, and any other version is InvalidArgument naming
+/// it. Every message names `path`.
+Result<std::string_view> CheckFileHeader(std::string_view data,
+                                         const char (&magic)[4],
+                                         uint32_t version,
+                                         const std::string& path);
+
+/// Verifies and strips the u32 CRC-32 footer that closes an FVDS or FVEB
+/// body, returning the body without it. A missing footer or a checksum
+/// mismatch is IoError naming `path`.
+Result<std::string_view> CheckCrcFooter(std::string_view body,
+                                        const std::string& path);
 
 }  // namespace fvae
 

@@ -1,13 +1,11 @@
 #include "core/model_io.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 
 #include "common/atomic_file.h"
 #include "common/binary_io.h"
-#include "common/check.h"
 #include "common/crc32.h"
 
 namespace fvae::core {
@@ -15,12 +13,10 @@ namespace fvae::core {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'V', 'M', 'D'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersion = 2;
 
-/// v2 section tags, written in strictly increasing order. kEnd terminates
-/// the file; unknown higher tags are skipped (forward compatibility), but
-/// their checksums are still verified.
+/// Section tags, written in strictly increasing order. kEnd terminates the
+/// file; any other tag is rejected.
 enum SectionTag : uint32_t {
   kEnd = 0,
   kConfig = 1,
@@ -51,8 +47,7 @@ constexpr std::string_view SectionName(uint32_t tag) {
 
 // ---------------------------------------------------------------------------
 // Writing primitives on top of common/binary_io.h (any std::ostream: the
-// atomic writer's stream for v1, per-section std::ostringstream payload
-// builders for v2).
+// per-section std::ostringstream payload builders).
 
 void WriteString(std::ostream& out, const std::string& s) {
   WritePod(out, static_cast<uint32_t>(s.size()));
@@ -97,7 +92,7 @@ void WriteRngState(std::ostream& out, const RngState& state) {
   WritePod(out, state.cached_normal);
 }
 
-/// Frames one v2 section: tag, payload size, payload, payload CRC.
+/// Frames one section: tag, payload size, payload, payload CRC.
 void WriteSection(std::ostream& out, uint32_t tag, std::string_view payload) {
   WritePod(out, tag);
   WritePod(out, static_cast<uint64_t>(payload.size()));
@@ -106,8 +101,8 @@ void WriteSection(std::ostream& out, uint32_t tag, std::string_view payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Reading primitives. Both loaders read the whole file into memory first
-// (checksums need the raw bytes anyway), then parse via a BufferReader.
+// Reading primitives. The loader reads the whole file into memory first
+// (checksums need the raw bytes anyway), then parses via a BufferReader.
 
 bool ReadString(BufferReader& in, std::string* s) {
   uint32_t len = 0;
@@ -184,22 +179,8 @@ bool ReadRngState(BufferReader& in, RngState* state) {
   return true;
 }
 
-std::string HexBytes(const char* bytes, size_t n) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) out.push_back(' ');
-    const auto b = static_cast<unsigned char>(bytes[i]);
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Block payloads, shared between v1 (concatenated) and v2 (one section
-// each). The byte layout of config/schemas/dense/tables is identical in
-// both versions.
+// Section payloads.
 
 void BuildConfigPayload(std::ostream& out, const FvaeConfig& config) {
   WritePod(out, static_cast<uint64_t>(config.latent_dim));
@@ -300,7 +281,7 @@ void BuildRngPayload(std::ostream& out, const FieldVae& model) {
 }
 
 // ---------------------------------------------------------------------------
-// Block parsers, shared between the v1 and v2 loaders.
+// Section parsers.
 
 Status ParseConfig(BufferReader& in, FvaeConfig* config) {
   uint64_t latent = 0;
@@ -488,8 +469,8 @@ Status ParseRng(BufferReader& in, FieldVae* model) {
   return Status::Ok();
 }
 
-Status SaveV2(const FieldVae& model, const TrainingCursor* cursor,
-              const std::string& path) {
+Status SaveImpl(const FieldVae& model, const TrainingCursor* cursor,
+                const std::string& path) {
   AtomicFileWriter writer;
   FVAE_RETURN_IF_ERROR(writer.Open(path, "model_io.save"));
   std::ostream& out = writer.stream();
@@ -521,22 +502,7 @@ Status SaveV2(const FieldVae& model, const TrainingCursor* cursor,
   return writer.Commit();
 }
 
-/// v1 body: the config/schemas/dense/tables payloads concatenated with no
-/// framing and no checksums.
-Result<LoadedCheckpoint> LoadV1Body(BufferReader& in) {
-  FvaeConfig config;
-  FVAE_RETURN_IF_ERROR(ParseConfig(in, &config));
-  std::vector<FieldSchema> schemas;
-  FVAE_RETURN_IF_ERROR(ParseSchemas(in, &schemas));
-  LoadedCheckpoint loaded;
-  loaded.model = std::make_unique<FieldVae>(config, schemas);
-  FVAE_RETURN_IF_ERROR(ParseDense(in, loaded.model.get()));
-  FVAE_RETURN_IF_ERROR(ParseTables(in, loaded.model.get()));
-  return loaded;
-}
-
-Result<LoadedCheckpoint> LoadV2Body(BufferReader& in,
-                                    const std::string& path) {
+Result<LoadedCheckpoint> LoadBody(BufferReader& in, const std::string& path) {
   LoadedCheckpoint loaded;
   FvaeConfig config;
   uint32_t last_tag = 0;
@@ -627,8 +593,8 @@ Result<LoadedCheckpoint> LoadV2Body(BufferReader& in,
         FVAE_RETURN_IF_ERROR(ParseRng(section, loaded.model.get()));
         break;
       default:
-        // Checksum-verified but unknown: written by a newer minor writer.
-        break;
+        return Status::InvalidArgument("unknown section tag " +
+                                       std::to_string(tag) + " in " + path);
     }
   }
   if (!saw_tables) {
@@ -637,60 +603,28 @@ Result<LoadedCheckpoint> LoadV2Body(BufferReader& in,
   return loaded;
 }
 
-Result<LoadedCheckpoint> LoadCheckpointImpl(const std::string& path) {
-  FVAE_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
-  BufferReader in(data);
-  char magic[4];
-  if (!in.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
-    const size_t found = std::min<size_t>(data.size(), 4);
-    return Status::InvalidArgument(
-        "bad magic in " + path + ": found [" + HexBytes(data.data(), found) +
-        "] (" + std::to_string(data.size()) + " bytes), want \"FVMD\"");
-  }
-  uint32_t version = 0;
-  if (!in.ReadPod(&version)) {
-    return Status::IoError("truncated header in " + path);
-  }
-  if (version == kVersionV1) return LoadV1Body(in);
-  if (version == kVersion) return LoadV2Body(in, path);
-  return Status::InvalidArgument(
-      "unsupported checkpoint version " + std::to_string(version) + " in " +
-      path + " (supported: " + std::to_string(kVersionV1) + ".." +
-      std::to_string(kVersion) + ")");
-}
-
 }  // namespace
 
 Status SaveFieldVae(const FieldVae& model, const std::string& path) {
-  return SaveV2(model, nullptr, path);
+  return SaveImpl(model, nullptr, path);
 }
 
 Status SaveCheckpoint(const FieldVae& model, const TrainingCursor& cursor,
                       const std::string& path) {
-  return SaveV2(model, &cursor, path);
+  return SaveImpl(model, &cursor, path);
 }
 
 Result<std::unique_ptr<FieldVae>> LoadFieldVae(const std::string& path) {
-  FVAE_ASSIGN_OR_RETURN(LoadedCheckpoint loaded, LoadCheckpointImpl(path));
+  FVAE_ASSIGN_OR_RETURN(LoadedCheckpoint loaded, LoadCheckpoint(path));
   return std::move(loaded.model);
 }
 
 Result<LoadedCheckpoint> LoadCheckpoint(const std::string& path) {
-  return LoadCheckpointImpl(path);
-}
-
-Status SaveFieldVaeV1ForTesting(const FieldVae& model,
-                                const std::string& path) {
-  AtomicFileWriter writer;
-  FVAE_RETURN_IF_ERROR(writer.Open(path, "model_io.save"));
-  std::ostream& out = writer.stream();
-  out.write(kMagic, 4);
-  WritePod(out, kVersionV1);
-  BuildConfigPayload(out, model.config());
-  BuildSchemaPayload(out, model);
-  BuildDensePayload(out, model);
-  BuildTablesPayload(out, model);
-  return writer.Commit();
+  FVAE_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
+  FVAE_ASSIGN_OR_RETURN(const std::string_view body,
+                        CheckFileHeader(data, kMagic, kVersion, path));
+  BufferReader in(body);
+  return LoadBody(in, path);
 }
 
 }  // namespace fvae::core

@@ -18,19 +18,19 @@ namespace fvae::core {
 /// trainer additionally saves mid-run checkpoints it can resume from with
 /// bitwise-identical results (ARCHITECTURE.md §10).
 ///
-/// Format v2 (little-endian): magic "FVMD", uint32 version, then a
-/// sequence of self-describing sections — uint32 tag, uint64 payload size,
-/// payload, uint32 CRC-32 of the payload — terminated by an end-marker
-/// section (tag 0, empty payload). Sections: config, schemas, dense
-/// parameters, embedding tables, optimizer state (Adam moments + step
-/// count, per-key AdaGrad accumulators), training cursor (epoch/step
-/// position, RNG states, KL-anneal position). Every load verifies each
-/// section's checksum, so a truncated or corrupted file is reported as an
-/// IoError — it can never deserialize into a silently-wrong model.
-///
-/// v1 files (no sections, no checksums, no optimizer state) are still
-/// readable; all writes are crash-safe via common/atomic_file.h and fire
-/// the `model_io.save.*` failpoints.
+/// Format (little-endian): magic "FVMD", uint32 version 2, then a sequence
+/// of self-describing sections — uint32 tag, uint64 payload size, payload,
+/// uint32 CRC-32 of the payload — in strictly increasing tag order,
+/// terminated by an end-marker section (tag 0, empty payload). Sections:
+/// config, schemas, dense parameters, embedding tables, optimizer state
+/// (Adam moments + step count, per-key AdaGrad accumulators), then either
+/// the training cursor (epoch/step position, RNG states, KL-anneal
+/// position) or, for exports, the RNG states alone. Every load verifies
+/// each section's checksum, so a truncated or corrupted file is reported
+/// as an IoError — it can never deserialize into a silently-wrong model.
+/// Any other version or section tag is InvalidArgument. All writes are
+/// crash-safe via common/atomic_file.h and fire the `model_io.save.*`
+/// failpoints.
 
 /// Exact position of a training run, captured at a step boundary. Together
 /// with the optimizer state this is sufficient for TrainFvae to resume and
@@ -61,8 +61,8 @@ struct TrainingCursor {
   std::vector<RngState> output_table_rng;
 };
 
-/// A loaded checkpoint: the model plus, when the file carries one (v2
-/// trainer checkpoints), the training cursor to resume from.
+/// A loaded checkpoint: the model plus, when the file carries one (trainer
+/// checkpoints), the training cursor to resume from.
 struct LoadedCheckpoint {
   std::unique_ptr<FieldVae> model;
   bool has_cursor = false;
@@ -78,18 +78,13 @@ Status SaveFieldVae(const FieldVae& model, const std::string& path);
 Status SaveCheckpoint(const FieldVae& model, const TrainingCursor& cursor,
                       const std::string& path);
 
-/// Loads any supported version; optimizer state and RNG streams are
-/// restored when present. The cursor, if any, is ignored.
+/// Loads a checkpoint or export, restoring optimizer state and RNG
+/// streams. The cursor, if any, is ignored.
 Result<std::unique_ptr<FieldVae>> LoadFieldVae(const std::string& path);
 
-/// Loads any supported version and also surfaces the training cursor
-/// (has_cursor = false for plain SaveFieldVae exports and v1 files).
+/// Loads like LoadFieldVae and also surfaces the training cursor
+/// (has_cursor = false for plain SaveFieldVae exports).
 Result<LoadedCheckpoint> LoadCheckpoint(const std::string& path);
-
-/// Writes the legacy v1 format (no checksums, no optimizer state). Exists
-/// solely so tests can exercise the v1 loader shim against current code.
-Status SaveFieldVaeV1ForTesting(const FieldVae& model,
-                                const std::string& path);
 
 }  // namespace fvae::core
 

@@ -1,7 +1,5 @@
 #include "data/io.h"
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -15,10 +13,9 @@ namespace fvae {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'V', 'D', 'S'};
-constexpr uint32_t kVersionV1 = 1;
-// v2 appends a CRC-32 of the body (everything after the 8-byte header) as
-// a 4-byte footer, and all writes go through the atomic-rename path.
 constexpr uint32_t kVersion = 2;
+/// On-disk size of one entry: u64 id, f32 value (no padding).
+constexpr size_t kEntryBytes = sizeof(uint64_t) + sizeof(float);
 
 }  // namespace
 
@@ -63,8 +60,9 @@ Status SaveDatasetBinary(const MultiFieldDataset& dataset,
 
 namespace {
 
-/// The FVDS body (identical layout in v1 and v2): schemas, user count,
-/// then per-field offset tables and entry arrays.
+/// The FVDS body: schemas, user count, then per-field offset tables and
+/// entry arrays. Counts read from the file are bounded by the bytes left
+/// before anything is sized by them.
 Result<MultiFieldDataset> ParseDatasetBody(BufferReader& in,
                                            const std::string& path) {
   uint32_t num_fields = 0;
@@ -87,6 +85,11 @@ Result<MultiFieldDataset> ParseDatasetBody(BufferReader& in,
   }
   uint64_t num_users = 0;
   if (!in.ReadPod(&num_users)) return Status::IoError("truncated header");
+  // Each field's offset table alone holds num_users + 1 u64s.
+  if (num_users >= in.remaining() / sizeof(uint64_t)) {
+    return Status::InvalidArgument("user count " + std::to_string(num_users) +
+                                   " exceeds the file size in " + path);
+  }
 
   std::vector<std::vector<FeatureEntry>> field_entries(num_fields);
   std::vector<std::vector<uint64_t>> field_offsets(num_fields);
@@ -99,6 +102,10 @@ Result<MultiFieldDataset> ParseDatasetBody(BufferReader& in,
     }
     if (field_offsets[k].back() != nnz) {
       return Status::InvalidArgument("offset/nnz mismatch in " + path);
+    }
+    if (nnz > in.remaining() / kEntryBytes) {
+      return Status::InvalidArgument("entry count " + std::to_string(nnz) +
+                                     " exceeds the file size in " + path);
     }
     field_entries[k].resize(nnz);
     for (FeatureEntry& e : field_entries[k]) {
@@ -129,41 +136,10 @@ Result<MultiFieldDataset> ParseDatasetBody(BufferReader& in,
 
 Result<MultiFieldDataset> LoadDatasetBinary(const std::string& path) {
   FVAE_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
-  BufferReader header(data);
-  char magic[4];
-  if (!header.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument("bad magic in " + path +
-                                   ", want \"FVDS\"");
-  }
-  uint32_t version = 0;
-  if (!header.ReadPod(&version)) {
-    return Status::IoError("truncated header in " + path);
-  }
-  if (version == kVersionV1) {
-    // Legacy files: no checksum footer, body runs to end-of-file.
-    BufferReader body(std::string_view(data).substr(8));
-    return ParseDatasetBody(body, path);
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        "unsupported dataset version " + std::to_string(version) + " in " +
-        path + " (supported: " + std::to_string(kVersionV1) + ".." +
-        std::to_string(kVersion) + ")");
-  }
-  if (data.size() < 8 + sizeof(uint32_t)) {
-    return Status::IoError("truncated checksum footer in " + path);
-  }
-  const std::string_view payload =
-      std::string_view(data).substr(8, data.size() - 8 - sizeof(uint32_t));
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t computed_crc = Crc32(payload);
-  if (stored_crc != computed_crc) {
-    return Status::IoError("checksum mismatch in " + path + ": stored " +
-                           std::to_string(stored_crc) + ", computed " +
-                           std::to_string(computed_crc));
-  }
+  FVAE_ASSIGN_OR_RETURN(const std::string_view framed,
+                        CheckFileHeader(data, kMagic, kVersion, path));
+  FVAE_ASSIGN_OR_RETURN(const std::string_view payload,
+                        CheckCrcFooter(framed, path));
   BufferReader body(payload);
   return ParseDatasetBody(body, path);
 }

@@ -12,11 +12,15 @@ namespace fvae {
 /// Binary dataset serialization.
 ///
 /// Format (little-endian):
-///   magic "FVDS", uint32 version,
+///   magic "FVDS", uint32 version 2,
 ///   uint32 num_fields, per field: uint32 name_len, name bytes, uint8 sparse,
 ///   uint64 num_users,
 ///   per field: uint64 nnz, (num_users + 1) x uint64 offsets,
-///              then nnz x (uint64 id, float value).
+///              then nnz x (uint64 id, float value),
+///   uint32 CRC-32 of everything after the 8-byte header.
+/// Saves publish via atomic rename. A load rejects any other version, and
+/// any count the remaining bytes cannot hold, as InvalidArgument; a
+/// truncated or corrupt file is IoError.
 Status SaveDatasetBinary(const MultiFieldDataset& dataset,
                          const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 
+#include "common/binary_io.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "obs/metrics_registry.h"
@@ -12,11 +13,6 @@ namespace fvae {
 namespace {
 constexpr char kMagic[4] = {'F', 'V', 'S', 'T'};
 constexpr uint32_t kVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 template <typename T>
 bool ReadPod(std::ifstream& in, T* value) {

@@ -21,13 +21,10 @@ Result<uint64_t> RpcChannel::SendRequest(Verb verb,
                                          int64_t deadline_micros) {
   const uint64_t tag = next_tag_++;
   send_buffer_.clear();
-  // The thread-ambient trace context rides the frame once the peer has
-  // proven v2-capable; on a v1 channel AppendFrame drops it silently, so
-  // the first request to a new server is always a plain v1 frame.
+  // The thread-ambient trace context, if any, rides every frame.
   const obs::TraceContext context = obs::CurrentTraceContext();
   AppendFrame(send_buffer_, verb, WireStatus::kOk, /*flags=*/0, tag,
-              payload.data(), payload.size(), peer_version_,
-              context.valid() ? &context : nullptr);
+              payload.data(), payload.size(), kProtocolVersion, &context);
   FVAE_RETURN_IF_ERROR(SendAll(fd_.get(), send_buffer_.data(),
                                send_buffer_.size(), deadline_micros));
   return tag;
@@ -39,11 +36,6 @@ Result<Frame> RpcChannel::ReadResponse(uint64_t tag,
     // Drain any frame already buffered before touching the socket.
     Result<Frame> frame = parser_.Next();
     if (frame.ok()) {
-      // Any response doubles as the capability advertisement — even a
-      // stale one from an abandoned hedge arm upgrades the channel.
-      if ((frame->header.flags & kFlagTraceCapable) != 0) {
-        peer_version_ = kProtocolVersion;
-      }
       if (frame->header.tag == tag) {
         // Responses are not expected to carry a trace prefix today, but a
         // future server minting server-side contexts may; strip it so verb

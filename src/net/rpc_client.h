@@ -21,11 +21,9 @@ namespace fvae::net {
 /// its response by tag. Not thread-safe — each thread (or each hedged arm)
 /// uses its own channel; ChannelPool below hands them out.
 ///
-/// Version negotiation: the channel starts pessimistic at v1 (an old
-/// server rejects anything newer). Servers advertise v2 support with the
-/// kFlagTraceCapable bit on every response; the first response carrying it
-/// upgrades the channel, after which requests go out as v2 with the
-/// thread-ambient obs::TraceContext injected as the payload trace prefix.
+/// Every request goes out as a kProtocolVersion frame, with the
+/// thread-ambient obs::TraceContext, when one is active, injected as the
+/// payload trace prefix — the first request on a fresh channel included.
 class RpcChannel {
  public:
   /// Connects to "127.0.0.1:<port>".
@@ -51,9 +49,6 @@ class RpcChannel {
   /// Raw socket for poll-based readiness checks (hedging).
   int fd() const { return fd_.get(); }
   const std::string& endpoint() const { return endpoint_; }
-  /// The protocol version this channel currently speaks to its peer
-  /// (starts at kMinProtocolVersion, upgraded by kFlagTraceCapable).
-  uint8_t peer_version() const { return peer_version_; }
 
   // --- Verb wrappers ---
   FVAE_MAY_BLOCK Status Health(int64_t deadline_micros = 0);
@@ -63,8 +58,8 @@ class RpcChannel {
       uint64_t user_id, const core::RawUserFeatures& features,
       int64_t deadline_micros = 0);
   FVAE_MAY_BLOCK Result<std::string> Stats(int64_t deadline_micros = 0);
-  /// Live introspection snapshot (v2 servers; an old server rejects the
-  /// verb as a protocol error and drops the connection).
+  /// Live introspection snapshot: metrics, slow traces and exemplars as
+  /// JSON, or a Prometheus scrape body.
   FVAE_MAY_BLOCK Result<std::string> Introspect(
       IntrospectFormat format = IntrospectFormat::kJson,
       int64_t deadline_micros = 0);
@@ -80,7 +75,6 @@ class RpcChannel {
   Fd fd_;
   std::string endpoint_;
   uint64_t next_tag_ = 1;
-  uint8_t peer_version_ = kMinProtocolVersion;
   std::vector<uint8_t> send_buffer_;
   FrameParser parser_;
 };

@@ -217,11 +217,10 @@ void RpcServer::DispatchFrame(Worker* worker, Connection* conn,
   RequestState req;
   req.tag = frame->header.tag;
   req.verb = static_cast<Verb>(frame->header.verb);
-  req.version = frame->header.version;
   req.start_us = MonotonicMicros();
   // Peel the trace prefix off the payload before any verb decoding. A
   // malformed prefix is a protocol error (ValidateHeader already vetoed
-  // the flag-on-v1 and too-short cases, but stay defensive).
+  // the too-short case, but stay defensive).
   Result<obs::TraceContext> extracted = ExtractTraceContext(frame);
   if (!extracted.ok()) {
     metrics_.protocol_errors.Increment();
@@ -363,12 +362,8 @@ void RpcServer::QueueResponse(Worker* worker, Connection* conn,
     entry.status = static_cast<uint8_t>(status);
     metrics_.slow_traces().Record(entry);
   }
-  // Responses mirror the request's version (a v1 client must be able to
-  // parse its reply) and always advertise v2 capability; the flag is just
-  // a bit, invisible to v1 clients that never check it.
-  AppendFrame(conn->write_buffer, req.verb, status,
-              kFlagResponse | kFlagTraceCapable, req.tag, payload,
-              payload_size, req.version);
+  AppendFrame(conn->write_buffer, req.verb, status, kFlagResponse, req.tag,
+              payload, payload_size);
   metrics_.frames_tx.Increment();
   FlushWrites(worker, conn);
 }

@@ -85,9 +85,6 @@ class RpcServer {
   struct RequestState {
     uint64_t tag = 0;
     Verb verb = Verb::kHealth;
-    /// Protocol version the request arrived with; the response mirrors it
-    /// so a v1 client never sees v2-only framing.
-    uint8_t version = kProtocolVersion;
     int64_t start_us = 0;
     /// Wire-extracted context: the trace id plus the client's span id
     /// (our parent). Invalid (zero) on untraced requests.

@@ -82,8 +82,7 @@ Status ValidateHeader(const FrameHeader& header) {
     return Status::InvalidArgument(
         StrFormat("bad frame magic 0x%08x", header.magic));
   }
-  if (header.version < kMinProtocolVersion ||
-      header.version > kProtocolVersion) {
+  if (header.version != kProtocolVersion) {
     return Status::InvalidArgument(
         StrFormat("unsupported protocol version %u", header.version));
   }
@@ -96,18 +95,11 @@ Status ValidateHeader(const FrameHeader& header) {
     return Status::InvalidArgument(
         StrFormat("unknown verb %u", header.verb));
   }
-  if ((header.flags & kFlagTraceContext) != 0) {
-    // The trace prefix is a v2 construct; a v1 frame carrying the bit is
-    // a peer that negotiated wrong (or noise in the flags byte).
-    if (header.version < 2) {
-      return Status::InvalidArgument(
-          "trace-context flag on a v1 frame");
-    }
-    if (header.length < kTraceContextBytes) {
-      return Status::InvalidArgument(
-          StrFormat("frame length %u cannot hold the %zu-byte trace prefix",
-                    header.length, kTraceContextBytes));
-    }
+  if ((header.flags & kFlagTraceContext) != 0 &&
+      header.length < kTraceContextBytes) {
+    return Status::InvalidArgument(
+        StrFormat("frame length %u cannot hold the %zu-byte trace prefix",
+                  header.length, kTraceContextBytes));
   }
   return Status::Ok();
 }
@@ -127,7 +119,7 @@ void AppendFrame(std::vector<uint8_t>& out, Verb verb, WireStatus status,
                  uint8_t flags, uint64_t tag, const uint8_t* payload,
                  size_t payload_size, uint8_t version,
                  const obs::TraceContext* trace) {
-  const bool traced = trace != nullptr && trace->valid() && version >= 2;
+  const bool traced = trace != nullptr && trace->valid();
   const size_t prefix = traced ? kTraceContextBytes : 0;
   FrameHeader header;
   header.version = version;

@@ -25,7 +25,7 @@ enum class Verb : uint8_t {
   kLookup = 1,
   kEncodeFoldIn = 2,
   kStats = 3,
-  kIntrospect = 4,  // v2: metrics snapshot + slow traces + Prometheus text
+  kIntrospect = 4,  // metrics snapshot + slow traces + Prometheus text
 };
 
 /// Response status codes on the wire. A transport-level CRC/framing error
@@ -45,29 +45,19 @@ WireStatus ToWireStatus(const Status& status);
 Status FromWireStatus(WireStatus code, const std::string& message);
 
 inline constexpr uint32_t kFrameMagic = 0x50525646;  // "FVRP" little-endian.
-/// Current protocol version. v2 adds the trace-context payload prefix, the
-/// trace-capability response flag, and the Introspect verb; v1 peers are
-/// still fully supported (kMinProtocolVersion) — see the negotiation notes
-/// on the flag constants below and docs/PROTOCOL.md.
+/// The protocol version, the only one ValidateHeader accepts — see
+/// docs/PROTOCOL.md.
 inline constexpr uint8_t kProtocolVersion = 2;
-inline constexpr uint8_t kMinProtocolVersion = 1;
 /// Hard payload ceiling: a fold-in request for even a pathological user fits
 /// in well under 16 MiB, so anything bigger is a corrupt or hostile length
 /// prefix and the connection is dropped before allocating.
 inline constexpr uint32_t kMaxPayloadBytes = 1u << 24;
 
 inline constexpr uint8_t kFlagResponse = 0x01;
-/// v2: the payload begins with a 16-byte trace-context prefix (u64
-/// trace_id, u64 parent span_id, little-endian). `length` and `crc` cover
-/// prefix + body. Only valid on version >= 2 frames — ValidateHeader
-/// rejects the bit on v1, which is what lets v1 peers stay oblivious.
+/// The payload begins with a 16-byte trace-context prefix (u64 trace_id,
+/// u64 parent span_id, little-endian). `length` and `crc` cover prefix +
+/// body.
 inline constexpr uint8_t kFlagTraceContext = 0x02;
-/// v2: set by the server on every response to advertise that it
-/// understands v2 frames. Responses mirror the *request's* version (a v1
-/// request gets a v1 response, which an old client parses; old clients
-/// never inspect flags), so this bit is the upgrade signal: a client that
-/// sees it switches the channel to v2 and starts injecting trace context.
-inline constexpr uint8_t kFlagTraceCapable = 0x04;
 
 /// Size of the trace-context payload prefix (u64 trace_id + u64 span_id).
 inline constexpr size_t kTraceContextBytes = 16;
@@ -96,10 +86,9 @@ struct Frame {
 };
 
 /// Validates magic / version / flag / length bounds of a header freshly
-/// copied off the wire. Versions in [kMinProtocolVersion,
-/// kProtocolVersion] are accepted; the trace-context flag is rejected on
-/// v1 frames and on frames too short to hold the prefix. Does NOT check
-/// the CRC (the payload has not been read yet).
+/// copied off the wire. Only kProtocolVersion is accepted; the
+/// trace-context flag is rejected on frames too short to hold the prefix.
+/// Does NOT check the CRC (the payload has not been read yet).
 Status ValidateHeader(const FrameHeader& header);
 
 /// Checks the payload against the header CRC.
@@ -107,12 +96,12 @@ Status ValidatePayload(const FrameHeader& header, const uint8_t* payload,
                        size_t size);
 
 /// Appends header + payload to `out` with the CRC computed over the
-/// payload region. `version` stamps the header (peers negotiate down to
-/// v1 for old servers). When `trace` is non-null, valid, and `version`
-/// >= 2, the kFlagTraceContext bit is set and the 16-byte prefix
-/// (trace->trace_id, trace->span_id — the sender's current span, i.e. the
-/// receiver's parent) is written ahead of the payload; `length`/`crc`
-/// cover both.
+/// payload region. `version` stamps the header; every peer sends
+/// kProtocolVersion, and tests pass others to forge bad frames. When
+/// `trace` is non-null and valid, the kFlagTraceContext bit is set and the
+/// 16-byte prefix (trace->trace_id, trace->span_id — the sender's current
+/// span, i.e. the receiver's parent) is written ahead of the payload;
+/// `length`/`crc` cover both.
 void AppendFrame(std::vector<uint8_t>& out, Verb verb, WireStatus status,
                  uint8_t flags, uint64_t tag, const uint8_t* payload,
                  size_t payload_size, uint8_t version = kProtocolVersion,

@@ -1,7 +1,6 @@
 #include "serving/sharded_store.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -17,11 +16,10 @@ namespace fvae::serving {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'V', 'E', 'B'};
-constexpr uint32_t kVersionV1 = 1;
-// v2 appends a CRC-32 of the body (everything after the 8-byte header) as
-// a 4-byte footer; writes go through the atomic-rename path. Load verifies
-// the checksum before returning, so a reload (load, then swap) can never
-// swap a corrupt dump in.
+// The body (everything after the 8-byte header) ends in a CRC-32 footer;
+// writes go through the atomic-rename path. Load verifies the checksum
+// before returning, so a reload (load, then swap) can never swap a corrupt
+// dump in.
 constexpr uint32_t kVersion = 2;
 
 /// splitmix64 finalizer: user ids are often sequential, so mix before
@@ -143,38 +141,10 @@ Result<ShardedEmbeddingStore> ShardedEmbeddingStore::Load(
   // rows it has).
   FVAE_RETURN_IF_ERROR(FailpointCheck("embedding_store.load"));
   FVAE_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
-  BufferReader header(data);
-  char magic[4];
-  if (!header.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument("bad magic in " + path +
-                                   ", want \"FVEB\"");
-  }
-  uint32_t version = 0;
-  if (!header.ReadPod(&version)) {
-    return Status::IoError("truncated header in " + path);
-  }
-  std::string_view payload = std::string_view(data).substr(8);
-  if (version == kVersion) {
-    if (data.size() < 8 + sizeof(uint32_t)) {
-      return Status::IoError("truncated checksum footer in " + path);
-    }
-    payload.remove_suffix(sizeof(uint32_t));
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
-                sizeof(uint32_t));
-    const uint32_t computed_crc = Crc32(payload);
-    if (stored_crc != computed_crc) {
-      return Status::IoError("checksum mismatch in " + path + ": stored " +
-                             std::to_string(stored_crc) + ", computed " +
-                             std::to_string(computed_crc));
-    }
-  } else if (version != kVersionV1) {
-    return Status::InvalidArgument(
-        "unsupported store version " + std::to_string(version) + " in " +
-        path + " (supported: " + std::to_string(kVersionV1) + ".." +
-        std::to_string(kVersion) + ")");
-  }
-  // Legacy v1 dumps have no checksum footer: the body runs to end-of-file.
+  FVAE_ASSIGN_OR_RETURN(const std::string_view framed,
+                        CheckFileHeader(data, kMagic, kVersion, path));
+  FVAE_ASSIGN_OR_RETURN(const std::string_view payload,
+                        CheckCrcFooter(framed, path));
   BufferReader body(payload);
   uint32_t dim = 0;
   uint64_t count = 0;

@@ -26,11 +26,11 @@ namespace fvae::serving {
 /// own shard. Hit/miss counters are per-shard relaxed atomics.
 ///
 /// Save/Load are the offline dump (the paper's HDFS hand-off). File format
-/// "FVEB" (little-endian): magic, uint32 version, uint32 dim, uint64 count,
-/// then count x (uint64 user_id, dim x float). Version 2 appends a CRC-32
-/// footer over the body and Save publishes via atomic rename, so a reload
-/// verifies the checksum before it swaps a dump in; truncated or corrupt
-/// files load as IoError. Version 1 files (no footer) remain loadable.
+/// "FVEB" (little-endian): magic, uint32 version 2, uint32 dim, uint64
+/// count, then count x (uint64 user_id, dim x float), then a CRC-32 footer
+/// over the body. Save publishes via atomic rename, so a reload verifies
+/// the checksum before it swaps a dump in; truncated or corrupt files load
+/// as IoError, any other version as InvalidArgument.
 class ShardedEmbeddingStore {
  public:
   struct ShardStats {
@@ -78,7 +78,7 @@ class ShardedEmbeddingStore {
   /// included.
   Status Save(const std::string& path) const;
 
-  /// Reads an FVEB v1/v2 dump (failpoint `embedding_store.load`) into a
+  /// Reads an FVEB v2 dump (failpoint `embedding_store.load`) into a
   /// fresh store of `num_shards` shards. dim() is the dump's, even when it
   /// holds no rows.
   static Result<ShardedEmbeddingStore> Load(const std::string& path,

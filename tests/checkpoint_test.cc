@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/retry.h"
 #include "core/checkpoint.h"
@@ -154,6 +156,17 @@ TrainingCursor MakeCursor(const FieldVae& model, uint64_t step) {
     cursor.output_table_rng.push_back(model.output_table(k).rng_state());
   }
   return cursor;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 Matrix EncodeAll(const FieldVae& model, const MultiFieldDataset& data) {
@@ -370,23 +383,6 @@ TEST_F(CheckpointTest, SavedModelIsExactWarmStart) {
             0.0f);
 }
 
-TEST_F(CheckpointTest, V1ShimLoadsLegacyFiles) {
-  const MultiFieldDataset data = Fixture();
-  FieldVae model(SmallConfig(), data.fields());
-  TrainOptions options;
-  options.batch_size = 16;
-  options.epochs = 1;
-  TrainFvae(model, data, options);
-
-  ASSERT_TRUE(SaveFieldVaeV1ForTesting(model, Path("legacy.fvmd")).ok());
-  auto loaded = LoadCheckpoint(Path("legacy.fvmd"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->has_cursor);  // v1 carries no cursor
-  EXPECT_EQ(Matrix::MaxAbsDiff(EncodeAll(model, data),
-                               EncodeAll(*loaded->model, data)),
-            0.0f);
-}
-
 // ---------------------------------------------------------------------------
 // CheckpointManager: rotation, discovery, retry.
 // ---------------------------------------------------------------------------
@@ -558,18 +554,53 @@ TEST_F(CheckpointTest, BadMagicDiagnosticsNameFoundBytesAndPath) {
 }
 
 TEST_F(CheckpointTest, UnsupportedVersionDiagnosticsNameVersionAndPath) {
-  {
-    std::ofstream out(Path("future.fvmd"), std::ios::binary);
-    out << "FVMD";
-    const uint32_t version = 99;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  const MultiFieldDataset data = Fixture();
+  FieldVae model(SmallConfig(), data.fields());
+  ASSERT_TRUE(SaveFieldVae(model, Path("current.fvmd")).ok());
+  const std::string current = ReadFile(Path("current.fvmd"));
+  // Version 1 is the retired section-less format; 99 is from the future.
+  for (const uint32_t version : {1u, 99u}) {
+    std::string bytes = current;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    const std::string path = Path("v" + std::to_string(version) + ".fvmd");
+    WriteFile(path, bytes);
+    auto loaded = LoadFieldVae(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = loaded.status().message();
+    EXPECT_NE(message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("supported"), std::string::npos) << message;
   }
-  auto loaded = LoadFieldVae(Path("future.fvmd"));
+}
+
+TEST_F(CheckpointTest, UnknownSectionTagIsRejected) {
+  const MultiFieldDataset data = Fixture();
+  FieldVae model(SmallConfig(), data.fields());
+  ASSERT_TRUE(SaveFieldVae(model, Path("current.fvmd")).ok());
+  std::string bytes = ReadFile(Path("current.fvmd"));
+  // Splice a well-formed, CRC-valid section with tag 8 (after the export's
+  // last tag, kRng = 7) in front of the 16-byte end marker.
+  const std::string payload = "from a newer writer";
+  std::string section;
+  const uint32_t tag = 8;
+  const uint64_t size = payload.size();
+  const uint32_t crc = Crc32(payload);
+  section.append(reinterpret_cast<const char*>(&tag), sizeof(tag));
+  section.append(reinterpret_cast<const char*>(&size), sizeof(size));
+  section += payload;
+  section.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  bytes.insert(bytes.size() - 16, section);
+  WriteFile(Path("tag8.fvmd"), bytes);
+
+  auto loaded = LoadFieldVae(Path("tag8.fvmd"));
   ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   const std::string& message = loaded.status().message();
-  EXPECT_NE(message.find("99"), std::string::npos) << message;
-  EXPECT_NE(message.find(Path("future.fvmd")), std::string::npos) << message;
-  EXPECT_NE(message.find("supported"), std::string::npos) << message;
+  EXPECT_NE(message.find("tag 8"), std::string::npos) << message;
+  EXPECT_NE(message.find(Path("tag8.fvmd")), std::string::npos) << message;
 }
 
 }  // namespace

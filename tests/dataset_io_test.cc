@@ -4,7 +4,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "common/crc32.h"
 #include "data/dataset.h"
 #include "data/io.h"
 
@@ -32,6 +36,17 @@ MultiFieldDataset Fixture() {
   builder.AddUser({{}, {}});
   builder.AddUser({{{9, 3.0f}}, {{1001, 1.0f}, {~uint64_t{0}, 1.0f}}});
   return builder.Build();
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void ExpectEqualDatasets(const MultiFieldDataset& a,
@@ -127,38 +142,74 @@ TEST_F(DatasetIoTest, BinaryDetectsBitFlips) {
       << loaded.status().ToString();
 }
 
-TEST_F(DatasetIoTest, BinaryLoadsLegacyV1Files) {
+TEST_F(DatasetIoTest, BinaryRejectsUnsupportedVersion) {
   const MultiFieldDataset data = Fixture();
   ASSERT_TRUE(SaveDatasetBinary(data, Path("v2.bin")).ok());
-  std::ifstream in(Path("v2.bin"), std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes = ReadFile(Path("v2.bin"));
 
-  // A v1 file is the v2 file with version 1 and no checksum footer.
+  // The retired v1 layout is the v2 file with version 1 and no checksum
+  // footer; version 9 is from the future.
   std::string v1 = bytes.substr(0, bytes.size() - 4);
-  const uint32_t version = 1;
-  std::memcpy(v1.data() + 4, &version, sizeof(version));
-  {
-    std::ofstream out(Path("v1.bin"), std::ios::binary);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  const uint32_t one = 1;
+  std::memcpy(v1.data() + 4, &one, sizeof(one));
+  WriteFile(Path("v1.bin"), v1);
+  std::string v9 = bytes;
+  const uint32_t nine = 9;
+  std::memcpy(v9.data() + 4, &nine, sizeof(nine));
+  WriteFile(Path("v9.bin"), v9);
+
+  for (const auto& [name, version] :
+       {std::pair{"v1.bin", 1}, std::pair{"v9.bin", 9}}) {
+    auto loaded = LoadDatasetBinary(Path(name));
+    ASSERT_FALSE(loaded.ok()) << name << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = loaded.status().message();
+    EXPECT_NE(message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(Path(name)), std::string::npos) << message;
   }
-  auto loaded = LoadDatasetBinary(Path("v1.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectEqualDatasets(data, *loaded);
 }
 
-TEST_F(DatasetIoTest, BinaryRejectsUnsupportedVersion) {
-  {
-    std::ofstream out(Path("v9.bin"), std::ios::binary);
-    out << "FVDS";
-    const uint32_t version = 9;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+TEST_F(DatasetIoTest, BinaryRejectsCountsBeyondTheFileSize) {
+  // CRC-valid files whose user or entry count exceeds what the remaining
+  // bytes could hold: the loader must refuse them before sizing anything
+  // by the count (2^64 - 1 users wraps num_users + 1 to 0; 2^40 users or
+  // entries cannot be allocated).
+  const auto file_with = [](uint64_t num_users, uint64_t nnz) {
+    std::ostringstream body;
+    const auto pod = [&body](const auto& value) {
+      body.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    pod(uint32_t{1});  // num_fields
+    pod(uint32_t{1});  // name_len
+    body << 'a';
+    pod(uint8_t{0});  // dense
+    pod(num_users);
+    pod(nnz);
+    pod(uint64_t{0});  // offsets[0]
+    pod(nnz);          // offsets[1]
+    const std::string payload = body.str();
+    std::string file = "FVDS";
+    const uint32_t version = 2;
+    const uint32_t crc = Crc32(payload);
+    file.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    file += payload;
+    file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return file;
+  };
+  const std::pair<uint64_t, uint64_t> cases[] = {
+      {~uint64_t{0}, 0}, {uint64_t{1} << 40, 0}, {1, uint64_t{1} << 40}};
+  for (const auto& [num_users, nnz] : cases) {
+    WriteFile(Path("huge.bin"), file_with(num_users, nnz));
+    auto loaded = LoadDatasetBinary(Path("huge.bin"));
+    ASSERT_FALSE(loaded.ok()) << num_users << " users, " << nnz << " nnz";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(Path("huge.bin")),
+              std::string::npos)
+        << loaded.status().ToString();
   }
-  auto loaded = LoadDatasetBinary(Path("v9.bin"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("9"), std::string::npos);
-  EXPECT_NE(loaded.status().message().find(Path("v9.bin")),
-            std::string::npos);
 }
 
 TEST_F(DatasetIoTest, TextRoundTrip) {

@@ -179,11 +179,26 @@ TEST(FrameParserTest, RejectsBadMagicAndVersion) {
   parser.Feed(bytes.data(), bytes.size());
   EXPECT_EQ(parser.Next().status().code(), StatusCode::kInvalidArgument);
 
-  bytes = BuildFrame(Verb::kHealth, 1, {});
-  bytes[4] = 99;  // version
-  FrameParser parser2;
-  parser2.Feed(bytes.data(), bytes.size());
-  EXPECT_EQ(parser2.Next().status().code(), StatusCode::kInvalidArgument);
+  // Version 1 (the retired untraced protocol, with or without a trace
+  // prefix behind the flag) and a future version are both refused.
+  std::vector<uint8_t> lookup;
+  EncodeLookupRequest(lookup, 77);
+  const obs::TraceContext trace{1, 2};
+  std::vector<uint8_t> traced;
+  AppendFrame(traced, Verb::kLookup, WireStatus::kOk, 0, 9, lookup.data(),
+              lookup.size(), kProtocolVersion, &trace);
+  for (std::vector<uint8_t> frame :
+       {BuildFrame(Verb::kHealth, 1, {}), BuildFrame(Verb::kLookup, 5, lookup),
+        traced}) {
+    for (const uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+      frame[4] = version;
+      FrameParser versioned;
+      versioned.Feed(frame.data(), frame.size());
+      EXPECT_EQ(versioned.Next().status().code(),
+                StatusCode::kInvalidArgument)
+          << "version " << int(version);
+    }
+  }
 }
 
 TEST(FrameParserTest, RejectsOversizedLengthPrefix) {
@@ -248,45 +263,12 @@ TEST(TraceContextTest, PrefixRoundTripsAndStripsClean) {
   // to what the sender encoded.
   EXPECT_EQ(frame->payload, payload);
   EXPECT_EQ(frame->header.flags & kFlagTraceContext, 0);
-}
-
-TEST(TraceContextTest, V1FramesNeverCarryThePrefix) {
-  // A v2 sender talking to a v1 peer downgrades: the trace pointer is
-  // ignored, the frame is a plain v1 frame an old parser accepts.
-  std::vector<uint8_t> payload;
-  EncodeLookupRequest(payload, 77);
-  const obs::TraceContext trace{123, 456};
-  std::vector<uint8_t> bytes;
-  AppendFrame(bytes, Verb::kLookup, WireStatus::kOk, 0, 5, payload.data(),
-              payload.size(), /*version=*/1, &trace);
-
-  FrameParser parser;
-  parser.Feed(bytes.data(), bytes.size());
-  Result<Frame> frame = parser.Next();
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->header.version, 1);
-  EXPECT_EQ(frame->header.flags & kFlagTraceContext, 0);
-  EXPECT_EQ(frame->payload, payload);
 
   // Extraction on an unflagged frame is the identity: {0,0}, untouched.
-  Result<obs::TraceContext> extracted = ExtractTraceContext(&*frame);
+  extracted = ExtractTraceContext(&*frame);
   ASSERT_TRUE(extracted.ok());
   EXPECT_FALSE(extracted->valid());
   EXPECT_EQ(frame->payload, payload);
-}
-
-TEST(TraceContextTest, TraceFlagOnV1FrameIsRejected) {
-  // The header CRC covers payload bytes only, so flipping the version byte
-  // down to 1 leaves an otherwise-valid frame whose flags claim a prefix
-  // v1 cannot have — ValidateHeader must kill it.
-  std::vector<uint8_t> payload;
-  EncodeLookupRequest(payload, 77);
-  std::vector<uint8_t> bytes =
-      BuildTracedFrame(Verb::kLookup, 9, payload, {1, 2});
-  bytes[4] = 1;  // version byte
-  FrameParser parser;
-  parser.Feed(bytes.data(), bytes.size());
-  EXPECT_EQ(parser.Next().status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TraceContextTest, FlaggedFrameTooShortForPrefixIsRejected) {
@@ -509,7 +491,7 @@ TEST(RpcServerTest, HealthLookupFoldInStats) {
 
 TEST(RpcServerTest, MalformedBytesCloseConnection) {
   TestServer ts;
-  for (int variant = 0; variant < 3; ++variant) {
+  for (int variant = 0; variant < 4; ++variant) {
     Result<Fd> conn = TcpConnect(ts.server.port());
     ASSERT_TRUE(conn.ok());
     std::vector<uint8_t> bytes = BuildFrame(Verb::kHealth, 1, {});
@@ -530,6 +512,9 @@ TEST(RpcServerTest, MalformedBytesCloseConnection) {
         bytes[kHeaderBytes] ^= 0x01;
         break;
       }
+      case 3:
+        bytes[4] = 1;  // a retired v1 frame
+        break;
     }
     ASSERT_TRUE(SendAll(conn->get(), bytes.data(), bytes.size()).ok());
     // Server must close on us (recv sees EOF) rather than answer.
@@ -540,7 +525,7 @@ TEST(RpcServerTest, MalformedBytesCloseConnection) {
     EXPECT_EQ(::recv(conn->get(), buffer, sizeof(buffer), 0), 0)
         << "expected EOF, got data (variant " << variant << ")";
   }
-  EXPECT_GE(ts.server.metrics().protocol_errors.Value(), 3u);
+  EXPECT_GE(ts.server.metrics().protocol_errors.Value(), 4u);
   // No leaked connections: the open-connection gauge returns to zero.
   for (int i = 0; i < 2000 && ts.server.metrics().open_connections() != 0.0;
        ++i) {
@@ -873,6 +858,67 @@ TEST(ShardRouterTest, HealthProbesCloseBreaker) {
   EXPECT_GE(router.metrics().health_probes.Value(), 3u);
   EXPECT_EQ(router.metrics().health_failures.Value(), 0u);
   EXPECT_FALSE(router.BreakerOpen(0));
+}
+
+// ---------- channel ----------
+
+TEST(RpcChannelTest, FirstRequestOnAFreshChannelIsTraced) {
+  Result<Fd> listener = TcpListen(0);
+  ASSERT_TRUE(listener.ok());
+  Result<uint16_t> port = LocalPort(listener->get());
+  ASSERT_TRUE(port.ok());
+  const obs::TraceContext trace{0x1234abcdull, 0x99ull};
+  const int64_t deadline = MonotonicMicros() + 5'000'000;
+
+  Status lookup = Status::Ok();
+  std::thread client([&] {
+    Result<std::unique_ptr<RpcChannel>> channel =
+        RpcChannel::Connect(Endpoint(*port));
+    if (!channel.ok()) {
+      lookup = channel.status();
+      return;
+    }
+    obs::ScopedTraceContext scope(trace);
+    lookup = (*channel)->Lookup(7, deadline).status();
+  });
+
+  // A raw listener plays the server: read the very first frame off the
+  // wire, answer it, and only then inspect it (after the client is done).
+  const auto first_frame = [&]() -> Result<Frame> {
+    FVAE_RETURN_IF_ERROR(WaitReadable(listener->get(), deadline));
+    FVAE_ASSIGN_OR_RETURN(Fd conn, Accept(*listener));
+    FrameParser parser;
+    Result<Frame> frame = parser.Next();
+    while (!frame.ok() && frame.status().code() == StatusCode::kUnavailable) {
+      uint8_t byte = 0;
+      FVAE_RETURN_IF_ERROR(RecvAll(conn.get(), &byte, 1, deadline));
+      parser.Feed(&byte, 1);
+      frame = parser.Next();
+    }
+    FVAE_RETURN_IF_ERROR(frame.status());
+    std::vector<uint8_t> embedding;
+    EncodeEmbeddingResponse(embedding, {1.0f, 2.0f});
+    std::vector<uint8_t> reply;
+    AppendFrame(reply, Verb::kLookup, WireStatus::kOk, kFlagResponse,
+                frame->header.tag, embedding.data(), embedding.size());
+    FVAE_RETURN_IF_ERROR(SendAll(conn.get(), reply.data(), reply.size()));
+    return frame;
+  };
+  Result<Frame> frame = first_frame();
+  client.join();
+
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_TRUE(lookup.ok()) << lookup.ToString();
+  EXPECT_EQ(int(frame->header.version), 2);
+  EXPECT_EQ(frame->header.flags & kFlagTraceContext, kFlagTraceContext);
+  Result<obs::TraceContext> extracted = ExtractTraceContext(&*frame);
+  ASSERT_TRUE(extracted.ok());
+  EXPECT_EQ(extracted->trace_id, trace.trace_id);
+  EXPECT_EQ(extracted->span_id, trace.span_id);
+  Result<uint64_t> user =
+      DecodeLookupRequest(frame->payload.data(), frame->payload.size());
+  ASSERT_TRUE(user.ok());
+  EXPECT_EQ(*user, 7u);
 }
 
 // ---------- channel pool ----------

@@ -480,22 +480,28 @@ TEST_F(ReloadTest, BitFlipIsCaughtByChecksum) {
   EXPECT_EQ(Served(service, 3), (std::vector<float>{5.0f, 5.0f}));
 }
 
-TEST_F(ReloadTest, LoadsLegacyV1Dumps) {
+TEST_F(ReloadTest, V1DumpIsRejectedAndOldRowsKeepServing) {
   ASSERT_TRUE(StoreOf({{5, {1.0f, 2.0f, 3.0f}}, {6, {4.0f, 5.0f, 6.0f}}})
                   .Save(Path("v2.bin"))
                   .ok());
-  // A v1 file is the v2 file with version 1 and the CRC footer stripped.
+  // The retired v1 layout is the v2 file with version 1 and the CRC footer
+  // stripped.
   const std::string bytes = ReadBytes(Path("v2.bin"));
   std::string v1 = bytes.substr(0, bytes.size() - 4);
   const uint32_t version = 1;
   std::memcpy(v1.data() + 4, &version, sizeof(version));
   WriteBytes(Path("v1.bin"), v1);
 
-  EmbeddingService service(ShardedEmbeddingStore(4), nullptr);
-  Status reloaded = service.ReloadFromFile(Path("v1.bin"));
-  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
-  EXPECT_EQ(service.store().size(), 2u);
-  EXPECT_EQ(Served(service, 6), (std::vector<float>{4.0f, 5.0f, 6.0f}));
+  EmbeddingService service(StoreOf({{7, {3.0f, 4.0f, 5.0f}}}), nullptr);
+  const Status reloaded = service.ReloadFromFile(Path("v1.bin"));
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reloaded.message().find("version 1"), std::string::npos)
+      << reloaded.ToString();
+  EXPECT_NE(reloaded.message().find(Path("v1.bin")), std::string::npos)
+      << reloaded.ToString();
+  EXPECT_EQ(service.store().size(), 1u);
+  EXPECT_EQ(Served(service, 7), (std::vector<float>{3.0f, 4.0f, 5.0f}));
 }
 
 TEST_F(ReloadTest, ReloadReplacesEveryRow) {
