@@ -22,8 +22,8 @@
 ///   - `while`, `do`/`while`, classic and range `for`; `while (true)`,
 ///     `while (1)` and `for (;;)` get no loop-head exit edge, so code
 ///     after an infinite loop is only reachable through `break` — a
-///     worker-loop pattern (`for (;;) { ... if (done) {
-///     mu.Unlock(); return; } ... }`) has exactly the paths it executes;
+///     worker-loop pattern (`for (;;) { ... if (done) { Flush();
+///     return; } ... }`) has exactly the paths it executes;
 ///   - `switch`/`case` with fall-through edges between consecutive case
 ///     groups, `break` to the statement after the switch, and a
 ///     head-to-after edge only when there is no `default:`;

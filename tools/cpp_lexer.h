@@ -262,9 +262,9 @@ inline std::vector<Tok> LexCpp(const std::string& src) {
 
 /// Parses every `fvae-lint: allow(...)` marker on a raw source line and
 /// returns true when any of them names `rule`. The argument is a
-/// comma-separated rule list — `fvae-lint: allow(status-path,lock-balance)`
+/// comma-separated rule list — `fvae-lint: allow(status-path,guarded-by)`
 /// suppresses both rules on the line — with whitespace around each entry
-/// ignored, so the single-rule spelling `allow(fd-leak)` is the one-element
+/// ignored, so the single-rule spelling `allow(raw-mutex)` is the one-element
 /// case of the same grammar. Both suppression layers (the per-file rules in
 /// lint_rules.h and the whole-program LineAllows in lint_graph.h) call this,
 /// so the two grammars can never drift apart.

@@ -24,11 +24,11 @@
 /// the result non-converged instead of hanging the lint run; callers
 /// skip non-converged functions, trading silence for termination.
 ///
-/// The four path-sensitive analyses built on this solver (status-path,
-/// resource-escape, lock-balance, use-after-move) live in
-/// tools/lint_graph.h next to the cross-TU facts they need; their shared
-/// lattice is the three-point chain in `Flow` below: per tracked name,
-/// a definite state on all paths, or `kMixed` when paths disagree —
+/// The path-sensitive analyses built on this solver (status-path,
+/// resource-escape) live in tools/lint_graph.h next to the cross-TU facts
+/// they need; their shared lattice is the three-point chain in `Flow`
+/// below: per tracked name, a definite state on all paths, or `kMixed`
+/// when paths disagree —
 /// exactly the distinction the findings report ("on every path" vs "on
 /// some path"). Absent map keys mean "no obligation", so joining a
 /// branch that never created the obligation keeps the other branch's
@@ -116,7 +116,7 @@ DataflowResult<State> SolveDataflow(const Cfg& cfg, DataflowDir dir,
 
 /// Three-point obligation lattice shared by the path-sensitive analyses.
 /// The meaning of kA/kB is per-analysis (e.g. status-path: kA=consumed,
-/// kB=unconsumed; lock-balance: kA=unheld, kB=held); kMixed means the
+/// kB=unconsumed; resource-escape: kA=settled, kB=live); kMixed means the
 /// paths reaching this point disagree.
 enum class Flow : unsigned char { kA = 0, kB = 1, kMixed = 2 };
 
@@ -163,8 +163,8 @@ inline void JoinFlowStates(FlowState* acc, const FlowState& other,
 ///                      the value (the callee examines it).
 ///   takes_ownership    has an rvalue-reference parameter: passing a
 ///                      tracked resource via std::move hands it off.
-///   releases_argument  the body calls a release-table method (Unlock,
-///                      Cancel, Del, Commit, Abort, close, Reset) on or
+///   releases_argument  the body calls a release-table method (Cancel,
+///                      Del, Commit, Abort, close, Reset) on or
 ///                      with one of its parameters: passing a tracked
 ///                      resource to it discharges the obligation, so
 ///                      wrapper functions don't flag their callers.

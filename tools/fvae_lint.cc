@@ -11,12 +11,15 @@
 // non-sanitizer builds). With --json FILE a machine-readable report
 // (verdict, findings with source excerpts, the timing breakdown) is
 // written whether or not the tree is clean — CI uploads it as an
-// artifact when the lint step fails. See ARCHITECTURE.md ("Static
-// analysis & sanitizers") for the rule list and rationale.
+// artifact when the lint step fails. An unknown flag, a flag without its
+// value, or a budget that is not a positive number exits 2 with the usage
+// line. See ARCHITECTURE.md ("Static analysis & sanitizers") for the rule
+// list and rationale.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -85,21 +88,14 @@ void WriteJsonReport(const std::filesystem::path& out_path,
         << JsonEscape(LineExcerpt(root, f.file, f.line)) << "\"}";
   }
   out << (findings.empty() ? "]" : "\n  ]") << ",\n  \"timing_ms\": {";
-  const auto& a = t.analysis;
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"scan\": %.3f, \"per_file\": %.3f, \"link\": %.3f, "
-      "\"cfg\": %.3f, \"lock_balance\": %.3f, \"lock_cycle\": %.3f, "
-      "\"hot_path\": %.3f, \"event_loop\": %.3f, \"guarded_by\": %.3f, "
-      "\"verb_switch\": %.3f, \"status_path\": %.3f, "
-      "\"resource_escape\": %.3f, \"use_after_move\": %.3f, "
-      "\"total\": %.3f",
-      t.scan_ms, t.per_file_ms, a.link_ms, a.cfg_ms, a.lock_balance_ms,
-      a.lock_cycle_ms, a.hot_path_ms, a.event_loop_ms, a.guarded_by_ms,
-      a.verb_switch_ms, a.status_path_ms, a.resource_escape_ms,
-      a.use_after_move_ms, t.total_ms());
-  out << buf << "},\n  \"file_count\": " << t.file_count << "\n}\n";
+  char buf[64];
+  for (const auto& [phase, ms] : t.phases) {
+    std::snprintf(buf, sizeof(buf), "%.3f", ms);
+    out << "\"" << phase << "\": " << buf << ", ";
+  }
+  std::snprintf(buf, sizeof(buf), "%.3f", t.total_ms());
+  out << "\"total\": " << buf << "},\n  \"file_count\": " << t.file_count
+      << "\n}\n";
 }
 
 }  // namespace
@@ -108,13 +104,34 @@ int main(int argc, char** argv) {
   std::filesystem::path root = ".";
   std::filesystem::path json_path;
   double budget_ms = 0;  // 0: report timing but do not enforce
+  bool root_given = false;
+  auto usage_error = [](const std::string& what) {
+    std::fprintf(stderr,
+                 "fvae_lint: %s\n"
+                 "usage: fvae_lint [repo_root] [--budget-ms N] [--json FILE]\n",
+                 what.c_str());
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc) {
-      budget_ms = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
+    const std::string arg = argv[i];
+    if (arg == "--budget-ms" || arg == "--json") {
+      if (i + 1 >= argc) return usage_error(arg + " needs a value");
+      const char* value = argv[++i];
+      if (arg == "--json") {
+        json_path = value;
+        continue;
+      }
+      char* end = nullptr;
+      budget_ms = std::strtod(value, &end);
+      if (*end != '\0' || !(budget_ms > 0) || !std::isfinite(budget_ms)) {
+        return usage_error("--budget-ms wants a positive number of "
+                           "milliseconds, got '" + std::string(value) + "'");
+      }
+    } else if (arg.rfind("-", 0) == 0 || root_given) {
+      return usage_error("unexpected argument '" + arg + "'");
     } else {
-      root = argv[i];
+      root = arg;
+      root_given = true;
     }
   }
   if (!std::filesystem::exists(root / "src")) {
@@ -141,19 +158,13 @@ int main(int argc, char** argv) {
   } else {
     std::printf("fvae_lint: clean\n");
   }
-  std::printf(
-      "fvae_lint: timing: scan %.1f ms (%zu files), per-file %.1f ms, "
-      "link %.1f ms, cfg %.1f ms, lock-balance %.1f ms, "
-      "lock-cycle %.1f ms, hot-path %.1f ms, event-loop %.1f ms, "
-      "guarded-by %.1f ms, verb-switch %.1f ms, status-path %.1f ms, "
-      "resource-escape %.1f ms, use-after-move %.1f ms, total %.1f ms\n",
-      timings.scan_ms, timings.file_count, timings.per_file_ms,
-      timings.analysis.link_ms, timings.analysis.cfg_ms,
-      timings.analysis.lock_balance_ms, timings.analysis.lock_cycle_ms,
-      timings.analysis.hot_path_ms, timings.analysis.event_loop_ms,
-      timings.analysis.guarded_by_ms, timings.analysis.verb_switch_ms,
-      timings.analysis.status_path_ms, timings.analysis.resource_escape_ms,
-      timings.analysis.use_after_move_ms, timings.total_ms());
+  std::printf("fvae_lint: timing: %zu files", timings.file_count);
+  for (const auto& [phase, ms] : timings.phases) {
+    std::string label = phase;
+    std::replace(label.begin(), label.end(), '_', '-');
+    std::printf(", %s %.1f ms", label.c_str(), ms);
+  }
+  std::printf(", total %.1f ms\n", timings.total_ms());
   if (budget_ms > 0 && timings.total_ms() > budget_ms) {
     std::fprintf(stderr,
                  "fvae_lint: self-runtime budget exceeded: %.1f ms > "

@@ -697,9 +697,8 @@ inline std::vector<Finding> AnalyzeEventLoops(const ProgramFacts& pf) {
 
 /// Portable guarded-by enforcement: every recorded read/write of an
 /// FVAE_GUARDED_BY(m) member must occur where `m` is held — via an RAII
-/// guard in scope, a manual Lock() without intervening Unlock(), or an
-/// FVAE_REQUIRES(m) on the enclosing function (prototype annotations are
-/// merged onto definitions by LinkProgram).
+/// guard in scope or an FVAE_REQUIRES(m) on the enclosing function
+/// (prototype annotations are merged onto definitions by LinkProgram).
 ///
 /// Model (docs/ARCHITECTURE.md §7 spells out the deltas vs Clang):
 ///  - bare accesses (`member_`) bind to guarded members of the enclosing
@@ -851,7 +850,7 @@ inline std::vector<Finding> AnalyzeEnumSwitches(const ProgramFacts& pf) {
 // ---------------------------------------------------------------------------
 // Path-sensitive analyses (tools/cfg.h + tools/dataflow.h)
 //
-// Four analyses run on per-function CFGs with the worklist solver:
+// Two analyses run on per-function CFGs with the worklist solver:
 //
 //   status-path      a local Status/Result value whose initializer calls a
 //                    function must be consumed — checked (`.ok()`, any
@@ -862,23 +861,17 @@ inline std::vector<Finding> AnalyzeEnumSwitches(const ProgramFacts& pf) {
 //   resource-escape  table-driven acquire/release: TimerWheel handles
 //                    (`TimerId id = w.Schedule(..)` ... `w.Cancel(id)`),
 //                    EpollLoop registrations of function-local fds
-//                    (`loop.Add(fd, ..)` ... `loop.Del(fd)`), and
-//                    AtomicFileWriter lifetimes (declaration ...
-//                    Commit()/Abort()). Every path to exit must release
-//                    the obligation or escape the resource (return it,
-//                    store it, move it, pass it to an owning callee).
-//   lock-balance     manual .Lock()/.LockShared() must be balanced by
-//                    .Unlock()/.UnlockShared() on every path; acquiring a
-//                    lock already held and releasing one not held are
-//                    reported at the site. The per-path held sets also
-//                    *correct* the linear fact extractor's lock tracking
-//                    for the legacy analyses (guarded-by, lock-cycle),
-//                    and facts recorded in CFG-unreachable statements are
-//                    dropped, which makes the event-loop and hot-path
-//                    walks path-sensitive at the intra-function level.
-//   use-after-move   a local read after `std::move(local)` without an
-//                    intervening reassignment or `.clear()`-style revive;
-//                    null-checks and re-moves into checks stay silent.
+//                    (`loop.Add(fd, ..)` ... `loop.Del(fd)`), raw
+//                    descriptors (`int fd = ::socket(..)` ... `close(fd)`,
+//                    `owner.Reset(fd)`), and AtomicFileWriter lifetimes
+//                    (declaration ... Commit()/Abort()). Every path to
+//                    exit must release the obligation or escape the
+//                    resource (return it, store it, move it, pass it to an
+//                    owning callee).
+//
+// Before the fact walks run, PruneUnreachableFacts drops facts recorded in
+// CFG-unreachable statements, which makes the event-loop and hot-path
+// walks path-sensitive at the intra-function level.
 //
 // Interprocedural precision comes from FnSummary (tools/dataflow.h):
 // consumes-status, takes-ownership and releases-argument summaries are
@@ -892,8 +885,7 @@ inline std::vector<Finding> AnalyzeEnumSwitches(const ProgramFacts& pf) {
 /// name (overloads OR together, the usual over-approximation).
 inline SummaryMap ComputeSummaries(const ProgramFacts& pf) {
   static const std::set<std::string> kReleaseMethods = {
-      "Unlock", "UnlockShared", "Cancel", "Del",
-      "Commit", "Abort",        "close",  "Reset"};
+      "Cancel", "Del", "Commit", "Abort", "close", "Reset"};
   SummaryMap map;
   for (const FunctionFacts& fn : pf.functions) {
     FnSummary& s = map[fn.name];
@@ -920,7 +912,7 @@ inline SummaryMap ComputeSummaries(const ProgramFacts& pf) {
           toks[i + 1].text != "(") {
         continue;
       }
-      // Receiver form: `param.Unlock()` / `param->Commit()`.
+      // Receiver form: `param.Commit()` / `param->Reset()`.
       if (i >= 2 && toks[i - 1].kind == TokKind::kPunct &&
           (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
           toks[i - 2].kind == TokKind::kIdent &&
@@ -951,9 +943,7 @@ namespace path_detail {
 /// Everything the per-function passes need in one place.
 struct FnPath {
   const ProgramFacts* pf = nullptr;
-  const SummaryMap* summaries = nullptr;
   const FunctionFacts* fn = nullptr;
-  const std::vector<Tok>* toks = nullptr;
   const Cfg* cfg = nullptr;
   // Innermost enclosing call's bare callee name per body token (indexed
   // by token_index - fn->body_begin; "" outside any call's argument
@@ -1084,7 +1074,7 @@ inline void AnalyzeStatusPaths(const ProgramFacts& pf,
   for (const auto& [fi, cfg] : cfgs) {
     const FunctionFacts& fn = pf.functions[fi];
     const std::vector<Tok>& toks = pf.file_tokens.at(fn.file);
-    FnPath ctx{&pf, &summaries, &fn, &toks, &cfg,
+    FnPath ctx{&pf, &fn, &cfg,
                path_detail::EnclosingCallees(toks, fn.body_begin,
                                              fn.body_end)};
     Reporter report{&ctx, findings, {}};
@@ -1210,7 +1200,7 @@ inline void AnalyzeStatusPaths(const ProgramFacts& pf,
 }
 
 /// resource-escape: table-driven acquire/release over the CFG. See the
-/// section comment for the three resource kinds.
+/// section comment for the four resource kinds.
 inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
                                    const SummaryMap& summaries,
                                    const std::map<size_t, Cfg>& cfgs,
@@ -1224,10 +1214,12 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
   static const std::set<std::string> kReleaseArgCallees = {"Cancel", "Del",
                                                            "close", "Reset"};
   static const std::set<std::string> kReleaseMembers = {"Commit", "Abort"};
+  static const std::set<std::string> kFdProducers = {
+      "socket", "accept", "accept4", "eventfd", "epoll_create1", "open"};
   for (const auto& [fi, cfg] : cfgs) {
     const FunctionFacts& fn = pf.functions[fi];
     const std::vector<Tok>& toks = pf.file_tokens.at(fn.file);
-    FnPath ctx{&pf, &summaries, &fn, &toks, &cfg,
+    FnPath ctx{&pf, &fn, &cfg,
                path_detail::EnclosingCallees(toks, fn.body_begin,
                                              fn.body_end)};
     Reporter report{&ctx, findings, {}};
@@ -1264,39 +1256,43 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
     auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
       (void)emit;
       const bool is_return = path_detail::StmtIsReturn(toks, s);
-      // Acquire: TimerId NAME = <recv>.Schedule(...);
-      {
-        size_t p = s.begin;
-        while (TokIdent(toks, p) && toks[p].text == "const") ++p;
-        if (TokIdent(toks, p) && TokIdent(toks, p + 1) &&
-            TokPunct(toks, p + 2, "=")) {
-          const std::string& type = toks[p].text;
-          const std::string& name = toks[p + 1].text;
-          if (type == "TimerId") {
-            for (size_t i = p + 3; i + 1 < s.end; ++i) {
-              if (toks[i].kind == TokKind::kIdent &&
-                  toks[i].text == "Schedule" && i >= 1 &&
-                  (TokPunct(toks, i - 1, ".") ||
-                   TokPunct(toks, i - 1, "->")) &&
-                  TokPunct(toks, i + 1, "(")) {
-                state->vals[name] = Flow::kB;
-                acquire_line.emplace(name, toks[p + 1].line);
-                kind.emplace(name, "TimerWheel handle");
-                break;
-              }
+      auto acquire = [&](size_t at, const char* what) {
+        state->vals[toks[at].text] = Flow::kB;
+        acquire_line.emplace(toks[at].text, toks[at].line);
+        kind.emplace(toks[at].text, what);
+      };
+      size_t p = s.begin;
+      while (TokIdent(toks, p) && toks[p].text == "const") ++p;
+      if (TokIdent(toks, p) && TokIdent(toks, p + 1) &&
+          TokPunct(toks, p + 2, "=")) {
+        // Acquire: TimerId NAME = <recv>.Schedule(...);
+        if (toks[p].text == "TimerId") {
+          for (size_t i = p + 3; i + 1 < s.end; ++i) {
+            if (toks[i].kind == TokKind::kIdent &&
+                toks[i].text == "Schedule" &&
+                (TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->")) &&
+                TokPunct(toks, i + 1, "(")) {
+              acquire(p + 1, "TimerWheel handle");
+              break;
             }
           }
         }
-        // Acquire: AtomicFileWriter NAME ...;
-        if (TokIdent(toks, p) && toks[p].text == "AtomicFileWriter" &&
-            TokIdent(toks, p + 1) &&
-            (TokPunct(toks, p + 2, ";") || TokPunct(toks, p + 2, "(") ||
-             TokPunct(toks, p + 2, "{") || TokPunct(toks, p + 2, "="))) {
-          const std::string& name = toks[p + 1].text;
-          state->vals[name] = Flow::kB;
-          acquire_line.emplace(name, toks[p + 1].line);
-          kind.emplace(name, "AtomicFileWriter");
+        // Acquire: int NAME = [::]socket(..) and the other producers — a
+        // descriptor not handed straight to an owner (`Fd fd(::socket(..))`
+        // or `owner.Reset(::eventfd(..))` create no obligation).
+        const size_t q = TokPunct(toks, p + 3, "::") ? p + 4 : p + 3;
+        if (toks[p].text == "int" && TokIdent(toks, q) &&
+            kFdProducers.count(toks[q].text) > 0 &&
+            TokPunct(toks, q + 1, "(")) {
+          acquire(p + 1, "raw descriptor");
         }
+      }
+      // Acquire: AtomicFileWriter NAME ...;
+      if (TokIdent(toks, p) && toks[p].text == "AtomicFileWriter" &&
+          TokIdent(toks, p + 1) &&
+          (TokPunct(toks, p + 2, ";") || TokPunct(toks, p + 2, "(") ||
+           TokPunct(toks, p + 2, "{") || TokPunct(toks, p + 2, "="))) {
+        acquire(p + 1, "AtomicFileWriter");
       }
       // Acquire: <recv>.Add(fd, ...) with recv an EpollLoop member and fd
       // a bare local. Release: <recv>.Del(fd) and friends, below.
@@ -1316,10 +1312,7 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
         if (TokPunct(toks, i + 1, "(") && TokIdent(toks, i + 2) &&
             (TokPunct(toks, i + 3, ",") || TokPunct(toks, i + 3, ")")) &&
             local_ints.count(toks[i + 2].text) > 0) {
-          const std::string& name = toks[i + 2].text;
-          state->vals[name] = Flow::kB;
-          acquire_line.emplace(name, toks[i + 2].line);
-          kind.emplace(name, "EpollLoop registration");
+          acquire(i + 2, "EpollLoop registration");
         }
       }
       // Releases and escapes of tracked names.
@@ -1395,234 +1388,6 @@ inline void AnalyzeResourceEscapes(const ProgramFacts& pf,
   }
 }
 
-/// Per-function result of the lock-balance pass, including the per-line
-/// may-held manual-lock sets used to correct the linear extractor's held
-/// sets for the legacy analyses.
-struct LockBalanceFn {
-  std::set<std::string> manual_names;
-  std::map<size_t, std::set<std::string>> may_held;  // line -> lock names
-  bool analyzed = false;
-};
-
-/// lock-balance: manual lock acquire/release balance over the CFG.
-inline LockBalanceFn AnalyzeLockBalanceFn(const path_detail::FnPath& ctx,
-                                          std::vector<Finding>* findings) {
-  using path_detail::Reporter;
-  using path_detail::TokIdent;
-  using path_detail::TokPunct;
-  const std::vector<Tok>& toks = *ctx.toks;
-  const FunctionFacts& fn = *ctx.fn;
-  LockBalanceFn out;
-  const size_t body_end = std::min(fn.body_end, toks.size());
-  for (size_t i = fn.body_begin; i < body_end; ++i) {
-    if (toks[i].kind == TokKind::kIdent &&
-        (toks[i].text == "Lock" || toks[i].text == "LockShared") &&
-        TokPunct(toks, i + 1, "(") && i >= 2 &&
-        (TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->")) &&
-        toks[i - 2].kind == TokKind::kIdent) {
-      out.manual_names.insert(toks[i - 2].text);
-    }
-  }
-  if (out.manual_names.empty()) return out;  // nothing to balance
-
-  Reporter report{&ctx, findings, {}};
-  std::map<std::string, size_t> acquire_line;
-  auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
-    auto note_line = [&](size_t line) {
-      if (!emit) return;
-      std::set<std::string>& held = out.may_held[line];
-      for (const auto& [name, val] : state->vals) {
-        (void)val;  // kB and kMixed both mean possibly held
-        held.insert(name);
-      }
-    };
-    if (emit) {
-      for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-        note_line(toks[i].line);
-      }
-    }
-    for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-      if (toks[i].kind != TokKind::kIdent || !TokPunct(toks, i + 1, "(") ||
-          i < 2 ||
-          !(TokPunct(toks, i - 1, ".") || TokPunct(toks, i - 1, "->")) ||
-          toks[i - 2].kind != TokKind::kIdent) {
-        continue;
-      }
-      const std::string& method = toks[i].text;
-      const std::string& lock = toks[i - 2].text;
-      if (method == "Lock" || method == "LockShared") {
-        auto sit = state->vals.find(lock);
-        if (emit && sit != state->vals.end() && sit->second == Flow::kB) {
-          report(toks[i].line, "lock-balance",
-                 "manual lock '" + lock + "' is acquired while already "
-                 "held on every path reaching this statement");
-        }
-        state->vals[lock] = Flow::kB;
-        acquire_line.emplace(lock, toks[i].line);
-      } else if (method == "Unlock" || method == "UnlockShared") {
-        if (out.manual_names.count(lock) == 0) continue;
-        if (emit && state->vals.count(lock) == 0) {
-          report(toks[i].line, "lock-balance",
-                 "manual lock '" + lock + "' is released here but is not "
-                 "held on any path reaching this statement (double "
-                 "release?)");
-        }
-        state->vals.erase(lock);
-      }
-    }
-    if (emit) {
-      for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-        note_line(toks[i].line);
-      }
-    }
-  };
-
-  const DataflowResult<FlowState> result =
-      path_detail::SolveAndReport(ctx, Flow::kA, transfer);
-  if (!result.converged) return out;
-  out.analyzed = true;
-  for (const auto& [name, val] : result.in[Cfg::kExit].vals) {
-    auto ait = acquire_line.find(name);
-    const size_t line = ait != acquire_line.end() ? ait->second : fn.line;
-    report(line, "lock-balance",
-           val == Flow::kB
-               ? "manual lock '" + name +
-                     "' is still held at function exit on every path "
-                     "(no balancing Unlock)"
-               : "manual lock '" + name +
-                     "' is still held at function exit on some path "
-                     "(released on others)");
-  }
-  return out;
-}
-
-/// use-after-move: a moved-from local read before reassignment.
-inline void AnalyzeUseAfterMove(const ProgramFacts& pf,
-                                const SummaryMap& summaries,
-                                const std::map<size_t, Cfg>& cfgs,
-                                std::vector<Finding>* findings) {
-  using path_detail::FnPath;
-  using path_detail::Reporter;
-  using path_detail::TokIdent;
-  using path_detail::TokPunct;
-  static const std::set<std::string> kRevivers = {"clear", "reset", "Reset",
-                                                  "assign", "emplace"};
-  for (const auto& [fi, cfg] : cfgs) {
-    const FunctionFacts& fn = pf.functions[fi];
-    const std::vector<Tok>& toks = pf.file_tokens.at(fn.file);
-    FnPath ctx{&pf, &summaries, &fn, &toks, &cfg, {}};
-    Reporter report{&ctx, findings, {}};
-    std::map<std::string, size_t> move_line;
-
-    // An identifier preceded by a type-ish token is a *declaration* of a
-    // fresh object (`SearchTrial trial;` redeclared per loop iteration, a
-    // range-for binding `for (auto& x : xs)`, `std::vector<float> v(n)`):
-    // it revives the name. Keywords that merely precede an expression are
-    // excluded; `>` closes a template type; `&`/`&&`/`*` declarators look
-    // one further back.
-    auto type_like = [&](size_t j) {
-      if (toks[j].kind == TokKind::kIdent) {
-        static const std::set<std::string> kExprKeywords = {
-            "return", "co_return", "co_yield", "throw", "case",
-            "goto",   "delete",    "new",      "sizeof"};
-        return kExprKeywords.count(toks[j].text) == 0;
-      }
-      return TokPunct(toks, j, ">");
-    };
-    auto is_declared_here = [&](const CfgStmt& s, size_t i) {
-      if (i <= s.begin) return false;
-      if (type_like(i - 1)) return true;
-      return i >= s.begin + 2 &&
-             (TokPunct(toks, i - 1, "&") || TokPunct(toks, i - 1, "&&") ||
-              TokPunct(toks, i - 1, "*")) &&
-             type_like(i - 2);
-    };
-
-    auto transfer = [&](const CfgStmt& s, FlowState* state, bool emit) {
-      std::set<size_t> skip;  // tokens consumed by a std::move() pattern
-      std::set<std::string> assigned;  // names assigned earlier in this stmt
-      for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-        if (skip.count(i) > 0 || toks[i].kind != TokKind::kIdent) continue;
-        const std::string& name = toks[i].text;
-        // std::move(local): the argument must be a bare identifier —
-        // `std::move(*ptr)` / `std::move(obj.field)` stay untracked.
-        if (name == "move" && i >= 2 && TokPunct(toks, i - 1, "::") &&
-            toks[i - 2].kind == TokKind::kIdent &&
-            toks[i - 2].text == "std" && TokPunct(toks, i + 1, "(") &&
-            TokIdent(toks, i + 2) && TokPunct(toks, i + 3, ")")) {
-          const std::string& moved = toks[i + 2].text;
-          // Members (trailing '_') may be revived by calls this walk
-          // cannot see; track plain locals and parameters only. A name
-          // assigned earlier in the same statement is being *rebound*
-          // from itself (`[x = std::move(x)]` lambda init-captures): the
-          // move target is a fresh object, not the tracked local.
-          if (!moved.empty() && moved.back() != '_' &&
-              assigned.count(moved) == 0) {
-            auto sit = state->vals.find(moved);
-            if (emit && sit != state->vals.end() &&
-                sit->second == Flow::kB) {
-              auto mit = move_line.find(moved);
-              report(toks[i + 2].line, "use-after-move",
-                     "'" + moved + "' is moved again after the move at "
-                     "line " +
-                         std::to_string(mit != move_line.end() ? mit->second
-                                                               : 0));
-            }
-            state->vals[moved] = Flow::kB;
-            move_line.emplace(moved, toks[i + 2].line);
-          }
-          skip.insert(i + 2);
-          continue;
-        }
-        const bool prev_member =
-            i > 0 && toks[i - 1].kind == TokKind::kPunct &&
-            (toks[i - 1].text == "." || toks[i - 1].text == "->" ||
-             toks[i - 1].text == "::");
-        if (!prev_member && TokPunct(toks, i + 1, "=")) {
-          assigned.insert(name);
-        }
-        auto sit = state->vals.find(name);
-        if (sit == state->vals.end()) continue;
-        if (prev_member) continue;
-        if (TokPunct(toks, i + 1, "=") || is_declared_here(s, i)) {
-          state->vals.erase(sit);  // reassignment / fresh declaration
-          continue;
-        }
-        if ((TokPunct(toks, i + 1, ".") || TokPunct(toks, i + 1, "->")) &&
-            TokIdent(toks, i + 2) && kRevivers.count(toks[i + 2].text) > 0 &&
-            TokPunct(toks, i + 3, "(")) {
-          state->vals.erase(sit);  // x.clear() etc. re-establish a value
-          continue;
-        }
-        // Null-check shapes stay silent: a whole-condition mention
-        // (single-token statement), comparisons, negation, address-of.
-        if (s.end == s.begin + 1) continue;
-        if (TokPunct(toks, i + 1, "==") || TokPunct(toks, i + 1, "!=")) {
-          continue;
-        }
-        if (i > 0 && toks[i - 1].kind == TokKind::kPunct &&
-            (toks[i - 1].text == "!" || toks[i - 1].text == "&" ||
-             toks[i - 1].text == "==" || toks[i - 1].text == "!=")) {
-          continue;
-        }
-        if (emit) {
-          auto mit = move_line.find(name);
-          const std::string at =
-              std::to_string(mit != move_line.end() ? mit->second : 0);
-          report(toks[i].line, "use-after-move",
-                 sit->second == Flow::kB
-                     ? "'" + name + "' is used after being moved at line " +
-                           at
-                     : "'" + name + "' may be used after being moved "
-                       "(move at line " + at + " happens on some paths)");
-        }
-      }
-    };
-    // Uses are reported inline during the replay; no exit-state check.
-    (void)path_detail::SolveAndReport(ctx, Flow::kA, transfer);
-  }
-}
-
 /// Builds a CFG for every function with a recorded body range, keyed by
 /// index into pf.functions. Functions whose definitions never closed (or
 /// whose file tokens are missing) simply have no CFG and are skipped by
@@ -1641,171 +1406,100 @@ inline std::map<size_t, Cfg> BuildFunctionCfgs(const ProgramFacts& pf) {
   return cfgs;
 }
 
-/// Runs lock-balance over every function and applies the two CFG-driven
-/// corrections to the linear extractor's facts, which is what makes the
-/// *legacy* analyses path-sensitive:
-///
-///   1. held-set correction — for manual (non-RAII) locks the linear walk
-///      can only guess across early exits; the per-line may-held sets
-///      from the dataflow solve replace its guesses on every CallSite,
-///      MemberAccess and LockNest.
-///   2. unreachable-fact dropping — blocking/io/log/alloc/trace facts on
-///      lines covered only by CFG-unreachable statements (dead code after
-///      a terminator) are removed, so the event-loop and hot-path walks
-///      no longer flag code no path executes.
-///
-/// Must run before the legacy analyses read the facts.
-inline void AnalyzeLockBalance(ProgramFacts* pf, const SummaryMap& summaries,
-                               const std::map<size_t, Cfg>& cfgs,
-                               std::vector<Finding>* findings) {
+/// Drops blocking/io/log/alloc/trace facts on lines covered only by
+/// CFG-unreachable statements (dead code after a terminator), so the
+/// event-loop and hot-path walks never flag code no path executes. Must
+/// run before those walks read the facts.
+inline void PruneUnreachableFacts(ProgramFacts* pf,
+                                  const std::map<size_t, Cfg>& cfgs) {
   for (const auto& [fi, cfg] : cfgs) {
+    if (cfg.truncated) continue;
     FunctionFacts& fn = pf->functions[fi];
     const std::vector<Tok>& toks = pf->file_tokens.at(fn.file);
-    path_detail::FnPath ctx{pf, &summaries, &fn, &toks, &cfg, {}};
-    const LockBalanceFn lb = AnalyzeLockBalanceFn(ctx, findings);
-
-    // Correction 2: drop facts recorded in dead code.
-    bool any_unreachable = false;
-    if (!cfg.truncated) {
-      for (size_t n2 = 0; n2 < cfg.nodes.size(); ++n2) {
-        if (!cfg.reachable[n2] && !cfg.nodes[n2].stmts.empty()) {
-          any_unreachable = true;
-          break;
+    std::set<size_t> reach_lines, unreach_lines;
+    for (size_t n = 0; n < cfg.nodes.size(); ++n) {
+      for (const CfgStmt& s : cfg.nodes[n].stmts) {
+        for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
+          (cfg.reachable[n] ? reach_lines : unreach_lines)
+              .insert(toks[i].line);
         }
       }
     }
-    if (any_unreachable) {
-      std::set<size_t> reach_lines, unreach_lines;
-      for (size_t n2 = 0; n2 < cfg.nodes.size(); ++n2) {
-        for (const CfgStmt& s : cfg.nodes[n2].stmts) {
-          for (size_t i = s.begin; i < s.end && i < toks.size(); ++i) {
-            (cfg.reachable[n2] ? reach_lines : unreach_lines)
-                .insert(toks[i].line);
-          }
-        }
-      }
-      auto dead = [&](size_t line) {
-        return unreach_lines.count(line) > 0 && reach_lines.count(line) == 0;
-      };
-      auto prune = [&](std::vector<PurityFact>* facts) {
-        facts->erase(
-            std::remove_if(facts->begin(), facts->end(),
-                           [&](const PurityFact& f) { return dead(f.line); }),
-            facts->end());
-      };
-      prune(&fn.blocking);
-      prune(&fn.ios);
-      prune(&fn.logs);
-      prune(&fn.allocs);
-      prune(&fn.traces);
-    }
-
-    // Correction 1: manual-lock held sets.
-    if (!lb.analyzed || lb.manual_names.empty()) continue;
-    auto fix_held = [&](std::vector<std::string>* held, size_t line) {
-      auto mit = lb.may_held.find(line);
-      const std::set<std::string>* may =
-          mit != lb.may_held.end() ? &mit->second : nullptr;
-      std::vector<std::string> fixed;
-      for (const std::string& name : *held) {
-        if (lb.manual_names.count(name) == 0 ||
-            (may != nullptr && may->count(name) > 0)) {
-          fixed.push_back(name);
-        }
-      }
-      if (may != nullptr) {
-        for (const std::string& name : *may) {
-          if (std::find(fixed.begin(), fixed.end(), name) == fixed.end()) {
-            fixed.push_back(name);
-          }
-        }
-      }
-      *held = std::move(fixed);
+    if (unreach_lines.empty()) continue;
+    auto prune = [&](std::vector<PurityFact>* facts) {
+      facts->erase(std::remove_if(facts->begin(), facts->end(),
+                                  [&](const PurityFact& f) {
+                                    return unreach_lines.count(f.line) > 0 &&
+                                           reach_lines.count(f.line) == 0;
+                                  }),
+                   facts->end());
     };
-    for (CallSite& c : fn.calls) fix_held(&c.held, c.line);
-    for (MemberAccess& a : fn.accesses) fix_held(&a.held, a.line);
-    fn.nests.erase(
-        std::remove_if(fn.nests.begin(), fn.nests.end(),
-                       [&](const LockNest& nest) {
-                         if (lb.manual_names.count(nest.held) == 0) {
-                           return false;
-                         }
-                         auto mit = lb.may_held.find(nest.line);
-                         return mit == lb.may_held.end() ||
-                                mit->second.count(nest.held) == 0;
-                       }),
-        fn.nests.end());
+    prune(&fn.blocking);
+    prune(&fn.ios);
+    prune(&fn.logs);
+    prune(&fn.allocs);
+    prune(&fn.traces);
   }
 }
 
-/// Wall-clock cost of each whole-program pass; surfaced in the lint report
-/// and enforced by the fvae_lint ctest's --budget-ms self-runtime gate.
-struct AnalysisTiming {
-  double link_ms = 0;
-  double lock_cycle_ms = 0;
-  double hot_path_ms = 0;
-  double event_loop_ms = 0;
-  double guarded_by_ms = 0;
-  double verb_switch_ms = 0;
-  double cfg_ms = 0;  // CFG construction + interprocedural summaries
-  double lock_balance_ms = 0;
-  double status_path_ms = 0;
-  double resource_escape_ms = 0;
-  double use_after_move_ms = 0;
+/// Wall-clock cost of each pass in run order, as (phase, ms) rows; the
+/// phase names are the JSON report's keys. fvae_lint sums, prints and
+/// reports the rows as they come, so adding or dropping a pass touches
+/// only the code that times it.
+using PhaseTimings = std::vector<std::pair<std::string, double>>;
+
+/// Appends one (phase, ms since the previous lap) row per Lap(); with a
+/// null table it only keeps time.
+class PhaseClock {
+ public:
+  explicit PhaseClock(PhaseTimings* out) : out_(out) {}
+  void Lap(const char* phase) {
+    const Clock::time_point now = Clock::now();
+    if (out_ != nullptr) {
+      out_->emplace_back(
+          phase, std::chrono::duration<double, std::milli>(now - last_).count());
+    }
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  PhaseTimings* out_;
+  Clock::time_point last_ = Clock::now();
 };
 
-/// Runs the whole-program analyses over a file set: first the CFG build,
-/// interprocedural summaries and the lock-balance pass (whose corrections
-/// the legacy fact-walks depend on), then the legacy five (lock-cycle,
-/// hot-path, event-loop, guarded-by, verb-switch), then the remaining
-/// path-sensitive analyses (status-path, resource-escape, use-after-move).
+/// Runs the whole-program analyses over a file set: link, then the CFG
+/// build, interprocedural summaries and dead-fact pruning (which the fact
+/// walks depend on), then the five fact walks (lock-cycle, hot-path,
+/// event-loop, guarded-by, verb-switch), then the path-sensitive
+/// analyses (status-path, resource-escape).
 inline std::vector<Finding> AnalyzeProgram(const std::vector<SourceFile>& files,
-                                           AnalysisTiming* timing = nullptr) {
-  using Clock = std::chrono::steady_clock;
-  auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  const auto t0 = Clock::now();
+                                           PhaseTimings* timing = nullptr) {
+  PhaseClock clock(timing);
   ProgramFacts pf = LinkProgram(files);
-  const auto t1 = Clock::now();
+  clock.Lap("link");
   const std::map<size_t, Cfg> cfgs = BuildFunctionCfgs(pf);
   const SummaryMap summaries = ComputeSummaries(pf);
-  const auto t_cfg = Clock::now();
+  PruneUnreachableFacts(&pf, cfgs);
+  clock.Lap("cfg");
   std::vector<Finding> findings;
-  AnalyzeLockBalance(&pf, summaries, cfgs, &findings);
-  const auto t_lb = Clock::now();
   auto append = [&findings](std::vector<Finding> more) {
     findings.insert(findings.end(), more.begin(), more.end());
   };
   append(AnalyzeLockOrder(pf));
-  const auto t2 = Clock::now();
+  clock.Lap("lock_cycle");
   append(AnalyzeHotPaths(pf));
-  const auto t3 = Clock::now();
+  clock.Lap("hot_path");
   append(AnalyzeEventLoops(pf));
-  const auto t4 = Clock::now();
+  clock.Lap("event_loop");
   append(AnalyzeGuardedBy(pf));
-  const auto t5 = Clock::now();
+  clock.Lap("guarded_by");
   append(AnalyzeEnumSwitches(pf));
-  const auto t6 = Clock::now();
+  clock.Lap("verb_switch");
   AnalyzeStatusPaths(pf, summaries, cfgs, &findings);
-  const auto t7 = Clock::now();
+  clock.Lap("status_path");
   AnalyzeResourceEscapes(pf, summaries, cfgs, &findings);
-  const auto t8 = Clock::now();
-  AnalyzeUseAfterMove(pf, summaries, cfgs, &findings);
-  const auto t9 = Clock::now();
-  if (timing != nullptr) {
-    timing->link_ms = ms(t0, t1);
-    timing->cfg_ms = ms(t1, t_cfg);
-    timing->lock_balance_ms = ms(t_cfg, t_lb);
-    timing->lock_cycle_ms = ms(t_lb, t2);
-    timing->hot_path_ms = ms(t2, t3);
-    timing->event_loop_ms = ms(t3, t4);
-    timing->guarded_by_ms = ms(t4, t5);
-    timing->verb_switch_ms = ms(t5, t6);
-    timing->status_path_ms = ms(t6, t7);
-    timing->resource_escape_ms = ms(t7, t8);
-    timing->use_after_move_ms = ms(t8, t9);
-  }
+  clock.Lap("resource_escape");
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -21,15 +20,14 @@
 ///
 /// **Per-file rules** (this header; see ARCHITECTURE.md §7 for rationale):
 ///
-///   discarded-status   an expression statement calls a function returning
-///                      Status / Result<T> and drops the value. Belt and
-///                      braces over [[nodiscard]] — it also covers code the
-///                      compiler never instantiates.
 ///   void-needs-reason  a `(void)` cast of a call has no inline
 ///                      justification comment (same line or line above).
 ///   raw-mutex          a std::mutex / std::shared_mutex / lock/condvar
 ///                      primitive is named outside common/mutex.h, where
-///                      the capability-annotated wrappers live.
+///                      the capability-annotated wrappers live; in src/, a
+///                      manual .Lock()/.Unlock()/.LockShared()/
+///                      .UnlockShared() call outside common/mutex.h too —
+///                      production locking is RAII-only.
 ///   banned-random      rand(), srand(), std::random_device etc. outside
 ///                      src/common/random — all stochastic code must draw
 ///                      from an explicitly seeded fvae::Rng.
@@ -38,16 +36,6 @@
 ///                      live in the RAII net::Fd wrapper (net/fd.h) so they
 ///                      cannot leak through an early return or be closed
 ///                      twice. Member calls (file.close()) are exempt.
-///   fd-leak            inside src/net/ (where the raw syscalls are
-///                      allowed), every descriptor-producing call —
-///                      socket()/accept()/accept4()/eventfd()/
-///                      epoll_create1()/open() — must appear *inside* the
-///                      argument list of an `Fd(...)` construction or an
-///                      `.Reset(...)` call, so the result is owned before
-///                      any statement can intervene. The paren-nesting
-///                      check runs on the token stream, so multi-line
-///                      wraps are fine; an intentionally raw result takes
-///                      `fvae-lint: allow(fd-leak)` on the call line.
 ///   header-guard       a header's include guard does not match the
 ///                      FVAE_<PATH>_H_ convention (or #pragma once).
 ///   using-namespace    file-scope `using namespace` in a header.
@@ -77,19 +65,21 @@
 ///   loop-may-block     MSG_DONTWAIT), do file IO, take a non-exempt lock,
 ///                      or call into an FVAE_MAY_BLOCK function.
 ///   guarded-by         an FVAE_GUARDED_BY(m) member is accessed without
-///                      `m` held (RAII guard, manual Lock(), or
-///                      FVAE_REQUIRES on the enclosing function).
+///                      `m` held (RAII guard in scope, or FVAE_REQUIRES on
+///                      the enclosing function).
 ///   verb-switch        a switch over a known enum class (the wire Verb)
 ///                      misses enumerators without a justified default.
+///   status-path /      path-sensitive Status consumption and resource
+///   resource-escape    acquire/release over per-function CFGs.
 ///
 /// Findings on a line carrying `fvae-lint: allow(<rule>)` are suppressed;
 /// `fvae-lint: allow(hot-path)` on a call line additionally prunes that
 /// call edge from the hot-path walk.
 ///
-/// The per-file rules stay deliberately line-oriented (one statement per
-/// line is assumed), which keeps them fast and lets multi-line statements
-/// escape discarded-status — fine, because [[nodiscard]] already catches
-/// those at compile time.
+/// Invariants checked elsewhere are not re-checked here: a dropped
+/// Status/Result is a compile error (`[[nodiscard]]` plus
+/// -Werror=unused-result), lock balance is Clang -Wthread-safety's, and
+/// reads of moved-from locals are clang-tidy's (ARCHITECTURE.md §7).
 
 namespace fvae::lint {
 
@@ -106,8 +96,6 @@ struct LintOptions {
   /// True for modules whose outputs must be crash-safe: ban raw
   /// std::ofstream in favor of AtomicFileWriter.
   bool ban_raw_ofstream = false;
-  /// Known Status/Result-returning function names (last path component).
-  const std::set<std::string>* status_functions = nullptr;
 };
 
 namespace detail {
@@ -161,28 +149,6 @@ inline bool IsStdQualified(const std::vector<Tok>& line, size_t i) {
   return i >= 2 && IsPunct(line[i - 1], "::") && IsIdent(line[i - 2], "std");
 }
 
-/// Parses a qualified callee chain (a::b.c->d) starting at line[*i];
-/// returns the last component and advances *i past the chain, or returns
-/// "" when line[*i] is not an identifier.
-inline std::string ParseCalleeChain(const std::vector<Tok>& line, size_t* i) {
-  std::string last;
-  size_t j = *i;
-  while (j < line.size() && line[j].kind == TokKind::kIdent) {
-    last = line[j].text;
-    if (j + 1 < line.size() &&
-        (IsPunct(line[j + 1], "::") || IsPunct(line[j + 1], ".") ||
-         IsPunct(line[j + 1], "->"))) {
-      j += 2;
-    } else {
-      ++j;
-      break;
-    }
-  }
-  if (last.empty()) return "";
-  *i = j;
-  return last;
-}
-
 /// True for a valid dotted metric path: two or more snake_case segments
 /// ([a-z][a-z0-9_]*) joined by '.'. Mirrors obs::IsValidMetricName so the
 /// lint finding and the registry's runtime FVAE_CHECK agree.
@@ -224,76 +190,6 @@ inline std::pair<std::string, std::string> SplitDirective(
 }
 
 }  // namespace detail
-
-/// Scans a file's tokens for `Status Name(` / `Result<...> Name(`
-/// declarations and collects the function names. Shared by the tree walk
-/// (phase 1) so discarded-status knows the project's fallible functions.
-///
-/// When `non_status` is provided, names declared with any *other* leading
-/// return type (`void Add(`, `bool Next(`) are collected there too. The
-/// analyzer matches call sites by bare name across translation units, so
-/// a name used both ways (obs::Counter::Add vs net::EpollLoop::Add) is
-/// ambiguous; the tree walk drops such names from the fallible set rather
-/// than flag unrelated call sites.
-inline void CollectStatusFunctions(
-    const std::string& content, std::set<std::string>* out,
-    std::set<std::string>* non_status = nullptr) {
-  using detail::IsPunct;
-  const std::vector<Tok> toks = LexCpp(content);
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    if (t.kind != TokKind::kIdent) continue;
-    // Reject qualified (x::Status), template-argument (<Status>), and
-    // member (x.Status) uses: this must be a leading return type.
-    if (i > 0 && toks[i - 1].kind == TokKind::kPunct &&
-        (toks[i - 1].text == "::" || toks[i - 1].text == "<" ||
-         toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-      continue;
-    }
-    const bool fallible = t.text == "Status" || t.text == "Result";
-    size_t j = i + 1;
-    if (fallible) {
-      if (t.text == "Result") {
-        // Must be Result<...>; match angle brackets with depth counting
-        // (">>" closes two levels).
-        if (j >= toks.size() || !IsPunct(toks[j], "<")) continue;
-        int depth = 0;
-        while (j < toks.size()) {
-          if (IsPunct(toks[j], "<")) ++depth;
-          if (IsPunct(toks[j], ">")) --depth;
-          if (IsPunct(toks[j], ">>")) depth -= 2;
-          ++j;
-          if (depth <= 0) break;
-        }
-      }
-    } else {
-      if (non_status == nullptr) continue;
-      // Statement keywords precede *calls*, not declarations; skipping
-      // them keeps `return Foo(x);` from polluting the ambiguity set.
-      static const std::set<std::string> kNotAType = {
-          "return", "co_return", "co_await", "co_yield", "throw",
-          "new",    "delete",    "else",     "do",       "goto",
-          "case",   "operator",  "using",    "typedef",  "sizeof",
-          "alignof", "not",      "and",      "or"};
-      if (kNotAType.count(t.text) > 0) continue;
-    }
-    // Type, then an identifier chain, then '(' — `Status(...)` (ctor) and
-    // `Status s = ...` fall out naturally.
-    std::string name;
-    while (j < toks.size() && toks[j].kind == TokKind::kIdent) {
-      name = toks[j].text;
-      if (j + 1 < toks.size() && IsPunct(toks[j + 1], "::")) {
-        j += 2;
-      } else {
-        ++j;
-        break;
-      }
-    }
-    if (!name.empty() && j < toks.size() && IsPunct(toks[j], "(")) {
-      (fallible ? out : non_status)->insert(name);
-    }
-  }
-}
 
 /// Derives the expected include guard from a repo-relative path:
 /// src/serving/sharded_store.h -> FVAE_SERVING_SHARDED_STORE_H_,
@@ -339,6 +235,11 @@ inline std::vector<Finding> LintFile(const std::string& path_label,
       "rand", "srand", "drand48", "lrand48", "mrand48"};
   static const std::set<std::string> kRawSocketFns = {"socket", "accept",
                                                       "accept4", "close"};
+  static const std::set<std::string> kManualLockCalls = {
+      "Lock", "Unlock", "LockShared", "UnlockShared"};
+  // Production code locks through RAII guards only; tests may drive a
+  // Mutex by hand to probe it.
+  const bool raii_only = path_label.rfind("src/", 0) == 0;
 
   for (size_t idx = 0; idx < raw.size(); ++idx) {
     const std::vector<Tok>& line = by_line[idx + 1];
@@ -346,12 +247,22 @@ inline std::vector<Finding> LintFile(const std::string& path_label,
 
     if (!options.allow_raw_mutex) {
       for (size_t i = 0; i < line.size(); ++i) {
-        if (line[i].kind == TokKind::kIdent &&
-            kMutexTypes.count(line[i].text) > 0 && IsStdQualified(line, i)) {
+        if (line[i].kind != TokKind::kIdent) continue;
+        if (kMutexTypes.count(line[i].text) > 0 && IsStdQualified(line, i)) {
           report(idx, "raw-mutex",
                  "std::" + line[i].text +
                      " outside common/mutex.h; use the capability-annotated "
                      "fvae::Mutex/SharedMutex/CondVar wrappers");
+          break;
+        }
+        if (raii_only && kManualLockCalls.count(line[i].text) > 0 && i > 0 &&
+            (IsPunct(line[i - 1], ".") || IsPunct(line[i - 1], "->")) &&
+            i + 1 < line.size() && IsPunct(line[i + 1], "(")) {
+          report(idx, "raw-mutex",
+                 "manual ." + line[i].text +
+                     "() outside common/mutex.h; hold the lock with a "
+                     "MutexLock/WriterMutexLock/ReaderMutexLock guard so "
+                     "every path releases it");
           break;
         }
       }
@@ -488,111 +399,6 @@ inline std::vector<Finding> LintFile(const std::string& path_label,
                  "(void)-discarded call needs a justification comment on the "
                  "same line or the line above");
         }
-        continue;  // an annotated discard is not a discarded-status finding
-      }
-    }
-
-    // Discarded Status/Result: a whole statement on one line whose leading
-    // expression is a call to a known fallible function, with no
-    // assignment and no `return`.
-    if (options.status_functions != nullptr &&
-        IsPunct(line.back(), ";") && line[0].kind == TokKind::kIdent &&
-        !IsIdent(line[0], "return")) {
-      size_t pos = 0;
-      const std::string callee = detail::ParseCalleeChain(line, &pos);
-      long depth = 0;
-      bool has_assign = false;
-      for (const Tok& t : line) {
-        if (t.kind != TokKind::kPunct) continue;
-        if (t.text == "(") ++depth;
-        if (t.text == ")") --depth;
-        if (t.text.find('=') != std::string::npos) has_assign = true;
-      }
-      // A wrapped statement's continuation can itself carry balanced
-      // parens and no '=' (`Result<Frame> f =\n    parser.Next();`), so
-      // also require that the previous token-bearing line ended a
-      // statement or opened a block — i.e. this line *starts* one.
-      // Comment-only lines lex to nothing and are skipped.
-      bool starts_statement = true;
-      for (size_t p = idx; p >= 1; --p) {
-        if (by_line[p].empty()) continue;
-        const Tok& prev = by_line[p].back();
-        starts_statement =
-            prev.kind == TokKind::kPreproc ||
-            (prev.kind == TokKind::kPunct &&
-             (prev.text == ";" || prev.text == "{" || prev.text == "}" ||
-              prev.text == ":"));
-        break;
-      }
-      // Balanced parens ⇒ the line is a whole statement, not the tail of a
-      // wrapped expression (those carry the extra closing paren).
-      if (!callee.empty() && pos < line.size() && IsPunct(line[pos], "(") &&
-          depth == 0 && !has_assign && starts_statement &&
-          options.status_functions->count(callee) > 0) {
-        report(idx, "discarded-status",
-               callee + "() returns Status/Result; the value must be "
-                        "checked (or (void)-discarded with a reason)");
-      }
-    }
-  }
-
-  // Fd-leak dataflow (src/net/ only — elsewhere raw-socket bans the calls
-  // outright): walk the token stream with a paren stack; a descriptor
-  // producer is legal only inside a paren group opened by an Fd
-  // construction (`Fd(..)`, `Fd name(..)`, `return Fd(..)`) or a Reset
-  // member call, which hands the int straight to the RAII owner.
-  if (options.allow_raw_sockets) {
-    static const std::set<std::string> kFdProducers = {
-        "socket", "accept", "accept4", "eventfd", "epoll_create1", "open"};
-    std::vector<bool> wrap_stack;  // one entry per open paren group
-    for (size_t i = 0; i < toks.size(); ++i) {
-      const Tok& t = toks[i];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "(") {
-          bool wrap = false;
-          if (i >= 1 && toks[i - 1].kind == TokKind::kIdent) {
-            const std::string& callee = toks[i - 1].text;
-            if (callee == "Fd") {
-              wrap = true;  // temporary: Fd(::socket(..))
-            } else if (i >= 2 && toks[i - 2].kind == TokKind::kIdent &&
-                       toks[i - 2].text == "Fd") {
-              wrap = true;  // declaration: Fd fd(::socket(..))
-            } else if (callee == "Reset" && i >= 2 &&
-                       toks[i - 2].kind == TokKind::kPunct &&
-                       (toks[i - 2].text == "." ||
-                        toks[i - 2].text == "->")) {
-              wrap = true;  // handoff: owner_.Reset(::eventfd(..))
-            }
-          }
-          wrap_stack.push_back(wrap);
-        } else if (t.text == ")") {
-          if (!wrap_stack.empty()) wrap_stack.pop_back();
-        }
-        continue;
-      }
-      if (t.kind != TokKind::kIdent || kFdProducers.count(t.text) == 0) {
-        continue;
-      }
-      if (i + 1 >= toks.size() || !IsPunct(toks[i + 1], "(")) continue;
-      // Member calls (file.open()) and foreign qualifications (ns::open)
-      // are not the POSIX producers; `::open(` and bare calls are.
-      if (i >= 1 &&
-          (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"))) {
-        continue;
-      }
-      if (i >= 2 && IsPunct(toks[i - 1], "::") &&
-          toks[i - 2].kind == TokKind::kIdent) {
-        continue;
-      }
-      bool wrapped = false;
-      for (bool w : wrap_stack) wrapped = wrapped || w;
-      if (!wrapped) {
-        report(t.line - 1, "fd-leak",
-               t.text +
-                   "() returns a raw descriptor that is not handed straight "
-                   "to net::Fd; wrap the call as Fd(" + t.text +
-                   "(..)) or owner.Reset(" + t.text +
-                   "(..)) so early returns cannot leak it");
       }
     }
   }
@@ -636,34 +442,23 @@ inline std::vector<Finding> LintFile(const std::string& path_label,
 /// analyzer's own cost stays visible as the tree grows, and gated by the
 /// ctest's --budget-ms check.
 struct LintTimings {
-  double scan_ms = 0;      // directory walk + file reads
-  double per_file_ms = 0;  // per-file rules over every file
   size_t file_count = 0;
-  AnalysisTiming analysis;  // whole-program passes (link + 9 analyses)
+  PhaseTimings phases;  // scan, per_file, then AnalyzeProgram's passes
   double total_ms() const {
-    return scan_ms + per_file_ms + analysis.link_ms + analysis.cfg_ms +
-           analysis.lock_balance_ms + analysis.lock_cycle_ms +
-           analysis.hot_path_ms + analysis.event_loop_ms +
-           analysis.guarded_by_ms + analysis.verb_switch_ms +
-           analysis.status_path_ms + analysis.resource_escape_ms +
-           analysis.use_after_move_ms;
+    double total = 0;
+    for (const auto& [phase, ms] : phases) total += ms;
+    return total;
   }
 };
 
 /// Walks the repository tree rooted at `root` (src, tools, bench, tests,
-/// examples), collects Status/Result signatures, lints every source file,
-/// then runs the whole-program analyses (lock-cycle, hot-path purity,
-/// event-loop discipline, guarded-by, verb-switch) over `src/`. This is
-/// the whole program: fvae_lint's main() and the lint test's clean-tree
-/// check both call it.
+/// examples), lints every source file, then runs the whole-program
+/// analyses over `src/`. This is the whole program: fvae_lint's main()
+/// and the lint test's clean-tree check both call it.
 inline std::vector<Finding> LintTree(const std::filesystem::path& root,
                                      LintTimings* timings = nullptr) {
   namespace fs = std::filesystem;
-  using Clock = std::chrono::steady_clock;
-  auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  const auto t0 = Clock::now();
+  PhaseClock clock(timings != nullptr ? &timings->phases : nullptr);
   static const char* kDirs[] = {"src", "tools", "bench", "tests", "examples"};
   std::vector<std::pair<std::string, std::string>> files;  // rel path, body
   for (const char* dir : kDirs) {
@@ -681,17 +476,7 @@ inline std::vector<Finding> LintTree(const std::filesystem::path& root,
     }
   }
   std::sort(files.begin(), files.end());
-  const auto t1 = Clock::now();
-
-  std::set<std::string> status_functions;
-  std::set<std::string> ambiguous;
-  for (const auto& [path, body] : files) {
-    CollectStatusFunctions(body, &status_functions, &ambiguous);
-  }
-  // A name declared with both fallible and non-fallible return types
-  // somewhere in the tree cannot be attributed by bare name; drop it
-  // instead of flagging unrelated call sites.
-  for (const std::string& name : ambiguous) status_functions.erase(name);
+  clock.Lap("scan");
 
   std::vector<Finding> findings;
   for (const auto& [path, body] : files) {
@@ -710,12 +495,11 @@ inline std::vector<Finding> LintTree(const std::filesystem::path& root,
         path.rfind("src/data/streaming", 0) == 0 ||
         path.rfind("src/serving/sharded_store", 0) == 0 ||
         path.rfind("src/obs/", 0) == 0;
-    options.status_functions = &status_functions;
     std::vector<Finding> file_findings = LintFile(path, body, options);
     findings.insert(findings.end(), file_findings.begin(),
                     file_findings.end());
   }
-  const auto t2 = Clock::now();
+  clock.Lap("per_file");
 
   // Whole-program analyses over production code only: test fixtures and
   // fakes must not add call-graph candidates or lock-order edges (they
@@ -729,13 +513,9 @@ inline std::vector<Finding> LintTree(const std::filesystem::path& root,
     program.push_back({path, body});
   }
   std::vector<Finding> analysis = AnalyzeProgram(
-      program, timings != nullptr ? &timings->analysis : nullptr);
+      program, timings != nullptr ? &timings->phases : nullptr);
   findings.insert(findings.end(), analysis.begin(), analysis.end());
-  if (timings != nullptr) {
-    timings->scan_ms = ms(t0, t1);
-    timings->per_file_ms = ms(t1, t2);
-    timings->file_count = files.size();
-  }
+  if (timings != nullptr) timings->file_count = files.size();
   return findings;
 }
 

@@ -18,9 +18,9 @@
 ///   - call sites inside each function (qualifier chain + last name), with
 ///     the set of locks held at the call;
 ///   - lock acquisitions: RAII guards (MutexLock / WriterMutexLock /
-///     ReaderMutexLock, scope-tracked) and manual .Lock()/.LockShared()
-///     (released by the matching .Unlock()), plus the observed nesting
-///     pairs "Y acquired while X held";
+///     ReaderMutexLock, released when their brace scope closes), plus the
+///     observed nesting pairs "Y acquired while X held". Production code
+///     takes no lock by hand (raw-mutex bans manual .Lock() in src/);
 ///   - heap allocations (`new`, malloc family, make_unique/make_shared,
 ///     growing container calls), logging calls and IO touches, each with
 ///     its line — the raw material of the hot-path purity analysis;
@@ -295,12 +295,10 @@ struct Scope {
   int enum_index = -1;    // kBlock that is an enum body: TuFacts::enums
 };
 
-/// A held lock: RAII guards record the scope depth that releases them;
-/// manual .Lock() entries (depth 0, manual=true) wait for .Unlock().
+/// A held RAII guard and the scope depth whose closing brace releases it.
 struct HeldLock {
   std::string name;
   size_t depth = 0;
-  bool manual = false;
 };
 
 inline std::string JoinQualified(const std::string& ns, const std::string& cls,
@@ -546,11 +544,11 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
   /// Registers an acquisition of `lock` in the current function: records
   /// the fact, the nesting pairs against everything currently held, and
   /// pushes the new hold.
-  auto acquire = [&](FunctionFacts* fn, const std::string& lock, size_t line,
-                     bool manual) {
+  auto acquire = [&](FunctionFacts* fn, const std::string& lock,
+                     size_t line) {
     fn->acquisitions.push_back({lock, line});
     for (const HeldLock& h : held) fn->nests.push_back({h.name, lock, line});
-    held.push_back({lock, stack.size(), manual});
+    held.push_back({lock, stack.size()});
   };
 
   /// Classifies the declaration buffer when a '{' opens a new scope.
@@ -847,20 +845,13 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
       }
       if (tok.text == "}") {
         if (!stack.empty()) {
-          const bool leaving_function =
-              stack.back().kind == Scope::kFunction;
-          if (leaving_function) {
+          if (stack.back().kind == Scope::kFunction) {
             facts.functions[stack.back().func_index].body_end = i;
           }
           stack.pop_back();
-          // Release RAII guards whose scope just closed; a function exit
-          // also clears manual holds (nothing outlives the body).
-          const size_t depth = stack.size();
-          for (size_t h = held.size(); h-- > 0;) {
-            if ((!held[h].manual && held[h].depth > depth) ||
-                (leaving_function && current_function() == nullptr)) {
-              held.erase(held.begin() + static_cast<long>(h));
-            }
+          // Release the RAII guards whose scope just closed.
+          while (!held.empty() && held.back().depth > stack.size()) {
+            held.pop_back();
           }
         }
         decl.clear();
@@ -922,60 +913,11 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
           ++j;
         }
         if (!lock_name.empty()) {
-          acquire(fn, lock_name, tok.line, /*manual=*/false);
+          acquire(fn, lock_name, tok.line);
         }
       }
       continue;
     }
-    // Manual lock/unlock: expr.Lock() / expr.Unlock() (and Shared forms).
-    if (after_member && (id == "Lock" || id == "LockShared") &&
-        next != nullptr && next->text == "(") {
-      // Lock name: identifier right before the '.'/'->'.
-      if (i >= 2 && tokens[i - 2].kind == TokKind::kIdent) {
-        acquire(fn, tokens[i - 2].text, tok.line, /*manual=*/true);
-      }
-      continue;
-    }
-    if (after_member && (id == "Unlock" || id == "UnlockShared") &&
-        next != nullptr && next->text == "(") {
-      // `mu_.Unlock(); return;` (or break/continue) is an early exit: the
-      // linear token walk proceeds into the fall-through path, where the
-      // lock is still held, so the release must not apply there.
-      bool early_exit = false;
-      {
-        size_t j = i + 1;  // at '('
-        int depth = 0;
-        while (j < tokens.size()) {
-          if (tokens[j].kind == TokKind::kPunct) {
-            if (tokens[j].text == "(") ++depth;
-            if (tokens[j].text == ")" && --depth == 0) {
-              ++j;
-              break;
-            }
-          }
-          ++j;
-        }
-        if (j + 1 < tokens.size() && tokens[j].kind == TokKind::kPunct &&
-            tokens[j].text == ";" &&
-            tokens[j + 1].kind == TokKind::kIdent &&
-            (tokens[j + 1].text == "return" ||
-             tokens[j + 1].text == "break" ||
-             tokens[j + 1].text == "continue")) {
-          early_exit = true;
-        }
-      }
-      if (!early_exit && i >= 2 && tokens[i - 2].kind == TokKind::kIdent) {
-        const std::string& name = tokens[i - 2].text;
-        for (size_t h = held.size(); h-- > 0;) {
-          if (held[h].name == name) {
-            held.erase(held.begin() + static_cast<long>(h));
-            break;
-          }
-        }
-      }
-      continue;
-    }
-
     // Switch case labels: `case A::B:` chains and `default:`.
     if ((id == "case" || id == "default") && !after_member && !after_scope) {
       int sw = -1;
