@@ -101,9 +101,9 @@ void MultVaeModel::EncodeRows(const std::vector<SparseRow>& rows, Matrix* mu,
     for (size_t d = 0; d < hidden; ++d) out[d] = std::tanh(out[d]);
   }
 
-  mu_head_->Forward(*h1, mu, /*training=*/false);
+  mu_head_->Forward(*h1, mu);
   if (options_.variant != Variant::kDae) {
-    logvar_head_->Forward(*h1, logvar, /*training=*/false);
+    logvar_head_->Forward(*h1, logvar);
     for (size_t i = 0; i < logvar->size(); ++i) {
       logvar->data()[i] =
           std::clamp(logvar->data()[i], -kLogVarClamp, kLogVarClamp);
@@ -260,7 +260,7 @@ double MultVaeModel::TrainStep(const std::vector<SparseRow>& rows,
 
   // ---- Decoder forward: full softmax over all J columns ----
   Matrix hdec_pre;
-  dec_->Forward(z, &hdec_pre, /*training=*/true);
+  dec_->Forward(z, &hdec_pre);
   Matrix hdec = hdec_pre;
   for (size_t i = 0; i < hdec.size(); ++i) {
     hdec.data()[i] = std::tanh(hdec.data()[i]);
@@ -446,7 +446,7 @@ Matrix MultVaeModel::Score(const MultiFieldDataset& input,
                            std::span<const uint64_t> candidates) const {
   const Matrix z = Embed(input, users);
   Matrix hdec_pre;
-  dec_->Forward(z, &hdec_pre, /*training=*/false);
+  dec_->Forward(z, &hdec_pre);
   Matrix hdec = hdec_pre;
   for (size_t i = 0; i < hdec.size(); ++i) {
     hdec.data()[i] = std::tanh(hdec.data()[i]);

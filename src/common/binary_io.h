@@ -14,17 +14,16 @@
 namespace fvae {
 
 /// Little shared vocabulary of the binary persistence formats (FVMD
-/// checkpoints, FVDS datasets, FVST streams, FVEB embedding stores): raw
-/// little-endian PODs written to any std::ostream, read back through a
-/// bounds-checked cursor over an in-memory buffer, plus the one header and
-/// footer check the FVMD, FVDS and FVEB loaders share.
+/// checkpoints, FVDS datasets, FVEB embedding stores): raw little-endian
+/// PODs written to any std::ostream, read back through a bounds-checked
+/// cursor over an in-memory buffer, plus the one header and footer check
+/// the three loaders share.
 ///
-/// Those three loaders deliberately go through memory rather than
-/// streaming from an ifstream: they verify CRC-32 checksums over raw
-/// payload bytes (common/crc32.h) — per section in FVMD, one footer over
-/// the body in FVDS and FVEB — which need the bytes anyway, and a cursor
-/// makes the "every read is bounds-checked" property trivial to audit.
-/// FVST is read one record at a time and carries no checksum.
+/// The loaders deliberately go through memory rather than streaming from
+/// an ifstream: they verify CRC-32 checksums over raw payload bytes
+/// (common/crc32.h) — per section in FVMD, one footer over the body in
+/// FVDS and FVEB — which need the bytes anyway, and a cursor makes the
+/// "every read is bounds-checked" property trivial to audit.
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {

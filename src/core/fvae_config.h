@@ -8,18 +8,6 @@
 
 namespace fvae::core {
 
-/// KL-weight annealing schedules. The paper uses linear warm-up to the
-/// peak beta (following Liang et al.); cyclical and cosine schedules are
-/// common variants provided for ablation.
-enum class AnnealSchedule {
-  /// beta(t) = beta * min(1, t / anneal_steps); stays at beta afterwards.
-  kLinear,
-  /// Linear warm-up repeated every anneal_steps (sawtooth; Fu et al. 2019).
-  kCyclical,
-  /// Half-cosine ramp from 0 to beta over anneal_steps, then constant.
-  kCosine,
-};
-
 /// Hyper-parameters of the Field-aware VAE (paper §IV).
 struct FvaeConfig {
   /// Latent dimension D of z.
@@ -35,10 +23,9 @@ struct FvaeConfig {
   std::vector<float> alpha;
   /// Peak KL weight beta (Eq. 7), reached by annealing.
   float beta = 0.2f;
-  /// Number of training steps over which beta anneals from 0.
+  /// Number of training steps over which beta anneals linearly from 0
+  /// (the paper's warm-up, following Liang et al.; see AnnealedBeta).
   size_t anneal_steps = 2000;
-  /// Shape of the warm-up (paper: linear).
-  AnnealSchedule anneal_schedule = AnnealSchedule::kLinear;
 
   /// Feature-sampling strategy and rate for fields flagged sparse
   /// (§IV-C3). Rate is ignored for strategy kNone.

@@ -112,9 +112,8 @@ FieldVae::FieldVae(const FvaeConfig& config,
   first_bias_grad_.Resize(1, h1);
 
   if (config_.encoder_hidden.size() > 1) {
-    encoder_trunk_ = std::make_unique<nn::Mlp>(
-        config_.encoder_hidden, nn::Activation::kTanh, rng_,
-        /*activate_output=*/true);
+    encoder_trunk_ = std::make_unique<nn::Mlp>(config_.encoder_hidden, rng_,
+                                               /*activate_output=*/true);
   }
   mu_head_ = std::make_unique<nn::DenseLayer>(enc_out, config_.latent_dim,
                                               rng_);
@@ -124,8 +123,8 @@ FieldVae::FieldVae(const FvaeConfig& config,
   std::vector<size_t> dec_dims;
   dec_dims.push_back(config_.latent_dim);
   for (size_t d : config_.decoder_hidden) dec_dims.push_back(d);
-  decoder_trunk_ = std::make_unique<nn::Mlp>(dec_dims, nn::Activation::kTanh,
-                                             rng_, /*activate_output=*/true);
+  decoder_trunk_ = std::make_unique<nn::Mlp>(dec_dims, rng_,
+                                             /*activate_output=*/true);
 
   std::vector<nn::ParamRef> dense_params;
   dense_params.push_back({&first_bias_, &first_bias_grad_});
@@ -200,11 +199,11 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   const Matrix* enc_out = &h1;
   Matrix trunk_out;
   if (encoder_trunk_) {
-    encoder_trunk_->Forward(h1, &trunk_out, /*training=*/true);
+    encoder_trunk_->Forward(h1, &trunk_out);
     enc_out = &trunk_out;
   }
-  mu_head_->Forward(*enc_out, mu, /*training=*/true);
-  logvar_head_->Forward(*enc_out, logvar, /*training=*/true);
+  mu_head_->Forward(*enc_out, mu);
+  logvar_head_->Forward(*enc_out, logvar);
   ClampLogvar(logvar);
 }
 
@@ -399,7 +398,7 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
 
   // ---- Decoder trunk forward ----
   Matrix hdec;
-  decoder_trunk_->Forward(z, &hdec, /*training=*/true);
+  decoder_trunk_->Forward(z, &hdec);
   const size_t dec_dim = hdec.cols();
   Matrix hdec_grad(batch, dec_dim);
   forward_span.End();

@@ -190,7 +190,7 @@ void BuildConfigPayload(std::ostream& out, const FvaeConfig& config) {
   for (float a : config.alpha) WritePod(out, a);
   WritePod(out, config.beta);
   WritePod(out, static_cast<uint64_t>(config.anneal_steps));
-  WritePod(out, static_cast<uint32_t>(config.anneal_schedule));
+  WritePod(out, uint32_t{0});  // reserved; ParseConfig requires 0
   WritePod(out, static_cast<uint32_t>(config.sampling_strategy));
   WritePod(out, config.sampling_rate);
   WritePod(out, static_cast<uint8_t>(config.batched_softmax ? 1 : 0));
@@ -300,11 +300,11 @@ Status ParseConfig(BufferReader& in, FvaeConfig* config) {
     if (!in.ReadPod(&a)) return Status::IoError("truncated alpha");
   }
   uint64_t anneal = 0;
-  uint32_t schedule = 0;
+  uint32_t reserved = 0;
   uint32_t strategy = 0;
   uint8_t batched = 1;
   if (!in.ReadPod(&config->beta) || !in.ReadPod(&anneal) ||
-      !in.ReadPod(&schedule) || !in.ReadPod(&strategy) ||
+      !in.ReadPod(&reserved) || !in.ReadPod(&strategy) ||
       !in.ReadPod(&config->sampling_rate) || !in.ReadPod(&batched) ||
       !in.ReadPod(&config->dense_learning_rate) ||
       !in.ReadPod(&config->sparse_learning_rate) ||
@@ -312,8 +312,12 @@ Status ParseConfig(BufferReader& in, FvaeConfig* config) {
       !in.ReadPod(&config->seed)) {
     return Status::IoError("truncated config");
   }
+  // The word after anneal_steps once named an anneal schedule; only linear
+  // (0) ever shipped, so any other value is a corrupt or foreign file.
+  if (reserved != 0) {
+    return Status::InvalidArgument("reserved config word is not zero");
+  }
   config->anneal_steps = static_cast<size_t>(anneal);
-  config->anneal_schedule = static_cast<AnnealSchedule>(schedule);
   config->sampling_strategy = static_cast<SamplingStrategy>(strategy);
   config->batched_softmax = batched != 0;
   return Status::Ok();

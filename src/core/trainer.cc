@@ -1,10 +1,8 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
-#include <numbers>
 #include <thread>
 
 #include "common/check.h"
@@ -21,23 +19,7 @@ namespace fvae::core {
 float AnnealedBeta(const FvaeConfig& config, size_t step) {
   FVAE_CHECK(step >= 1) << "steps are 1-based";
   const size_t period = std::max<size_t>(1, config.anneal_steps);
-  switch (config.anneal_schedule) {
-    case AnnealSchedule::kLinear: {
-      const float progress = std::min(1.0f, float(step) / float(period));
-      return config.beta * progress;
-    }
-    case AnnealSchedule::kCyclical: {
-      // Sawtooth: position within the current cycle, 1-based.
-      const size_t phase = ((step - 1) % period) + 1;
-      return config.beta * float(phase) / float(period);
-    }
-    case AnnealSchedule::kCosine: {
-      const float progress = std::min(1.0f, float(step) / float(period));
-      return config.beta * 0.5f *
-             (1.0f - std::cos(float(std::numbers::pi) * progress));
-    }
-  }
-  return config.beta;
+  return config.beta * std::min(1.0f, float(step) / float(period));
 }
 
 namespace {

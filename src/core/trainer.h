@@ -54,13 +54,14 @@ struct TrainResult {
   }
 };
 
-/// The annealed KL weight at 1-based training step `step` under the given
-/// configuration (exposed for tests and custom training loops).
+/// The annealed KL weight at 1-based training step `step`:
+/// beta * min(1, step / anneal_steps), the paper's linear warm-up
+/// (following Liang et al.). Exposed for tests and custom training loops.
 float AnnealedBeta(const FvaeConfig& config, size_t step);
 
 /// Runs Algorithm 1: shuffled mini-batches, per-batch candidate
-/// construction (inside the model), and KL annealing from 0 up to
-/// config.beta over config.anneal_steps steps (config.anneal_schedule).
+/// construction (inside the model), and linear KL annealing from 0 up to
+/// config.beta over config.anneal_steps steps.
 /// An empty dataset is a no-op returning a zeroed result.
 ///
 /// With checkpoint_every_steps set, the loop saves crash-safe checkpoints

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/checkpoint.h"
+#include "core/trainer.h"
 #include "data/batching.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -233,12 +234,8 @@ DistributedResult ParallelFvaeTrainer::Train(
         global.clear();
         global.reserve(local.size());
         for (uint32_t idx : local) global.push_back(shards[r][idx]);
-        const float beta =
-            model_config_.beta *
-            std::min(1.0f,
-                     float(round * config_.sync_every_batches + step + 1) /
-                         float(std::max<size_t>(
-                             1, model_config_.anneal_steps)));
+        const float beta = core::AnnealedBeta(
+            model_config_, round * config_.sync_every_batches + step + 1);
         // Serial step: the replicas are already the parallelism.
         replicas_[r]->TrainStep(dataset, global, beta);
         worker_processed += global.size();

@@ -1,7 +1,6 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 
@@ -73,69 +72,6 @@ double MeanAveragePrecision(
     ++used;
   }
   return used == 0 ? 0.0 : total / double(used);
-}
-
-namespace {
-
-/// Indices sorted by (score desc, label asc) — pessimistic tie handling.
-std::vector<size_t> PessimisticRanking(std::span<const float> scores,
-                                       std::span<const uint8_t> labels) {
-  FVAE_CHECK(scores.size() == labels.size()) << "ranking size mismatch";
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return labels[a] < labels[b];
-  });
-  return order;
-}
-
-}  // namespace
-
-double RecallAtK(std::span<const float> scores,
-                 std::span<const uint8_t> labels, size_t k) {
-  const auto order = PessimisticRanking(scores, labels);
-  size_t total_pos = 0;
-  for (uint8_t label : labels) total_pos += label != 0;
-  if (total_pos == 0) return 0.0;
-  size_t hits = 0;
-  for (size_t rank = 0; rank < std::min(k, order.size()); ++rank) {
-    hits += labels[order[rank]] != 0;
-  }
-  return double(hits) / double(total_pos);
-}
-
-double PrecisionAtK(std::span<const float> scores,
-                    std::span<const uint8_t> labels, size_t k) {
-  FVAE_CHECK(k > 0);
-  const auto order = PessimisticRanking(scores, labels);
-  const size_t depth = std::min(k, order.size());
-  if (depth == 0) return 0.0;
-  size_t hits = 0;
-  for (size_t rank = 0; rank < depth; ++rank) {
-    hits += labels[order[rank]] != 0;
-  }
-  return double(hits) / double(depth);
-}
-
-double NdcgAtK(std::span<const float> scores,
-               std::span<const uint8_t> labels, size_t k) {
-  const auto order = PessimisticRanking(scores, labels);
-  size_t total_pos = 0;
-  for (uint8_t label : labels) total_pos += label != 0;
-  if (total_pos == 0) return 0.0;
-  const size_t depth = std::min(k, order.size());
-  double dcg = 0.0;
-  for (size_t rank = 0; rank < depth; ++rank) {
-    if (labels[order[rank]] != 0) {
-      dcg += 1.0 / std::log2(double(rank) + 2.0);
-    }
-  }
-  double ideal = 0.0;
-  for (size_t rank = 0; rank < std::min(depth, total_pos); ++rank) {
-    ideal += 1.0 / std::log2(double(rank) + 2.0);
-  }
-  return ideal == 0.0 ? 0.0 : dcg / ideal;
 }
 
 double MeanAuc(const std::vector<std::vector<float>>& scores_per_query,

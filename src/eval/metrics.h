@@ -28,22 +28,6 @@ double MeanAveragePrecision(
 double MeanAuc(const std::vector<std::vector<float>>& scores_per_query,
                const std::vector<std::vector<uint8_t>>& labels_per_query);
 
-/// Ranking metrics used by the look-alike / matching-stage evaluation.
-
-/// Fraction of positives retrieved within the top k by score (ties broken
-/// pessimistically). Returns 0 when there are no positives.
-double RecallAtK(std::span<const float> scores,
-                 std::span<const uint8_t> labels, size_t k);
-
-/// Fraction of the top-k that is positive.
-double PrecisionAtK(std::span<const float> scores,
-                    std::span<const uint8_t> labels, size_t k);
-
-/// Binary NDCG@k with log2 discounting, normalized by the ideal DCG.
-/// Returns 0 when there are no positives.
-double NdcgAtK(std::span<const float> scores,
-               std::span<const uint8_t> labels, size_t k);
-
 }  // namespace fvae::eval
 
 #endif  // FVAE_EVAL_METRICS_H_

@@ -43,6 +43,8 @@ enum class Isa { kScalar, kAvx2, kAvx512 };
 
 /// The dispatch table. All pointers are non-null after Kernels() returns.
 /// Matrices are row-major and contiguous (Matrix guarantees stride==cols).
+/// Every entry has a caller outside the tests; a kernel without one does
+/// not earn a slot in all three ISAs.
 struct KernelTable {
   Isa isa = Isa::kScalar;
   /// out[m x n] += a[m x k] * b[k x n].
@@ -54,11 +56,8 @@ struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n) = nullptr;
   void (*softmax_inplace)(float* x, size_t n) = nullptr;
   void (*log_softmax_inplace)(float* x, size_t n) = nullptr;
-  double (*log_sum_exp)(const float* x, size_t n) = nullptr;
   void (*exp_inplace)(float* x, size_t n) = nullptr;
-  void (*log_inplace)(float* x, size_t n) = nullptr;
   void (*tanh_inplace)(float* x, size_t n) = nullptr;
-  void (*sigmoid_inplace)(float* x, size_t n) = nullptr;
   /// grad[j] = total_count * exp(log_probs[j]) - counts[j], with
   /// sub-FLT_MIN reconstruction mass flushed to exactly zero first.
   void (*multinomial_grad)(const float* log_probs, const float* counts,

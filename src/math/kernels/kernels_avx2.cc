@@ -11,11 +11,10 @@
 //  - every tail is handled with maskload/maskstore so partial vectors see
 //    exactly the same arithmetic as full ones; dead lanes are zeroed
 //    before any reduction so they cannot perturb sums;
-//  - exp/log/tanh are Cephes-style polynomials (~2-3 ulp on floats) with
+//  - exp/tanh are Cephes-style polynomials (~2-3 ulp on floats) with
 //    specials blended from the *original* input: exp(NaN)=NaN,
-//    exp(>88.376)=+inf, exp(<-87.336)=0, log(0)=-inf, log(<0)=NaN,
-//    log(+inf)=+inf — ExpApprox/LogApprox in src/math/special.h are the
-//    scalar twins used to pin these semantics in tests;
+//    exp(>88.376)=+inf, exp(<-87.336)=0 — ExpApprox in src/math/special.h
+//    is the scalar twin used to pin these semantics in tests;
 //  - GEMM accumulates in ascending-p order in the 4-row tiles, the 1-row
 //    leftovers, and every column tail, with no zero-operand skips.
 
@@ -92,56 +91,6 @@ __m256 Exp8(__m256 x0) {
   return r;
 }
 
-// Cephes logf, 8-wide: exponent/mantissa split into [sqrt(1/2), sqrt(2)),
-// degree-8 polynomial, Cody-Waite ln2 recombination. Specials from the
-// original input: log(0)=-inf, log(<0)=NaN, log(+inf)=+inf, NaN->NaN.
-// Subnormal inputs are treated as the smallest normal (the DAZ policy
-// reads them as zero anyway). Mirrors LogApprox in src/math/special.cc.
-__m256 Log8(__m256 x0) {
-  const __m256 min_norm =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x00800000));
-  __m256 x = _mm256_max_ps(x0, min_norm);
-  __m256i xi = _mm256_castps_si256(x);
-  const __m256i exp_bits = _mm256_srli_epi32(xi, 23);
-  __m256 e = _mm256_cvtepi32_ps(
-      _mm256_sub_epi32(exp_bits, _mm256_set1_epi32(126)));
-  xi = _mm256_and_si256(xi, _mm256_set1_epi32(0x007fffff));
-  xi = _mm256_or_si256(xi,
-                       _mm256_castps_si256(_mm256_set1_ps(0.5f)));
-  x = _mm256_castsi256_ps(xi);  // mantissa in [0.5, 1)
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 below_sqrth =
-      _mm256_cmp_ps(x, _mm256_set1_ps(0.707106781186547524f), _CMP_LT_OQ);
-  e = _mm256_sub_ps(e, _mm256_and_ps(one, below_sqrth));
-  x = _mm256_sub_ps(_mm256_add_ps(x, _mm256_and_ps(x, below_sqrth)), one);
-  const __m256 z = _mm256_mul_ps(x, x);
-  __m256 y = _mm256_set1_ps(7.0376836292e-2f);
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.1514610310e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.1676998740e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.2420140846e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.4249322787e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-1.6668057665e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(2.0000714765e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(-2.4999993993e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(3.3333331174e-1f));
-  y = _mm256_mul_ps(_mm256_mul_ps(y, x), z);
-  y = _mm256_fmadd_ps(e, _mm256_set1_ps(-2.12194440e-4f), y);
-  y = _mm256_fnmadd_ps(_mm256_set1_ps(0.5f), z, y);
-  __m256 r = _mm256_add_ps(x, y);
-  r = _mm256_fmadd_ps(e, _mm256_set1_ps(0.693359375f), r);
-  const __m256 zero = _mm256_setzero_ps();
-  r = _mm256_blendv_ps(r, _mm256_set1_ps(-HUGE_VALF),
-                       _mm256_cmp_ps(x0, zero, _CMP_EQ_OQ));
-  r = _mm256_blendv_ps(
-      r, _mm256_set1_ps(std::numeric_limits<float>::quiet_NaN()),
-      _mm256_cmp_ps(x0, zero, _CMP_LT_OQ));
-  r = _mm256_blendv_ps(r, x0,
-                       _mm256_cmp_ps(x0, _mm256_set1_ps(HUGE_VALF),
-                                     _CMP_EQ_OQ));
-  r = _mm256_blendv_ps(r, x0, _mm256_cmp_ps(x0, x0, _CMP_UNORD_Q));
-  return r;
-}
-
 // Cephes tanhf, 8-wide: |x| < 0.625 uses x + x*z*P(z); otherwise
 // sign(x) * (1 - 2/(exp(2|x|)+1)). exp overflow at large |x| gives
 // exactly +/-1; NaN falls through the exp branch and propagates.
@@ -163,12 +112,6 @@ __m256 Tanh8(__m256 x) {
   return _mm256_blendv_ps(big, small,
                           _mm256_cmp_ps(ax, _mm256_set1_ps(0.625f),
                                         _CMP_LT_OQ));
-}
-
-__m256 Sigmoid8(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 e = Exp8(_mm256_sub_ps(_mm256_setzero_ps(), x));
-  return _mm256_div_ps(one, _mm256_add_ps(one, e));
 }
 
 // ---- GEMM --------------------------------------------------------------
@@ -428,18 +371,6 @@ void LogSoftmaxAvx2(float* x, size_t n) {
   AddScalarAvx2(x, -log_z, n);
 }
 
-double LogSumExpAvx2(const float* x, size_t n) {
-  if (n == 0) return -HUGE_VAL;
-  const float mx = MaxOrNegInfAvx2(x, n);
-  if (mx == -HUGE_VALF) {
-    return kernel_detail::HasNan(x, n)
-               ? static_cast<double>(std::numeric_limits<float>::quiet_NaN())
-               : -HUGE_VAL;
-  }
-  const double total = ExpSumAvx2(x, nullptr, mx, n);
-  return static_cast<double>(mx) + std::log(total);
-}
-
 void ExpInPlaceAvx2(float* x, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -452,18 +383,6 @@ void ExpInPlaceAvx2(float* x, size_t n) {
   }
 }
 
-void LogInPlaceAvx2(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, Log8(_mm256_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __m256i mask = TailMask8(n - i);
-    _mm256_maskstore_ps(x + i, mask,
-                        Log8(_mm256_maskload_ps(x + i, mask)));
-  }
-}
-
 void TanhInPlaceAvx2(float* x, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -473,18 +392,6 @@ void TanhInPlaceAvx2(float* x, size_t n) {
     const __m256i mask = TailMask8(n - i);
     _mm256_maskstore_ps(x + i, mask,
                         Tanh8(_mm256_maskload_ps(x + i, mask)));
-  }
-}
-
-void SigmoidInPlaceAvx2(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, Sigmoid8(_mm256_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __m256i mask = TailMask8(n - i);
-    _mm256_maskstore_ps(x + i, mask,
-                        Sigmoid8(_mm256_maskload_ps(x + i, mask)));
   }
 }
 
@@ -519,11 +426,8 @@ void FillAvx2(KernelTable* t) {
   t->axpy = AxpyAvx2;
   t->softmax_inplace = SoftmaxAvx2;
   t->log_softmax_inplace = LogSoftmaxAvx2;
-  t->log_sum_exp = LogSumExpAvx2;
   t->exp_inplace = ExpInPlaceAvx2;
-  t->log_inplace = LogInPlaceAvx2;
   t->tanh_inplace = TanhInPlaceAvx2;
-  t->sigmoid_inplace = SigmoidInPlaceAvx2;
   t->multinomial_grad = MultinomialGradAvx2;
 }
 

@@ -5,7 +5,7 @@
 // AVX-512 kernels: structurally the same algorithms as kernels_avx2.cc at
 // twice the width, with __mmask16 predication replacing maskload/maskstore
 // emulation. Compiled with -mavx512{f,dq,bw,vl} for this TU only. The
-// polynomial cores (Exp16/Log16/Tanh16) use the identical Cephes
+// polynomial cores (Exp16/Tanh16) use the identical Cephes
 // coefficients and FMA shapes as the AVX2 versions, so per-element results
 // agree bitwise between the two vector ISAs.
 
@@ -87,50 +87,6 @@ __m512 Exp16(__m512 x0) {
   return r;
 }
 
-// Cephes logf, 16-wide; see Log8 in kernels_avx2.cc.
-__m512 Log16(__m512 x0) {
-  const __m512 min_norm =
-      _mm512_castsi512_ps(_mm512_set1_epi32(0x00800000));
-  __m512 x = _mm512_max_ps(x0, min_norm);
-  __m512i xi = _mm512_castps_si512(x);
-  const __m512i exp_bits = _mm512_srli_epi32(xi, 23);
-  __m512 e = _mm512_cvtepi32_ps(
-      _mm512_sub_epi32(exp_bits, _mm512_set1_epi32(126)));
-  xi = _mm512_and_si512(xi, _mm512_set1_epi32(0x007fffff));
-  xi = _mm512_or_si512(xi, _mm512_castps_si512(_mm512_set1_ps(0.5f)));
-  x = _mm512_castsi512_ps(xi);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __mmask16 below_sqrth = _mm512_cmp_ps_mask(
-      x, _mm512_set1_ps(0.707106781186547524f), _CMP_LT_OQ);
-  e = _mm512_mask_sub_ps(e, below_sqrth, e, one);
-  x = _mm512_sub_ps(_mm512_mask_add_ps(x, below_sqrth, x, x), one);
-  const __m512 z = _mm512_mul_ps(x, x);
-  __m512 y = _mm512_set1_ps(7.0376836292e-2f);
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(-1.1514610310e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(1.1676998740e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(-1.2420140846e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(1.4249322787e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(-1.6668057665e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(2.0000714765e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(-2.4999993993e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(3.3333331174e-1f));
-  y = _mm512_mul_ps(_mm512_mul_ps(y, x), z);
-  y = _mm512_fmadd_ps(e, _mm512_set1_ps(-2.12194440e-4f), y);
-  y = _mm512_fnmadd_ps(_mm512_set1_ps(0.5f), z, y);
-  __m512 r = _mm512_add_ps(x, y);
-  r = _mm512_fmadd_ps(e, _mm512_set1_ps(0.693359375f), r);
-  const __m512 zero = _mm512_setzero_ps();
-  r = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x0, zero, _CMP_EQ_OQ), r,
-                           _mm512_set1_ps(-HUGE_VALF));
-  r = _mm512_mask_blend_ps(
-      _mm512_cmp_ps_mask(x0, zero, _CMP_LT_OQ), r,
-      _mm512_set1_ps(std::numeric_limits<float>::quiet_NaN()));
-  r = _mm512_mask_blend_ps(
-      _mm512_cmp_ps_mask(x0, _mm512_set1_ps(HUGE_VALF), _CMP_EQ_OQ), r, x0);
-  r = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x0, x0, _CMP_UNORD_Q), r, x0);
-  return r;
-}
-
 // Cephes tanhf, 16-wide; see Tanh8 in kernels_avx2.cc.
 __m512 Tanh16(__m512 x) {
   const __m512 sign_mask = _mm512_set1_ps(-0.0f);
@@ -150,12 +106,6 @@ __m512 Tanh16(__m512 x) {
   return _mm512_mask_blend_ps(
       _mm512_cmp_ps_mask(ax, _mm512_set1_ps(0.625f), _CMP_LT_OQ), big,
       small);
-}
-
-__m512 Sigmoid16(__m512 x) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 e = Exp16(_mm512_sub_ps(_mm512_setzero_ps(), x));
-  return _mm512_div_ps(one, _mm512_add_ps(one, e));
 }
 
 // ---- GEMM --------------------------------------------------------------
@@ -371,18 +321,6 @@ void LogSoftmaxAvx512(float* x, size_t n) {
   AddScalarAvx512(x, -log_z, n);
 }
 
-double LogSumExpAvx512(const float* x, size_t n) {
-  if (n == 0) return -HUGE_VAL;
-  const float mx = MaxOrNegInfAvx512(x, n);
-  if (mx == -HUGE_VALF) {
-    return kernel_detail::HasNan(x, n)
-               ? static_cast<double>(std::numeric_limits<float>::quiet_NaN())
-               : -HUGE_VAL;
-  }
-  const double total = ExpSumAvx512(x, nullptr, mx, n);
-  return static_cast<double>(mx) + std::log(total);
-}
-
 void ExpInPlaceAvx512(float* x, size_t n) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -395,18 +333,6 @@ void ExpInPlaceAvx512(float* x, size_t n) {
   }
 }
 
-void LogInPlaceAvx512(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(x + i, Log16(_mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 mask = TailMask16(n - i);
-    _mm512_mask_storeu_ps(x + i, mask,
-                          Log16(_mm512_maskz_loadu_ps(mask, x + i)));
-  }
-}
-
 void TanhInPlaceAvx512(float* x, size_t n) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -416,18 +342,6 @@ void TanhInPlaceAvx512(float* x, size_t n) {
     const __mmask16 mask = TailMask16(n - i);
     _mm512_mask_storeu_ps(x + i, mask,
                           Tanh16(_mm512_maskz_loadu_ps(mask, x + i)));
-  }
-}
-
-void SigmoidInPlaceAvx512(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(x + i, Sigmoid16(_mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 mask = TailMask16(n - i);
-    _mm512_mask_storeu_ps(x + i, mask,
-                          Sigmoid16(_mm512_maskz_loadu_ps(mask, x + i)));
   }
 }
 
@@ -464,11 +378,8 @@ void FillAvx512(KernelTable* t) {
   t->axpy = AxpyAvx512;
   t->softmax_inplace = SoftmaxAvx512;
   t->log_softmax_inplace = LogSoftmaxAvx512;
-  t->log_sum_exp = LogSumExpAvx512;
   t->exp_inplace = ExpInPlaceAvx512;
-  t->log_inplace = LogInPlaceAvx512;
   t->tanh_inplace = TanhInPlaceAvx512;
-  t->sigmoid_inplace = SigmoidInPlaceAvx512;
   t->multinomial_grad = MultinomialGradAvx512;
 }
 

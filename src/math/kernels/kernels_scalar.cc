@@ -84,35 +84,12 @@ void LogSoftmaxScalar(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] -= log_z;
 }
 
-double LogSumExpScalar(const float* x, size_t n) {
-  if (n == 0) return -HUGE_VAL;
-  const float mx = MaxOrNegInf(x, n);
-  if (mx == -HUGE_VALF) {
-    return kernel_detail::HasNan(x, n)
-               ? static_cast<double>(std::numeric_limits<float>::quiet_NaN())
-               : -HUGE_VAL;
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    total += std::exp(static_cast<double>(x[i]) - mx);
-  }
-  return static_cast<double>(mx) + std::log(total);
-}
-
 void ExpInPlaceScalar(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
 }
 
-void LogInPlaceScalar(float* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] = std::log(x[i]);
-}
-
 void TanhInPlaceScalar(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
-}
-
-void SigmoidInPlaceScalar(float* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] = 1.0f / (1.0f + std::exp(-x[i]));
 }
 
 void MultinomialGradScalar(const float* log_probs, const float* counts,
@@ -135,11 +112,8 @@ void FillScalar(KernelTable* t) {
   t->axpy = AxpyScalar;
   t->softmax_inplace = SoftmaxScalar;
   t->log_softmax_inplace = LogSoftmaxScalar;
-  t->log_sum_exp = LogSumExpScalar;
   t->exp_inplace = ExpInPlaceScalar;
-  t->log_inplace = LogInPlaceScalar;
   t->tanh_inplace = TanhInPlaceScalar;
-  t->sigmoid_inplace = SigmoidInPlaceScalar;
   t->multinomial_grad = MultinomialGradScalar;
 }
 

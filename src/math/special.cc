@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "common/check.h"
 
@@ -33,10 +32,10 @@ double LogGamma(double x) { return std::lgamma(x); }
 
 double ExpDigamma(double x) { return std::exp(Digamma(x)); }
 
-// Scalar twins of Exp8/Exp16 and Log8/Log16 in src/math/kernels/: the same
-// Cephes range reduction, coefficients, and FMA shapes (std::fma mirrors
-// the vector fmadd/fnmadd exactly), so the results are bit-identical to
-// the SIMD lanes. Keep the three implementations in lockstep.
+// Scalar twin of Exp8/Exp16 in src/math/kernels/: the same Cephes range
+// reduction, coefficients, and FMA shapes (std::fma mirrors the vector
+// fmadd/fnmadd exactly), so the results are bit-identical to the SIMD
+// lanes. Keep the three implementations in lockstep.
 
 float ExpApprox(float x0) {
   if (std::isnan(x0)) return x0;
@@ -59,40 +58,6 @@ float ExpApprox(float x0) {
   const int32_t n = static_cast<int32_t>(fx);
   const float pow2 = std::bit_cast<float>((n + 127) << 23);
   return y * pow2;
-}
-
-float LogApprox(float x0) {
-  if (std::isnan(x0)) return x0;
-  if (x0 == 0.0f) return -HUGE_VALF;
-  if (x0 < 0.0f) return std::numeric_limits<float>::quiet_NaN();
-  if (x0 == HUGE_VALF) return x0;
-  const float min_norm = std::bit_cast<float>(0x00800000);
-  float x = x0 < min_norm ? min_norm : x0;
-  uint32_t bits = std::bit_cast<uint32_t>(x);
-  float e = static_cast<float>(static_cast<int32_t>(bits >> 23) - 126);
-  bits = (bits & 0x007fffffu) | 0x3f000000u;
-  x = std::bit_cast<float>(bits);  // mantissa in [0.5, 1)
-  if (x < 0.707106781186547524f) {
-    e -= 1.0f;
-    x += x;
-  }
-  x -= 1.0f;
-  const float z = x * x;
-  float y = 7.0376836292e-2f;
-  y = std::fma(y, x, -1.1514610310e-1f);
-  y = std::fma(y, x, 1.1676998740e-1f);
-  y = std::fma(y, x, -1.2420140846e-1f);
-  y = std::fma(y, x, 1.4249322787e-1f);
-  y = std::fma(y, x, -1.6668057665e-1f);
-  y = std::fma(y, x, 2.0000714765e-1f);
-  y = std::fma(y, x, -2.4999993993e-1f);
-  y = std::fma(y, x, 3.3333331174e-1f);
-  y = (y * x) * z;
-  y = std::fma(e, -2.12194440e-4f, y);
-  y = std::fma(-0.5f, z, y);
-  float r = x + y;
-  r = std::fma(e, 0.693359375f, r);
-  return r;
 }
 
 }  // namespace fvae

@@ -18,7 +18,7 @@ double LogGamma(double x);
 /// exp(psi(x)): convenient for LDA's expected-topic-weight geometric means.
 double ExpDigamma(double x);
 
-/// Scalar twins of the vectorized exp/log polynomial kernels in
+/// Scalar twin of the vectorized exp polynomial kernel in
 /// src/math/kernels/: identical Cephes range reduction, coefficients, FMA
 /// shapes, and special-case semantics, so tests can pin the SIMD paths
 /// element-for-element without depending on libm. Relative error vs the
@@ -27,10 +27,6 @@ double ExpDigamma(double x);
 /// ExpApprox saturates: x > 88.3762626647950 -> +inf,
 /// x < -87.3365478515625 -> 0 (never subnormal), NaN -> NaN.
 float ExpApprox(float x);
-
-/// LogApprox: 0 -> -inf, negative -> NaN, +inf -> +inf, NaN -> NaN;
-/// subnormal inputs are treated as the smallest normal.
-float LogApprox(float x);
 
 }  // namespace fvae
 

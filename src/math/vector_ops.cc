@@ -12,11 +12,6 @@ double Dot(std::span<const float> a, std::span<const float> b) {
   return Kernels().dot(a.data(), b.data(), a.size());
 }
 
-void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  FVAE_CHECK(x.size() == y.size()) << "axpy size mismatch";
-  Kernels().axpy(alpha, x.data(), y.data(), x.size());
-}
-
 void ScaleInPlace(std::span<float> x, float alpha) {
   for (float& v : x) v *= alpha;
 }
@@ -49,48 +44,6 @@ void SoftmaxInPlace(std::span<float> logits) {
 
 void LogSoftmaxInPlace(std::span<float> logits) {
   Kernels().log_softmax_inplace(logits.data(), logits.size());
-}
-
-double LogSumExp(std::span<const float> x) {
-  return Kernels().log_sum_exp(x.data(), x.size());
-}
-
-void TanhInPlace(std::span<float> x) {
-  Kernels().tanh_inplace(x.data(), x.size());
-}
-
-void SigmoidInPlace(std::span<float> x) {
-  Kernels().sigmoid_inplace(x.data(), x.size());
-}
-
-void ReluInPlace(std::span<float> x) {
-  for (float& v : x) v = v > 0.0f ? v : 0.0f;
-}
-
-void ExpInPlace(std::span<float> x) {
-  Kernels().exp_inplace(x.data(), x.size());
-}
-
-void LogInPlace(std::span<float> x) {
-  Kernels().log_inplace(x.data(), x.size());
-}
-
-double Mean(std::span<const float> x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (float v : x) acc += v;
-  return acc / double(x.size());
-}
-
-double Variance(std::span<const float> x) {
-  if (x.size() < 2) return 0.0;
-  const double mu = Mean(x);
-  double acc = 0.0;
-  for (float v : x) {
-    const double d = v - mu;
-    acc += d * d;
-  }
-  return acc / double(x.size() - 1);
 }
 
 void L2NormalizeInPlace(std::span<float> x) {

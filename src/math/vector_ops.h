@@ -11,17 +11,13 @@ namespace fvae {
 /// evaluation code. All functions operate on std::span<float> views so they
 /// compose with Matrix rows and raw buffers alike.
 ///
-/// The hot entry points (Dot/Axpy/softmax family/exp/log/tanh/sigmoid)
-/// forward to the runtime-dispatched SIMD kernel layer in
-/// src/math/kernels/kernel_table.h; see that header for the ISA selection
-/// story and the shared numeric edge-case contract (empty spans, all-(-inf)
-/// logits, NaN propagation, exp saturation).
+/// Dot and the softmax family forward to the runtime-dispatched SIMD kernel
+/// layer in src/math/kernels/kernel_table.h; see that header for the ISA
+/// selection story and the shared numeric edge-case contract (empty spans,
+/// all-(-inf) logits, NaN propagation, exp saturation).
 
 /// Inner product <a, b>; sizes must match.
 double Dot(std::span<const float> a, std::span<const float> b);
-
-/// y += alpha * x.
-void Axpy(float alpha, std::span<const float> x, std::span<float> y);
 
 /// x *= alpha.
 void ScaleInPlace(std::span<float> x, float alpha);
@@ -43,26 +39,6 @@ void SoftmaxInPlace(std::span<float> logits);
 /// In-place numerically stable log-softmax. Empty spans are a no-op;
 /// all-(-inf) logits yield -log(n); NaN anywhere yields all-NaN.
 void LogSoftmaxInPlace(std::span<float> logits);
-
-/// log(sum_i exp(x_i)) computed stably.
-double LogSumExp(std::span<const float> x);
-
-/// Elementwise activations, in place.
-void TanhInPlace(std::span<float> x);
-void SigmoidInPlace(std::span<float> x);
-void ReluInPlace(std::span<float> x);
-
-/// Elementwise exp/log, in place. The vectorized exp saturates exactly like
-/// ExpApprox in src/math/special.h (+inf above 88.376..., 0 below
-/// -87.336...); log maps 0 to -inf and negatives to NaN.
-void ExpInPlace(std::span<float> x);
-void LogInPlace(std::span<float> x);
-
-/// Mean of a span; 0 for empty input.
-double Mean(std::span<const float> x);
-
-/// Unbiased sample variance; 0 for spans with fewer than two elements.
-double Variance(std::span<const float> x);
 
 /// L2-normalizes x in place; leaves an all-zero vector untouched.
 void L2NormalizeInPlace(std::span<float> x);

@@ -107,29 +107,4 @@ RouterMetrics::RouterMetrics(size_t num_shards,
   }
 }
 
-std::string RouterMetrics::ToJson() const {
-  std::string out = StrFormat(
-      "{\"requests\":%llu,\"failures\":%llu,\"hedges\":%llu,"
-      "\"hedge_wins\":%llu,\"failovers\":%llu,\"breaker_trips\":%llu,"
-      "\"health_probes\":%llu,\"health_failures\":%llu",
-      static_cast<unsigned long long>(requests.Value()),
-      static_cast<unsigned long long>(failures.Value()),
-      static_cast<unsigned long long>(hedges.Value()),
-      static_cast<unsigned long long>(hedge_wins.Value()),
-      static_cast<unsigned long long>(failovers.Value()),
-      static_cast<unsigned long long>(breaker_trips.Value()),
-      static_cast<unsigned long long>(health_probes.Value()),
-      static_cast<unsigned long long>(health_failures.Value()));
-  out += ",\"call_latency_us\":" + call_latency_us_.SummaryJson();
-  out += ",\"shards\":[";
-  for (size_t i = 0; i < shard_requests_.size(); ++i) {
-    out += StrFormat(
-        "%s{\"requests\":%llu,\"errors\":%llu}", i == 0 ? "" : ",",
-        static_cast<unsigned long long>(shard_requests_[i]->Value()),
-        static_cast<unsigned long long>(shard_errors_[i]->Value()));
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace fvae::net

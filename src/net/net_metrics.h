@@ -113,8 +113,6 @@ class RouterMetrics {
   LatencyHistogram& call_latency_us() { return call_latency_us_; }
   const LatencyHistogram& call_latency_us() const { return call_latency_us_; }
 
-  std::string ToJson() const;
-
  private:
   LatencyHistogram& call_latency_us_;
   std::vector<obs::Counter*> shard_requests_;

@@ -10,12 +10,10 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng)
       weight_grad_(in_dim, out_dim),
       bias_grad_(1, out_dim) {}
 
-void DenseLayer::Forward(const Matrix& input, Matrix* output, bool training) {
+void DenseLayer::Forward(const Matrix& input, Matrix* output) {
   Infer(input, output);
-  // Cached unconditionally: Backward is valid after any forward pass
-  // (`training` only gates stochastic layers). The copy-assign reuses
-  // capacity, so a warmed-up inference pass stays allocation-free.
-  (void)training;
+  // The copy-assign reuses capacity, so a warmed-up pass stays
+  // allocation-free.
   cached_input_ = input;
 }
 

@@ -15,7 +15,7 @@ class DenseLayer : public Layer {
  public:
   DenseLayer(size_t in_dim, size_t out_dim, Rng& rng);
 
-  void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Forward(const Matrix& input, Matrix* output) override;
   void Infer(const Matrix& input, Matrix* output,
              std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,

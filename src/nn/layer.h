@@ -24,20 +24,19 @@ struct ParamRef {
 /// accumulates) parameter gradients; one optimizer Step per Forward/Backward
 /// pair.
 ///
-/// Infer is the read-only twin of Forward: every layer computes its
-/// inference output in Infer, and Forward is Infer plus the cache copy
-/// Backward needs (and dropout's mask when training), so Infer and
-/// Forward(training = false) produce bitwise identical outputs.
+/// Infer is the read-only twin of Forward: every layer computes its output
+/// in Infer, and Forward is Infer plus the cache copy Backward needs, so
+/// Infer and Forward produce bitwise identical outputs.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// output = f(input). `training` enables stochastic behaviour (dropout).
-  virtual void Forward(const Matrix& input, Matrix* output, bool training) = 0;
+  /// output = f(input), caching what Backward needs.
+  virtual void Forward(const Matrix& input, Matrix* output) = 0;
 
-  /// Inference pass: output = f(input), stochastic layers off. Writes only
-  /// `*output` and `*scratch`, never the layer, so any number of threads may
-  /// run it on one layer at once. `scratch` holds a composite layer's
+  /// Inference pass: output = f(input). Writes only `*output` and
+  /// `*scratch`, never the layer, so any number of threads may run it on
+  /// one layer at once. `scratch` holds a composite layer's
   /// intermediate activations (Mlp requires it; other layers ignore it);
   /// reusing it across calls keeps a warm pass allocation-free. Every
   /// override repeats the nullptr default.

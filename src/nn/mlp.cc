@@ -6,20 +6,6 @@
 namespace fvae::nn {
 
 namespace {
-std::unique_ptr<Layer> MakeActivation(Activation activation) {
-  switch (activation) {
-    case Activation::kTanh:
-      return std::make_unique<TanhLayer>();
-    case Activation::kRelu:
-      return std::make_unique<ReluLayer>();
-    case Activation::kSigmoid:
-      return std::make_unique<SigmoidLayer>();
-    case Activation::kNone:
-      return nullptr;
-  }
-  return nullptr;
-}
-
 // The layer chain behind Forward and Infer: layer i reads layer i-1's
 // output from `activations` and `step` runs one layer's pass.
 template <typename Step>
@@ -38,8 +24,7 @@ void RunLayers(const std::vector<std::unique_ptr<Layer>>& layers,
 }
 }  // namespace
 
-Mlp::Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
-         bool activate_output) {
+Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng, bool activate_output) {
   FVAE_CHECK(dims.size() >= 2) << "Mlp needs at least input and output dims";
   in_dim_ = dims.front();
   out_dim_ = dims.back();
@@ -48,16 +33,15 @@ Mlp::Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
     ++num_dense_;
     const bool is_last = i + 2 == dims.size();
     if (!is_last || activate_output) {
-      auto act = MakeActivation(activation);
-      if (act != nullptr) layers_.push_back(std::move(act));
+      layers_.push_back(std::make_unique<TanhLayer>());
     }
   }
 }
 
-void Mlp::Forward(const Matrix& input, Matrix* output, bool training) {
+void Mlp::Forward(const Matrix& input, Matrix* output) {
   RunLayers(layers_, input, output, &activations_,
-            [training](Layer& layer, const Matrix& in, Matrix* out) {
-              layer.Forward(in, out, training);
+            [](Layer& layer, const Matrix& in, Matrix* out) {
+              layer.Forward(in, out);
             });
 }
 

@@ -10,23 +10,19 @@
 
 namespace fvae::nn {
 
-/// Supported nonlinearities for Mlp construction.
-enum class Activation { kTanh, kRelu, kSigmoid, kNone };
-
-/// Multilayer perceptron: alternating DenseLayer + activation. By default
-/// the activation is omitted after the final dense layer (linear output —
-/// callers attach their own likelihood head); pass activate_output = true
-/// for hidden trunks whose output feeds further layers.
+/// Multilayer perceptron: alternating DenseLayer + tanh (the paper's only
+/// nonlinearity). By default the tanh is omitted after the final dense
+/// layer (linear output — callers attach their own likelihood head); pass
+/// activate_output = true for hidden trunks whose output feeds further
+/// layers.
 ///
-/// The models in core/ and baselines/ use Mlp for the encoder trunk, the
-/// decoder trunk, and the dense heads.
+/// FieldVae uses Mlp for its encoder and decoder trunks.
 class Mlp : public Layer {
  public:
   /// `dims` = {in, h1, ..., out} with at least two entries.
-  Mlp(const std::vector<size_t>& dims, Activation activation, Rng& rng,
-      bool activate_output = false);
+  Mlp(const std::vector<size_t>& dims, Rng& rng, bool activate_output = false);
 
-  void Forward(const Matrix& input, Matrix* output, bool training) override;
+  void Forward(const Matrix& input, Matrix* output) override;
   /// `scratch` is required: it receives each layer's output.
   void Infer(const Matrix& input, Matrix* output,
              std::vector<Matrix>* scratch = nullptr) const override;

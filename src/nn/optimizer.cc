@@ -6,44 +6,10 @@
 
 namespace fvae::nn {
 
-SgdOptimizer::SgdOptimizer(std::vector<ParamRef> params, float learning_rate,
-                           float momentum)
-    : Optimizer(std::move(params)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  FVAE_CHECK(learning_rate > 0.0f);
-  FVAE_CHECK(momentum >= 0.0f && momentum < 1.0f);
-  velocity_.reserve(params_.size());
-  for (const ParamRef& p : params_) {
-    velocity_.emplace_back(p.value->rows(), p.value->cols());
-  }
-}
-
-void SgdOptimizer::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Matrix& value = *params_[i].value;
-    Matrix& grad = *params_[i].grad;
-    Matrix& vel = velocity_[i];
-    FVAE_CHECK(grad.rows() == value.rows() && grad.cols() == value.cols())
-        << "gradient shape mismatch";
-    if (momentum_ > 0.0f) {
-      for (size_t j = 0; j < value.size(); ++j) {
-        vel.data()[j] = momentum_ * vel.data()[j] + grad.data()[j];
-        value.data()[j] -= learning_rate_ * vel.data()[j];
-      }
-    } else {
-      for (size_t j = 0; j < value.size(); ++j) {
-        value.data()[j] -= learning_rate_ * grad.data()[j];
-      }
-    }
-    grad.SetZero();
-  }
-}
-
 AdamOptimizer::AdamOptimizer(std::vector<ParamRef> params,
                              float learning_rate, float beta1, float beta2,
                              float epsilon)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       learning_rate_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),

@@ -7,49 +7,20 @@
 
 namespace fvae::nn {
 
-/// Dense-parameter optimizer interface. Layers fill gradients in Backward;
-/// Step consumes and zeroes them.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ParamRef> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently stored in the params,
-  /// then zeroes the gradients.
-  virtual void Step() = 0;
-
-  const std::vector<ParamRef>& params() const { return params_; }
-
- protected:
-  std::vector<ParamRef> params_;
-};
-
-/// Plain SGD with optional momentum.
-class SgdOptimizer : public Optimizer {
- public:
-  SgdOptimizer(std::vector<ParamRef> params, float learning_rate,
-               float momentum = 0.0f);
-
-  void Step() override;
-
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-  float learning_rate() const { return learning_rate_; }
-
- private:
-  float learning_rate_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class AdamOptimizer : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction, the dense-parameter optimizer
+/// of Algorithm 1. Layers fill gradients in Backward; Step consumes and
+/// zeroes them.
+class AdamOptimizer {
  public:
   AdamOptimizer(std::vector<ParamRef> params, float learning_rate,
                 float beta1 = 0.9f, float beta2 = 0.999f,
                 float epsilon = 1e-8f);
 
-  void Step() override;
+  /// Applies one update using the gradients currently stored in the params,
+  /// then zeroes the gradients.
+  void Step();
+
+  const std::vector<ParamRef>& params() const { return params_; }
 
   void set_learning_rate(float lr) { learning_rate_ = lr; }
   float learning_rate() const { return learning_rate_; }
@@ -66,6 +37,7 @@ class AdamOptimizer : public Optimizer {
                     std::vector<Matrix> v);
 
  private:
+  std::vector<ParamRef> params_;
   float learning_rate_;
   float beta1_;
   float beta2_;

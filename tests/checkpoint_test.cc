@@ -603,5 +603,50 @@ TEST_F(CheckpointTest, UnknownSectionTagIsRejected) {
   EXPECT_NE(message.find(Path("tag8.fvmd")), std::string::npos) << message;
 }
 
+TEST_F(CheckpointTest, NonZeroAnnealScheduleWordIsRejected) {
+  const MultiFieldDataset data = Fixture();
+  FieldVae model(SmallConfig(), data.fields());
+  ASSERT_TRUE(SaveFieldVae(model, Path("current.fvmd")).ok());
+  const std::string current = ReadFile(Path("current.fvmd"));
+  // The config section comes first: magic, version, tag, u64 size, then
+  // the payload. In it, latent_dim (8) + encoder_hidden {12} (4 + 8) +
+  // decoder_hidden {12} (4 + 8) + empty alpha (4) + beta (4) +
+  // anneal_steps (8) precede the reserved word that once held the anneal
+  // schedule id.
+  constexpr size_t kPayload = 4 + 4 + 4 + 8;
+  constexpr size_t kBeta = kPayload + 8 + 12 + 12 + 4;
+  constexpr size_t kReserved = kBeta + 4 + 8;
+  uint64_t payload_size = 0;
+  std::memcpy(&payload_size, current.data() + kPayload - 8,
+              sizeof(payload_size));
+  float beta = 0.0f;
+  uint64_t anneal_steps = 0;
+  uint32_t reserved = 1;
+  std::memcpy(&beta, current.data() + kBeta, sizeof(beta));
+  std::memcpy(&anneal_steps, current.data() + kBeta + 4,
+              sizeof(anneal_steps));
+  std::memcpy(&reserved, current.data() + kReserved, sizeof(reserved));
+  ASSERT_EQ(beta, SmallConfig().beta);
+  ASSERT_EQ(anneal_steps, SmallConfig().anneal_steps);
+  EXPECT_EQ(reserved, 0u);  // every writer stores 0 there
+
+  // 1 and 2 were the retired cyclical and cosine ids. Re-sealing the
+  // section's CRC makes the word itself the only thing wrong.
+  for (const uint32_t word : {1u, 2u}) {
+    std::string bytes = current;
+    std::memcpy(bytes.data() + kReserved, &word, sizeof(word));
+    const uint32_t crc = Crc32(std::string_view(
+        bytes.data() + kPayload, static_cast<size_t>(payload_size)));
+    std::memcpy(bytes.data() + kPayload + payload_size, &crc, sizeof(crc));
+    const std::string path = Path("word" + std::to_string(word) + ".fvmd");
+    WriteFile(path, bytes);
+    auto loaded = LoadFieldVae(path);
+    ASSERT_FALSE(loaded.ok()) << "reserved word " << word << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("reserved"), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
 }  // namespace
 }  // namespace fvae::core

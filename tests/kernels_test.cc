@@ -83,11 +83,8 @@ TEST(KernelDispatchTest, TableIsFullyPopulated) {
   EXPECT_NE(t.axpy, nullptr);
   EXPECT_NE(t.softmax_inplace, nullptr);
   EXPECT_NE(t.log_softmax_inplace, nullptr);
-  EXPECT_NE(t.log_sum_exp, nullptr);
   EXPECT_NE(t.exp_inplace, nullptr);
-  EXPECT_NE(t.log_inplace, nullptr);
   EXPECT_NE(t.tanh_inplace, nullptr);
-  EXPECT_NE(t.sigmoid_inplace, nullptr);
   EXPECT_NE(t.multinomial_grad, nullptr);
   EXPECT_TRUE(IsaSupported(t.isa));
 }
@@ -187,14 +184,8 @@ TEST_P(KernelIsaTest, ElementwiseParityAgainstScalar) {
   for (size_t n : {size_t{1}, size_t{7}, size_t{16}, size_t{33},
                    size_t{100}}) {
     const std::vector<float> base = RandomVec(n, &rng, -10.0f, 10.0f);
-    for (auto op : {&KernelTable::exp_inplace, &KernelTable::log_inplace,
-                    &KernelTable::tanh_inplace,
-                    &KernelTable::sigmoid_inplace}) {
+    for (auto op : {&KernelTable::exp_inplace, &KernelTable::tanh_inplace}) {
       std::vector<float> got = base, want = base;
-      if (op == &KernelTable::log_inplace) {
-        for (float& v : got) v = std::fabs(v) + 0.01f;
-        want = got;
-      }
       (T().*op)(got.data(), n);
       (ref_.*op)(want.data(), n);
       for (size_t i = 0; i < n; ++i) {
@@ -204,12 +195,12 @@ TEST_P(KernelIsaTest, ElementwiseParityAgainstScalar) {
   }
 }
 
-TEST_P(KernelIsaTest, VectorExpLogMatchScalarTwinsBitwise) {
+TEST_P(KernelIsaTest, VectorExpMatchesScalarTwinBitwise) {
   if (GetParam() == Isa::kScalar) {
-    GTEST_SKIP() << "scalar table uses libm, not the polynomial twins";
+    GTEST_SKIP() << "scalar table uses libm, not the polynomial twin";
   }
-  // The SIMD exp/log and ExpApprox/LogApprox share range reduction,
-  // coefficients, and FMA shapes, so agreement is bitwise.
+  // The SIMD exp and ExpApprox share range reduction, coefficients, and
+  // FMA shapes, so agreement is bitwise.
   std::vector<float> xs;
   for (float v = -100.0f; v <= 100.0f; v += 0.618f) xs.push_back(v);
   xs.insert(xs.end(), {0.0f, -0.0f, 88.3762626647950f, 88.5f,
@@ -220,16 +211,6 @@ TEST_P(KernelIsaTest, VectorExpLogMatchScalarTwinsBitwise) {
     const float want = ExpApprox(xs[i]);
     EXPECT_EQ(std::memcmp(&e[i], &want, sizeof(float)), 0)
         << "exp(" << xs[i] << ") = " << e[i] << " want " << want;
-  }
-  std::vector<float> ls;
-  for (float v = 0.001f; v <= 50.0f; v += 0.1337f) ls.push_back(v);
-  ls.insert(ls.end(), {1.0f, 0.5f, 2.0f, 1e-30f, 1e30f});
-  std::vector<float> l = ls;
-  T().log_inplace(l.data(), l.size());
-  for (size_t i = 0; i < ls.size(); ++i) {
-    const float want = LogApprox(ls[i]);
-    EXPECT_EQ(std::memcmp(&l[i], &want, sizeof(float)), 0)
-        << "log(" << ls[i] << ") = " << l[i] << " want " << want;
   }
 }
 
@@ -250,16 +231,6 @@ TEST_P(KernelIsaTest, ExpSaturatesAndPropagatesSpecials) {
   // flushed or saturated to zero by an over-wide clamp.
   EXPECT_TRUE(x[7] > 0.0f && std::fpclassify(x[7]) == FP_NORMAL)
       << "near-underflow value must stay normal, got " << x[7];
-}
-
-TEST_P(KernelIsaTest, LogSpecials) {
-  std::vector<float> x = {0.0f, -1.0f, kInf, kNan, 1.0f};
-  T().log_inplace(x.data(), x.size());
-  EXPECT_EQ(x[0], -kInf);
-  EXPECT_TRUE(std::isnan(x[1]));
-  EXPECT_EQ(x[2], kInf);
-  EXPECT_TRUE(std::isnan(x[3]));
-  EXPECT_EQ(x[4], 0.0f);
 }
 
 TEST_P(KernelIsaTest, SoftmaxEdgeCases) {
@@ -331,18 +302,7 @@ TEST_P(KernelIsaTest, SoftmaxParityAgainstScalar) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_TRUE(Close(got[i], want[i], 256, 1e-5f)) << "n=" << n;
     }
-    EXPECT_NEAR(T().log_sum_exp(base.data(), n),
-                ref_.log_sum_exp(base.data(), n), 1e-5);
   }
-}
-
-TEST_P(KernelIsaTest, LogSumExpEdgeCases) {
-  EXPECT_EQ(T().log_sum_exp(nullptr, 0), -HUGE_VAL);
-  std::vector<float> allneg(7, -kInf);
-  EXPECT_EQ(T().log_sum_exp(allneg.data(), allneg.size()), -HUGE_VAL);
-  std::vector<float> shifted = {1000.0f, 1000.0f};
-  EXPECT_NEAR(T().log_sum_exp(shifted.data(), 2), 1000.0 + std::log(2.0),
-              1e-3);
 }
 
 TEST_P(KernelIsaTest, MultinomialGradFlushesSubnormalMass) {
@@ -386,7 +346,7 @@ TEST_P(KernelIsaTest, MultinomialGradParityAndNan) {
   EXPECT_TRUE(std::isnan(grad[1]));
 }
 
-TEST_P(KernelIsaTest, TanhAndSigmoidSpecials) {
+TEST_P(KernelIsaTest, TanhSpecials) {
   std::vector<float> t = {0.0f, 50.0f, -50.0f, kNan, kInf, -kInf};
   T().tanh_inplace(t.data(), t.size());
   EXPECT_EQ(t[0], 0.0f);
@@ -395,13 +355,6 @@ TEST_P(KernelIsaTest, TanhAndSigmoidSpecials) {
   EXPECT_TRUE(std::isnan(t[3]));
   EXPECT_FLOAT_EQ(t[4], 1.0f);
   EXPECT_FLOAT_EQ(t[5], -1.0f);
-
-  std::vector<float> s = {0.0f, 100.0f, -100.0f, kNan};
-  T().sigmoid_inplace(s.data(), s.size());
-  EXPECT_FLOAT_EQ(s[0], 0.5f);
-  EXPECT_FLOAT_EQ(s[1], 1.0f);
-  EXPECT_EQ(s[2], 0.0f);
-  EXPECT_TRUE(std::isnan(s[3]));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaTest,

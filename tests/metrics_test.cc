@@ -127,59 +127,6 @@ TEST(MeanMetricsTest, EmptyInputsGiveDefaults) {
   EXPECT_DOUBLE_EQ(MeanAveragePrecision({}, {}), 0.0);
 }
 
-// ---------- Ranking metrics ----------
-
-TEST(RecallAtKTest, BasicValues) {
-  const std::vector<float> scores{0.9f, 0.8f, 0.7f, 0.6f};
-  const std::vector<uint8_t> labels{1, 0, 1, 0};
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 1), 0.5);
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 3), 1.0);
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 100), 1.0);
-}
-
-TEST(RecallAtKTest, NoPositivesIsZero) {
-  const std::vector<float> scores{0.9f, 0.8f};
-  const std::vector<uint8_t> labels{0, 0};
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 2), 0.0);
-}
-
-TEST(PrecisionAtKTest, BasicValues) {
-  const std::vector<float> scores{0.9f, 0.8f, 0.7f, 0.6f};
-  const std::vector<uint8_t> labels{1, 0, 1, 0};
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 1), 1.0);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 2), 0.5);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 4), 0.5);
-}
-
-TEST(NdcgAtKTest, PerfectRankingIsOne) {
-  const std::vector<float> scores{0.9f, 0.8f, 0.2f, 0.1f};
-  const std::vector<uint8_t> labels{1, 1, 0, 0};
-  EXPECT_NEAR(NdcgAtK(scores, labels, 4), 1.0, 1e-12);
-}
-
-TEST(NdcgAtKTest, KnownValue) {
-  // Ranking: pos, neg, pos. DCG = 1/log2(2) + 1/log2(4) = 1.5.
-  // IDCG (2 positives in top 3) = 1/log2(2) + 1/log2(3).
-  const std::vector<float> scores{0.9f, 0.5f, 0.3f};
-  const std::vector<uint8_t> labels{1, 0, 1};
-  const double ideal = 1.0 + 1.0 / std::log2(3.0);
-  EXPECT_NEAR(NdcgAtK(scores, labels, 3), 1.5 / ideal, 1e-12);
-}
-
-TEST(NdcgAtKTest, NoPositivesIsZero) {
-  const std::vector<float> scores{0.9f};
-  const std::vector<uint8_t> labels{0};
-  EXPECT_DOUBLE_EQ(NdcgAtK(scores, labels, 1), 0.0);
-}
-
-TEST(RankingMetricsTest, TiesBrokenPessimistically) {
-  // All scores equal: the positive is ranked last among the ties.
-  const std::vector<float> scores{0.5f, 0.5f, 0.5f};
-  const std::vector<uint8_t> labels{1, 0, 0};
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 1), 0.0);
-  EXPECT_DOUBLE_EQ(RecallAtK(scores, labels, 3), 1.0);
-}
-
 class AucSizeTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(AucSizeTest, BetterScoresBeatWorse) {

@@ -19,13 +19,13 @@ namespace {
 double MaxGradientError(Layer& layer, Matrix input, uint64_t seed) {
   Rng rng(seed);
   Matrix output;
-  layer.Forward(input, &output, false);
+  layer.Forward(input, &output);
   const Matrix loss_weights =
       Matrix::Gaussian(output.rows(), output.cols(), 1.0f, rng);
 
   auto loss_of = [&](const Matrix& in) {
     Matrix out;
-    layer.Forward(in, &out, false);
+    layer.Forward(in, &out);
     double total = 0.0;
     for (size_t i = 0; i < out.size(); ++i) {
       total += double(out.data()[i]) * loss_weights.data()[i];
@@ -33,7 +33,7 @@ double MaxGradientError(Layer& layer, Matrix input, uint64_t seed) {
     return total;
   };
 
-  layer.Forward(input, &output, false);
+  layer.Forward(input, &output);
   Matrix input_grad;
   layer.Backward(loss_weights, &input_grad);
   std::vector<ParamRef> params;
@@ -87,29 +87,23 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 16, 4)));
 
 class MlpDepthGradTest
-    : public ::testing::TestWithParam<std::tuple<std::vector<size_t>,
-                                                 Activation, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::vector<size_t>, bool>> {
+};
 
 TEST_P(MlpDepthGradTest, GradientsMatchNumerics) {
-  const auto [dims, activation, activate_output] = GetParam();
+  const auto [dims, activate_output] = GetParam();
   Rng rng(dims.size() * 1000 + dims.back());
-  Mlp mlp(dims, activation, rng, activate_output);
+  Mlp mlp(dims, rng, activate_output);
   const Matrix input = Matrix::Gaussian(3, dims.front(), 0.7f, rng);
   EXPECT_LT(MaxGradientError(mlp, input, 13), 8e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Depths, MlpDepthGradTest,
-    ::testing::Values(
-        std::make_tuple(std::vector<size_t>{4, 3}, Activation::kTanh, false),
-        std::make_tuple(std::vector<size_t>{4, 6, 3}, Activation::kTanh,
-                        false),
-        std::make_tuple(std::vector<size_t>{4, 6, 3}, Activation::kTanh,
-                        true),
-        std::make_tuple(std::vector<size_t>{3, 5, 5, 2},
-                        Activation::kSigmoid, false),
-        std::make_tuple(std::vector<size_t>{2, 8, 2}, Activation::kTanh,
-                        true)));
+    ::testing::Values(std::make_tuple(std::vector<size_t>{4, 3}, false),
+                      std::make_tuple(std::vector<size_t>{4, 6, 3}, false),
+                      std::make_tuple(std::vector<size_t>{4, 6, 3}, true),
+                      std::make_tuple(std::vector<size_t>{2, 8, 2}, true)));
 
 }  // namespace
 }  // namespace fvae::nn

@@ -139,5 +139,15 @@ TEST(TrainerTest, LossTrendsDownOverEpochs) {
   EXPECT_LT(result.epoch_loss.back(), result.epoch_loss.front());
 }
 
+TEST(AnnealScheduleTest, LinearRampsAndSaturates) {
+  FvaeConfig config;
+  config.beta = 0.4f;
+  config.anneal_steps = 10;
+  EXPECT_NEAR(AnnealedBeta(config, 1), 0.04f, 1e-6f);
+  EXPECT_NEAR(AnnealedBeta(config, 5), 0.2f, 1e-6f);
+  EXPECT_NEAR(AnnealedBeta(config, 10), 0.4f, 1e-6f);
+  EXPECT_NEAR(AnnealedBeta(config, 1000), 0.4f, 1e-6f);
+}
+
 }  // namespace
 }  // namespace fvae::core

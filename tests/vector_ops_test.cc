@@ -16,14 +16,6 @@ TEST(VectorOpsTest, Dot) {
   EXPECT_DOUBLE_EQ(Dot(std::span<const float>{}, {}), 0.0);
 }
 
-TEST(VectorOpsTest, Axpy) {
-  std::vector<float> x{1, 2};
-  std::vector<float> y{10, 20};
-  Axpy(3.0f, x, y);
-  EXPECT_FLOAT_EQ(y[0], 13.0f);
-  EXPECT_FLOAT_EQ(y[1], 26.0f);
-}
-
 TEST(VectorOpsTest, ScaleInPlace) {
   std::vector<float> x{2, -4};
   ScaleInPlace(x, 0.5f);
@@ -116,49 +108,6 @@ TEST(VectorOpsTest, SoftmaxNanStillPoisons) {
                             1.0f};
   SoftmaxInPlace(logits);
   for (float p : logits) EXPECT_TRUE(std::isnan(p));
-}
-
-TEST(VectorOpsTest, ExpLogInPlace) {
-  std::vector<float> x{0.0f, 1.0f, -2.0f};
-  ExpInPlace(x);
-  EXPECT_NEAR(x[0], 1.0f, 1e-6f);
-  EXPECT_NEAR(x[1], std::exp(1.0f), 1e-5f);
-  LogInPlace(x);
-  EXPECT_NEAR(x[0], 0.0f, 1e-6f);
-  EXPECT_NEAR(x[1], 1.0f, 1e-5f);
-  EXPECT_NEAR(x[2], -2.0f, 1e-5f);
-}
-
-TEST(VectorOpsTest, LogSumExp) {
-  std::vector<float> x{0.0f, 0.0f};
-  EXPECT_NEAR(LogSumExp(x), std::log(2.0), 1e-6);
-  std::vector<float> big{1000.0f, 1000.0f};
-  EXPECT_NEAR(LogSumExp(big), 1000.0 + std::log(2.0), 1e-3);
-}
-
-TEST(VectorOpsTest, Activations) {
-  std::vector<float> t{0.0f, 100.0f};
-  TanhInPlace(t);
-  EXPECT_NEAR(t[0], 0.0f, 1e-6f);
-  EXPECT_NEAR(t[1], 1.0f, 1e-4f);
-
-  std::vector<float> s{0.0f};
-  SigmoidInPlace(s);
-  EXPECT_NEAR(s[0], 0.5f, 1e-6f);
-
-  std::vector<float> r{-2.0f, 3.0f};
-  ReluInPlace(r);
-  EXPECT_EQ(r[0], 0.0f);
-  EXPECT_EQ(r[1], 3.0f);
-}
-
-TEST(VectorOpsTest, MeanAndVariance) {
-  std::vector<float> x{1, 2, 3, 4};
-  EXPECT_NEAR(Mean(x), 2.5, 1e-9);
-  EXPECT_NEAR(Variance(x), 5.0 / 3.0, 1e-6);
-  EXPECT_DOUBLE_EQ(Mean(std::span<const float>{}), 0.0);
-  std::vector<float> single{7};
-  EXPECT_DOUBLE_EQ(Variance(single), 0.0);
 }
 
 TEST(VectorOpsTest, L2Normalize) {

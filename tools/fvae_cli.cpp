@@ -737,47 +737,33 @@ int CmdTop(const Args& args) {
 }
 
 /// Pretty-prints a JSONL metrics snapshot written by --metrics-out (or the
-/// periodic dumper). Minimal field extraction — enough to read a dump
-/// without other tooling; rows appear in file order, so an appended file
-/// shows the dump history.
+/// periodic dumper), reading each line with JsonValue — enough to read a
+/// dump without other tooling; rows appear in file order, so an appended
+/// file shows the dump history.
 int CmdMetrics(const Args& args) {
   const std::string path = args.Get("in", "metrics.jsonl");
   std::ifstream in(path);
   if (!in) return Fail("cannot open " + path);
 
-  auto field = [](const std::string& line,
-                  const std::string& key) -> std::string {
-    const std::string needle = "\"" + key + "\":";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos) return "";
-    size_t begin = at + needle.size();
-    if (begin < line.size() && line[begin] == '"') {
-      const size_t end = line.find('"', begin + 1);
-      if (end == std::string::npos) return "";
-      return line.substr(begin + 1, end - begin - 1);
-    }
-    size_t end = begin;
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-    return line.substr(begin, end - begin);
-  };
-
   std::string line;
   size_t rows = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const std::string name = field(line, "name");
-    const std::string type = field(line, "type");
+    const std::string name = JsonValue(line, "name");
+    const std::string type = JsonValue(line, "type");
     if (name.empty() || type.empty()) {
       return Fail("not a metrics snapshot line: " + line);
     }
     if (type == "histogram") {
       std::printf("%-36s %-9s count=%s mean=%s p50=%s p99=%s\n",
-                  name.c_str(), type.c_str(), field(line, "count").c_str(),
-                  field(line, "mean").c_str(), field(line, "p50").c_str(),
-                  field(line, "p99").c_str());
+                  name.c_str(), type.c_str(),
+                  JsonValue(line, "count").c_str(),
+                  JsonValue(line, "mean").c_str(),
+                  JsonValue(line, "p50").c_str(),
+                  JsonValue(line, "p99").c_str());
     } else {
       std::printf("%-36s %-9s %s\n", name.c_str(), type.c_str(),
-                  field(line, "value").c_str());
+                  JsonValue(line, "value").c_str());
     }
     ++rows;
   }

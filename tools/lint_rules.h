@@ -492,7 +492,6 @@ inline std::vector<Finding> LintTree(const std::filesystem::path& root,
         path.rfind("src/core/model_io", 0) == 0 ||
         path.rfind("src/core/checkpoint", 0) == 0 ||
         path.rfind("src/data/io", 0) == 0 ||
-        path.rfind("src/data/streaming", 0) == 0 ||
         path.rfind("src/serving/sharded_store", 0) == 0 ||
         path.rfind("src/obs/", 0) == 0;
     std::vector<Finding> file_findings = LintFile(path, body, options);
