@@ -1,14 +1,18 @@
 // Per-ISA throughput for the runtime-dispatched SIMD kernel layer
-// (src/math/kernels/): GEMM, softmax, exp, tanh microkernels at serving
-// shapes, plus the end-to-end metric the layer exists for — cold fold-in
-// encode rate (FieldVae::EncodeFoldInInto) with the dispatch table pinned
-// to each ISA the host supports. The scalar row is the "before" of the
-// SIMD change; the native row is the "after".
+// (src/math/kernels/): GEMM at the serving encoder's shape and at the
+// training decoder head's, softmax, exp, tanh microkernels, plus the
+// end-to-end metric the layer exists for — cold fold-in encode rate
+// (FieldVae::EncodeFoldInInto) with the dispatch table pinned to each ISA
+// the host supports. The scalar row is the "before" of the SIMD change;
+// the native row is the "after". Every number is the median of
+// kRounds rounds, each round measuring every ISA once in turn, so slow
+// drift on a shared host cannot favour one ISA.
 //
 // Outputs: BENCH_kernels.json + bench_results/BENCH_kernels.json with one
 // object per ISA and the native-vs-scalar cold fold-in speedup, and
 // bench_results/kernels_bench.txt (human-readable).
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -43,16 +47,38 @@ double MeasureRate(double budget_s, const std::function<void()>& op) {
 
 struct IsaNumbers {
   double gemm_gflops = 0.0;
+  double gemm_decoder_gflops = 0.0;
   double softmax_melems_s = 0.0;
   double exp_melems_s = 0.0;
   double tanh_melems_s = 0.0;
   double foldin_users_s = 0.0;
 };
 
-// GEMM at the serving encoder's hidden-layer shape; element counts sized
-// so one call is ~100us of scalar work.
-constexpr size_t kGemmM = 64, kGemmK = 512, kGemmN = 256;
+struct GemmShape {
+  size_t m, k, n;
+};
+// GEMM at the serving encoder's hidden-layer shape, and at one training
+// decoder head: batch 512 x hidden 256 x ~887 batch-union candidates.
+constexpr GemmShape kEncoderGemm = {64, 512, 256};
+constexpr GemmShape kDecoderGemm = {512, 256, 887};
 constexpr size_t kElems = 4096;
+constexpr int kRounds = 3;
+
+/// out += a * b at `shape` on random operands; returns GFLOP/s.
+double MeasureGemm(const KernelTable& t, GemmShape shape, double budget_s) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  std::vector<float> a(shape.m * shape.k), b(shape.k * shape.n),
+      c(shape.m * shape.n, 0.0f);
+  for (float& v : a) v = dist(rng);
+  for (float& v : b) v = dist(rng);
+  const double calls_s = MeasureRate(budget_s, [&] {
+    t.gemm_accumulate(a.data(), b.data(), c.data(), shape.m, shape.k,
+                      shape.n);
+  });
+  return calls_s * 2.0 * double(shape.m) * double(shape.k) *
+         double(shape.n) / 1e9;
+}
 
 IsaNumbers MeasureIsa(const core::FieldVae& model,
                       std::span<const core::RawUserFeatures* const> raw,
@@ -60,21 +86,13 @@ IsaNumbers MeasureIsa(const core::FieldVae& model,
   IsaNumbers out;
   std::mt19937 rng(5);
   std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
-  std::vector<float> a(kGemmM * kGemmK), b(kGemmK * kGemmN),
-      c(kGemmM * kGemmN, 0.0f);
-  for (float& v : a) v = dist(rng);
-  for (float& v : b) v = dist(rng);
   std::vector<float> logits(kElems);
   for (float& v : logits) v = dist(rng);
   std::vector<float> scratch(kElems);
 
   const KernelTable& t = Kernels();
-  const double gemm_calls_s = MeasureRate(budget_s, [&] {
-    t.gemm_accumulate(a.data(), b.data(), c.data(), kGemmM, kGemmK, kGemmN);
-  });
-  out.gemm_gflops =
-      gemm_calls_s * 2.0 * double(kGemmM) * double(kGemmK) * double(kGemmN) /
-      1e9;
+  out.gemm_gflops = MeasureGemm(t, kEncoderGemm, budget_s);
+  out.gemm_decoder_gflops = MeasureGemm(t, kDecoderGemm, budget_s);
   const double softmax_calls_s = MeasureRate(budget_s, [&] {
     scratch = logits;
     t.softmax_inplace(scratch.data(), scratch.size());
@@ -103,6 +121,22 @@ IsaNumbers MeasureIsa(const core::FieldVae& model,
     cursor += batch;
   });
   out.foldin_users_s = batches_s * double(batch);
+  return out;
+}
+
+/// Field-by-field median over the rounds.
+IsaNumbers Median(const std::vector<IsaNumbers>& per_round) {
+  IsaNumbers out;
+  for (double IsaNumbers::*field :
+       {&IsaNumbers::gemm_gflops, &IsaNumbers::gemm_decoder_gflops,
+        &IsaNumbers::softmax_melems_s, &IsaNumbers::exp_melems_s,
+        &IsaNumbers::tanh_melems_s, &IsaNumbers::foldin_users_s}) {
+    std::vector<double> values;
+    for (const IsaNumbers& r : per_round) values.push_back(r.*field);
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    out.*field = values[values.size() / 2];
+  }
   return out;
 }
 
@@ -140,28 +174,39 @@ int Main() {
 
   const Isa native = ActiveIsa();
   const double budget_s = ByScale<double>(scale, 0.1, 0.4, 1.0);
-  std::map<Isa, IsaNumbers> numbers;
+  std::map<Isa, std::vector<IsaNumbers>> rounds;
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (!IsaSupported(isa)) {
       std::printf("%-8s unsupported on this host, skipped\n", IsaName(isa));
       continue;
     }
-    FVAE_CHECK(ForceIsa(isa));
-    numbers[isa] = MeasureIsa(model, raw, budget_s);
+    rounds[isa] = {};
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (auto& [isa, per_round] : rounds) {
+      FVAE_CHECK(ForceIsa(isa));
+      per_round.push_back(MeasureIsa(model, raw, budget_s));
+    }
   }
   FVAE_CHECK(ForceIsa(native));
+  std::map<Isa, IsaNumbers> numbers;
+  for (const auto& [isa, per_round] : rounds) {
+    numbers[isa] = Median(per_round);
+  }
 
   std::string table;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-8s %12s %14s %12s %12s %14s\n", "isa",
-                "gemm_gflops", "softmax_Mel/s", "exp_Mel/s", "tanh_Mel/s",
+  std::snprintf(line, sizeof(line),
+                "%-8s %12s %12s %14s %12s %12s %14s\n", "isa", "gemm_gflops",
+                "dec_gflops", "softmax_Mel/s", "exp_Mel/s", "tanh_Mel/s",
                 "foldin_users/s");
   table += line;
   for (const auto& [isa, n] : numbers) {
     std::snprintf(line, sizeof(line),
-                  "%-8s %12.2f %14.1f %12.1f %12.1f %14.1f\n", IsaName(isa),
-                  n.gemm_gflops, n.softmax_melems_s, n.exp_melems_s,
-                  n.tanh_melems_s, n.foldin_users_s);
+                  "%-8s %12.2f %12.2f %14.1f %12.1f %12.1f %14.1f\n",
+                  IsaName(isa), n.gemm_gflops, n.gemm_decoder_gflops,
+                  n.softmax_melems_s, n.exp_melems_s, n.tanh_melems_s,
+                  n.foldin_users_s);
     table += line;
   }
   const double scalar_foldin = numbers[Isa::kScalar].foldin_users_s;
@@ -169,8 +214,13 @@ int Main() {
   const double foldin_speedup =
       scalar_foldin > 0.0 ? native_foldin / scalar_foldin : 0.0;
   std::snprintf(line, sizeof(line),
-                "\ncold fold-in encode speedup, native (%s) vs scalar: "
+                "\ngemm shapes (m x k x n): gemm %zux%zux%zu (serving "
+                "encoder), dec %zux%zux%zu (training decoder head)\n"
+                "median of %d rounds per ISA\n"
+                "cold fold-in encode speedup, native (%s) vs scalar: "
                 "%.2fx\n",
+                kEncoderGemm.m, kEncoderGemm.k, kEncoderGemm.n,
+                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRounds,
                 IsaName(native), foldin_speedup);
   table += line;
   std::printf("%s", table.c_str());
@@ -179,19 +229,25 @@ int Main() {
   json += "  \"scale\": \"" + std::string(ScaleName(scale)) + "\",\n";
   json += "  \"native_isa\": \"" + std::string(IsaName(native)) + "\",\n";
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "  \"gemm_shape\": [%zu, %zu, %zu],\n",
-                kGemmM, kGemmK, kGemmN);
+  std::snprintf(buf, sizeof(buf),
+                "  \"gemm_shape\": [%zu, %zu, %zu],\n"
+                "  \"gemm_decoder_shape\": [%zu, %zu, %zu],\n"
+                "  \"rounds\": %d,\n",
+                kEncoderGemm.m, kEncoderGemm.k, kEncoderGemm.n,
+                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRounds);
   json += buf;
   json += "  \"isas\": {\n";
   bool first = true;
   for (const auto& [isa, n] : numbers) {
     std::snprintf(
         buf, sizeof(buf),
-        "%s    \"%s\": {\"gemm_gflops\": %.2f, \"softmax_melems_s\": %.1f, "
+        "%s    \"%s\": {\"gemm_gflops\": %.2f, "
+        "\"gemm_decoder_gflops\": %.2f, \"softmax_melems_s\": %.1f, "
         "\"exp_melems_s\": %.1f, \"tanh_melems_s\": %.1f, "
         "\"foldin_users_s\": %.1f}",
-        first ? "" : ",\n", IsaName(isa), n.gemm_gflops, n.softmax_melems_s,
-        n.exp_melems_s, n.tanh_melems_s, n.foldin_users_s);
+        first ? "" : ",\n", IsaName(isa), n.gemm_gflops,
+        n.gemm_decoder_gflops, n.softmax_melems_s, n.exp_melems_s,
+        n.tanh_melems_s, n.foldin_users_s);
     json += buf;
     first = false;
   }

@@ -64,6 +64,13 @@ struct KernelTable {
                            float total_count, float* grad, size_t n) = nullptr;
 };
 
+/// Output rows per register tile of the widest GEMM kernel (AVX-512 runs
+/// 8x32 tiles). Pooled GEMMs cut their row splits, and GemmTN its packed
+/// a^T tiles, on multiples of it. Every ISA's row tile divides it (AVX2
+/// tiles 4 rows, scalar 1), so a split never changes which code a row
+/// runs.
+inline constexpr size_t kGemmRowTile = 8;
+
 /// The process-wide table; initializes ISA detection on first call and
 /// applies the FTZ/DAZ policy to the calling thread. Safe and cheap to
 /// call on the hot path (no allocation, no locks, no logging).

@@ -2,12 +2,14 @@
 
 #include "math/kernels/kernel_table.h"
 
-// AVX-512 kernels: structurally the same algorithms as kernels_avx2.cc at
-// twice the width, with __mmask16 predication replacing maskload/maskstore
-// emulation. Compiled with -mavx512{f,dq,bw,vl} for this TU only. The
-// polynomial cores (Exp16/Tanh16) use the identical Cephes
-// coefficients and FMA shapes as the AVX2 versions, so per-element results
-// agree bitwise between the two vector ISAs.
+// AVX-512 kernels: the reductions and elementwise kernels are the
+// algorithms of kernels_avx2.cc at twice the width, with __mmask16
+// predication replacing maskload/maskstore emulation; the GEMM runs wider
+// register tiles (8x32) with the same per-element FMA chain. Compiled with
+// -mavx512{f,dq,bw,vl} for this TU only. The polynomial cores
+// (Exp16/Tanh16) use the identical Cephes coefficients and FMA shapes as
+// the AVX2 versions, so per-element results agree bitwise between the two
+// vector ISAs.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -110,91 +112,92 @@ __m512 Tanh16(__m512 x) {
 
 // ---- GEMM --------------------------------------------------------------
 
-void Gemm1RowAvx512(const float* a_row, const float* b, float* out_row,
-                    size_t k, size_t n) {
-  size_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    __m512 c0 = _mm512_loadu_ps(out_row + j);
-    __m512 c1 = _mm512_loadu_ps(out_row + j + 16);
-    for (size_t p = 0; p < k; ++p) {
-      const __m512 va = _mm512_set1_ps(a_row[p]);
-      const float* b_row = b + p * n + j;
-      c0 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b_row), c0);
-      c1 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b_row + 16), c1);
+// One register tile: rows [0, R) x columns [j, j + 16·V) of `out` stay in
+// R·V zmm accumulators for the whole k loop, so each k step costs V loads
+// of B, R broadcasts of A and R·V FMAs. Two FMA ports at 4-cycle latency
+// need 8+ independent chains to stay busy: the 8x32 tile keeps 16. The
+// last vector of each row is predicated by `mask` (all ones except in the
+// column tail). Every output element is one FMA chain over ascending p
+// starting from `out`, in every tile shape, so results are bitwise those
+// of the AVX2 kernels. GCC 12 does not fully unroll the r/v loops at -O2
+// on its own; left rolled, the accumulators spill.
+template <int R, int V>
+void GemmTileAvx512(const float* a, const float* b, float* out, size_t k,
+                    size_t n, size_t j, __mmask16 mask) {
+  auto lane_mask = [mask](int v) {
+    return v + 1 == V ? mask : static_cast<__mmask16>(0xffff);
+  };
+  __m512 c[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = _mm512_maskz_loadu_ps(lane_mask(v), out + r * n + j + 16 * v);
     }
-    _mm512_storeu_ps(out_row + j, c0);
-    _mm512_storeu_ps(out_row + j + 16, c1);
   }
-  for (; j + 16 <= n; j += 16) {
-    __m512 c0 = _mm512_loadu_ps(out_row + j);
-    for (size_t p = 0; p < k; ++p) {
-      c0 = _mm512_fmadd_ps(_mm512_set1_ps(a_row[p]),
-                           _mm512_loadu_ps(b + p * n + j), c0);
+  for (size_t p = 0; p < k; ++p) {
+    const float* b_row = b + p * n + j;
+    __m512 bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(lane_mask(v), b_row + 16 * v);
     }
-    _mm512_storeu_ps(out_row + j, c0);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 va = _mm512_set1_ps(a[r * k + p]);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm512_fmadd_ps(va, bv[v], c[r][v]);
+      }
+    }
   }
-  if (j < n) {
-    const __mmask16 mask = TailMask16(n - j);
-    __m512 c0 = _mm512_maskz_loadu_ps(mask, out_row + j);
-    for (size_t p = 0; p < k; ++p) {
-      c0 = _mm512_fmadd_ps(_mm512_set1_ps(a_row[p]),
-                           _mm512_maskz_loadu_ps(mask, b + p * n + j), c0);
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      _mm512_mask_storeu_ps(out + r * n + j + 16 * v, lane_mask(v), c[r][v]);
     }
-    _mm512_mask_storeu_ps(out_row + j, mask, c0);
   }
 }
 
-void Gemm4RowsAvx512(const float* a0, const float* a1, const float* a2,
-                     const float* a3, const float* b, float* o0, float* o1,
-                     float* o2, float* o3, size_t k, size_t n) {
+// R rows of out += a * b, all n columns. The multi-row tiles run 32
+// columns wide (R·2 accumulators); the single row has only one broadcast
+// to reuse, so it gets its chains from width instead: 128-column strips
+// (8 accumulators), then 32. Leftover columns run 16 wide, the last one
+// masked.
+template <int R>
+void GemmRowsAvx512(const float* a, const float* b, float* out, size_t k,
+                    size_t n) {
+  constexpr __mmask16 kFull = 0xffff;
   size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m512 c0 = _mm512_loadu_ps(o0 + j);
-    __m512 c1 = _mm512_loadu_ps(o1 + j);
-    __m512 c2 = _mm512_loadu_ps(o2 + j);
-    __m512 c3 = _mm512_loadu_ps(o3 + j);
-    for (size_t p = 0; p < k; ++p) {
-      const __m512 b0 = _mm512_loadu_ps(b + p * n + j);
-      c0 = _mm512_fmadd_ps(_mm512_set1_ps(a0[p]), b0, c0);
-      c1 = _mm512_fmadd_ps(_mm512_set1_ps(a1[p]), b0, c1);
-      c2 = _mm512_fmadd_ps(_mm512_set1_ps(a2[p]), b0, c2);
-      c3 = _mm512_fmadd_ps(_mm512_set1_ps(a3[p]), b0, c3);
+  if constexpr (R == 1) {
+    for (; j + 128 <= n; j += 128) {
+      GemmTileAvx512<1, 8>(a, b, out, k, n, j, kFull);
     }
-    _mm512_storeu_ps(o0 + j, c0);
-    _mm512_storeu_ps(o1 + j, c1);
-    _mm512_storeu_ps(o2 + j, c2);
-    _mm512_storeu_ps(o3 + j, c3);
   }
-  if (j < n) {
-    const __mmask16 mask = TailMask16(n - j);
-    __m512 c0 = _mm512_maskz_loadu_ps(mask, o0 + j);
-    __m512 c1 = _mm512_maskz_loadu_ps(mask, o1 + j);
-    __m512 c2 = _mm512_maskz_loadu_ps(mask, o2 + j);
-    __m512 c3 = _mm512_maskz_loadu_ps(mask, o3 + j);
-    for (size_t p = 0; p < k; ++p) {
-      const __m512 b0 = _mm512_maskz_loadu_ps(mask, b + p * n + j);
-      c0 = _mm512_fmadd_ps(_mm512_set1_ps(a0[p]), b0, c0);
-      c1 = _mm512_fmadd_ps(_mm512_set1_ps(a1[p]), b0, c1);
-      c2 = _mm512_fmadd_ps(_mm512_set1_ps(a2[p]), b0, c2);
-      c3 = _mm512_fmadd_ps(_mm512_set1_ps(a3[p]), b0, c3);
-    }
-    _mm512_mask_storeu_ps(o0 + j, mask, c0);
-    _mm512_mask_storeu_ps(o1 + j, mask, c1);
-    _mm512_mask_storeu_ps(o2 + j, mask, c2);
-    _mm512_mask_storeu_ps(o3 + j, mask, c3);
+  for (; j + 32 <= n; j += 32) {
+    GemmTileAvx512<R, 2>(a, b, out, k, n, j, kFull);
+  }
+  for (; j < n; j += 16) {
+    GemmTileAvx512<R, 1>(a, b, out, k, n, j,
+                         TailMask16(n - j < 16 ? n - j : 16));
   }
 }
+
+static_assert(kGemmRowTile % 8 == 0, "pooled splits must not cut a tile");
 
 void GemmAccumulateAvx512(const float* a, const float* b, float* out,
                           size_t m, size_t k, size_t n) {
   size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    Gemm4RowsAvx512(a + i * k, a + (i + 1) * k, a + (i + 2) * k,
-                    a + (i + 3) * k, b, out + i * n, out + (i + 1) * n,
-                    out + (i + 2) * n, out + (i + 3) * n, k, n);
+  for (; i + 8 <= m; i += 8) {
+    GemmRowsAvx512<8>(a + i * k, b, out + i * n, k, n);
+  }
+  if (i + 4 <= m) {
+    GemmRowsAvx512<4>(a + i * k, b, out + i * n, k, n);
+    i += 4;
   }
   for (; i < m; ++i) {
-    Gemm1RowAvx512(a + i * k, b, out + i * n, k, n);
+    GemmRowsAvx512<1>(a + i * k, b, out + i * n, k, n);
   }
 }
 

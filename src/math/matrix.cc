@@ -132,11 +132,6 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
 
 namespace {
 
-// Rows of the output a pooled GEMM hands one kernel call are cut on this
-// boundary: the kernels tile 4 output rows at a time, so the split never
-// changes which tile code a row runs.
-constexpr size_t kRowTile = 4;
-
 // Writes rows [lo, hi) of src^T (src.cols() x src.rows(), row-major) into
 // `panel`. The reads walk a 16-row strip of src at a time, so every cache
 // line of the strip is reused across consecutive panel rows before it is
@@ -179,7 +174,7 @@ void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
   out->Resize(m, n);
   // Kernels() runs on the thread doing the arithmetic, so pool workers get
   // the same per-thread FTZ/DAZ mode as the serial caller.
-  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
     Kernels().gemm_accumulate(a.Row(lo), bt, out->Row(lo), hi - lo, k, n);
   });
 }
@@ -190,13 +185,13 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
   out->Resize(m, n);
-  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
     const KernelTable& kt = Kernels();
-    // a^T is packed one 4-row tile at a time, right before the kernel
+    // a^T is packed one row tile at a time, right before the kernel
     // multiplies it: the tile stays in L1 and no m x k panel is ever held.
-    std::vector<float> tile(kRowTile * k);
-    for (size_t i0 = lo; i0 < hi; i0 += kRowTile) {
-      const size_t rows = std::min(kRowTile, hi - i0);
+    std::vector<float> tile(kGemmRowTile * k);
+    for (size_t i0 = lo; i0 < hi; i0 += kGemmRowTile) {
+      const size_t rows = std::min(kGemmRowTile, hi - i0);
       for (size_t p = 0; p < k; ++p) {
         const float* src = a.Row(p) + i0;
         for (size_t r = 0; r < rows; ++r) tile[r * k + p] = src[r];
@@ -211,7 +206,7 @@ void GemmAccumulatePooled(const Matrix& a, const Matrix& b, Matrix* out,
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   FVAE_CHECK(b.rows() == k && out->rows() == m && out->cols() == n)
       << "gemm-accumulate shape mismatch";
-  ParallelForRange(pool, 0, m, kRowTile, [&](size_t lo, size_t hi) {
+  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
     Kernels().gemm_accumulate(a.Row(lo), b.Row(0), out->Row(lo), hi - lo, k,
                               n);
   });

@@ -132,8 +132,9 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool, std::vector<float>* panel);
 
-/// GemmTN with rows of `out` split over `pool`. a^T is packed one 4-row
-/// tile at a time inside each chunk, so no panel outlives the call.
+/// GemmTN with rows of `out` split over `pool`. a^T is packed one
+/// kGemmRowTile-row tile at a time inside each chunk, so no panel outlives
+/// the call.
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool);
 

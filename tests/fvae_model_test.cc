@@ -367,7 +367,7 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   FieldVae serial(config, gen.dataset.fields());
   FieldVae pooled(config, gen.dataset.fields());
   ThreadPool pool(4);
-  // 67 users: the row split ends in a partial 4-row tile.
+  // 67 users: the row split ends in a partial row tile.
   std::vector<uint32_t> batch(67);
   for (size_t step = 0; step < 4; ++step) {
     std::iota(batch.begin(), batch.end(), uint32_t(step * 23));

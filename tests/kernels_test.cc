@@ -119,12 +119,14 @@ class KernelIsaTest : public ::testing::TestWithParam<Isa> {
 };
 
 TEST_P(KernelIsaTest, GemmParityAcrossTailSizes) {
-  // Sizes straddle every strip width (1/8/16/32) and their remainders.
+  // Sizes straddle every strip width (1/8/16/32/128) and their remainders;
+  // the row counts cover the 8- and 4-row tiles and every leftover mix.
   const size_t sizes[] = {1, 3, 7, 17, 31, 63, 65};
+  const size_t n_sizes[] = {1, 3, 7, 17, 31, 63, 65, 127, 128, 129};
   std::mt19937 rng(42);
-  for (size_t m : {size_t{1}, size_t{4}, size_t{7}}) {
+  for (size_t m : {1, 4, 7, 8, 9, 12, 15, 16, 17}) {
     for (size_t k : sizes) {
-      for (size_t n : sizes) {
+      for (size_t n : n_sizes) {
         const std::vector<float> a = RandomVec(m * k, &rng);
         const std::vector<float> b = RandomVec(k * n, &rng);
         std::vector<float> got = RandomVec(m * n, &rng);
@@ -136,6 +138,37 @@ TEST_P(KernelIsaTest, GemmParityAcrossTailSizes) {
                             1e-6f * static_cast<float>(k)))
               << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
         }
+      }
+    }
+  }
+}
+
+// Every output element is one FMA chain over ascending k starting from
+// `out`, whatever tile shape runs it, so the two vector ISAs agree to the
+// bit; only the scalar table (no FMA) is held to a ULP bound.
+TEST(KernelGemmTest, Avx512GemmIsBitwiseAvx2) {
+  if (!IsaSupported(Isa::kAvx2) || !IsaSupported(Isa::kAvx512)) {
+    GTEST_SKIP() << "needs both avx2 and avx512";
+  }
+  const Isa entry = ActiveIsa();
+  ASSERT_TRUE(ForceIsa(Isa::kAvx2));
+  const KernelTable avx2 = Kernels();
+  ASSERT_TRUE(ForceIsa(Isa::kAvx512));
+  const KernelTable avx512 = Kernels();
+  ASSERT_TRUE(ForceIsa(entry));
+  std::mt19937 rng(19);
+  for (size_t m = 1; m <= 17; ++m) {
+    for (size_t k : {1, 7, 256}) {
+      for (size_t n : {1, 15, 16, 17, 31, 32, 33, 127, 128, 129, 887}) {
+        const std::vector<float> a = RandomVec(m * k, &rng);
+        const std::vector<float> b = RandomVec(k * n, &rng);
+        std::vector<float> got = RandomVec(m * n, &rng);
+        std::vector<float> want = got;
+        avx512.gemm_accumulate(a.data(), b.data(), got.data(), m, k, n);
+        avx2.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n);
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(float)))
+            << "m=" << m << " k=" << k << " n=" << n;
       }
     }
   }

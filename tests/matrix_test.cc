@@ -196,7 +196,7 @@ TEST(GemmTest, IdentityIsNeutral) {
 
 // ---------- NT/TN through the tiled kernel ----------
 
-// Straddle every kernel strip width (1/8/16/32) and the 4-row tile.
+// Straddle every kernel strip width (1/8/16/32) and the 4- and 8-row tiles.
 constexpr size_t kTailSizes[] = {1, 3, 7, 17, 31, 63, 65};
 
 TEST(GemmTransposedTest, NTAndTNMatchNaiveAtTailSizes) {
@@ -273,12 +273,13 @@ TEST(GemmTransposedTest, TNDoesNotSkipZeroMultipliers) {
   }
 }
 
-// Row-split over a pool must not move a single bit: rows are cut on the
-// kernel's 4-row tile, so each row runs the code it runs serially.
+// Row-split over a pool must not move a single bit: rows are cut on
+// multiples of kGemmRowTile, so each row runs the code it runs serially.
+// The row counts end the split in an 8-row tile, a 4-row tile, single
+// rows and mixes of them.
 TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
   const size_t k = 37, n = 45;
-  for (size_t m : {size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{63},
-                   size_t{512}}) {
+  for (size_t m : {1, 3, 4, 5, 8, 9, 13, 16, 17, 63, 512, 887}) {
     Rng rng(m);
     const Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
     const Matrix b_nt = Matrix::Gaussian(n, k, 1.0f, rng);
