@@ -1,6 +1,7 @@
 // Per-ISA throughput for the runtime-dispatched SIMD kernel layer
 // (src/math/kernels/): GEMM at the serving encoder's shape and at the
-// training decoder head's, softmax, exp, tanh microkernels, plus the
+// training decoder head's, softmax, exp, tanh microkernels, the embedding
+// tables' row kernels (AdaGrad step, scale-add) at dim 256, plus the
 // end-to-end metric the layer exists for — cold fold-in encode rate
 // (FieldVae::EncodeFoldInInto) with the dispatch table pinned to each ISA
 // the host supports. The scalar row is the "before" of the SIMD change;
@@ -13,12 +14,15 @@
 // bench_results/kernels_bench.txt (human-readable).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -51,6 +55,8 @@ struct IsaNumbers {
   double softmax_melems_s = 0.0;
   double exp_melems_s = 0.0;
   double tanh_melems_s = 0.0;
+  double adagrad_melems_s = 0.0;
+  double scale_add_melems_s = 0.0;
   double foldin_users_s = 0.0;
 };
 
@@ -62,7 +68,38 @@ struct GemmShape {
 constexpr GemmShape kEncoderGemm = {64, 512, 256};
 constexpr GemmShape kDecoderGemm = {512, 256, 887};
 constexpr size_t kElems = 4096;
+// Row kernels: one call per table row of dim 256 (the training decoder's
+// output width) over a few MB of rows, as the sparse update sweeps them.
+constexpr size_t kRowDim = 256;
+constexpr size_t kRows = 2048;
 constexpr int kRounds = 3;
+
+/// adagrad_step and scale_add over kRows rows; returns Melem/s of each.
+std::pair<double, double> MeasureRowKernels(const KernelTable& t,
+                                            double budget_s) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  std::vector<float> w(kRows * kRowDim), acc(kRows * kRowDim),
+      g(kRows * kRowDim), x(kRows * kRowDim);
+  for (float& v : w) v = dist(rng);
+  for (float& v : acc) v = std::fabs(dist(rng));
+  for (float& v : g) v = dist(rng);
+  for (float& v : x) v = dist(rng);
+  const double elems = double(kRows * kRowDim);
+  const double adagrad_calls_s = MeasureRate(budget_s, [&] {
+    for (size_t r = 0; r < kRows; ++r) {
+      const size_t at = r * kRowDim;
+      t.adagrad_step(&w[at], &acc[at], &g[at], 0.05f, 1e-8f, kRowDim);
+    }
+  });
+  const double scale_add_calls_s = MeasureRate(budget_s, [&] {
+    for (size_t r = 0; r < kRows; ++r) {
+      const size_t at = r * kRowDim;
+      t.scale_add(0.37f, &x[at], &g[at], kRowDim);
+    }
+  });
+  return {adagrad_calls_s * elems / 1e6, scale_add_calls_s * elems / 1e6};
+}
 
 /// out += a * b at `shape` on random operands; returns GFLOP/s.
 double MeasureGemm(const KernelTable& t, GemmShape shape, double budget_s) {
@@ -108,6 +145,8 @@ IsaNumbers MeasureIsa(const core::FieldVae& model,
     t.tanh_inplace(scratch.data(), scratch.size());
   });
   out.tanh_melems_s = tanh_calls_s * double(kElems) / 1e6;
+  std::tie(out.adagrad_melems_s, out.scale_add_melems_s) =
+      MeasureRowKernels(t, budget_s);
 
   // Cold fold-in encode in batches of 8, persistent scratch as in
   // serving.
@@ -130,7 +169,8 @@ IsaNumbers Median(const std::vector<IsaNumbers>& per_round) {
   for (double IsaNumbers::*field :
        {&IsaNumbers::gemm_gflops, &IsaNumbers::gemm_decoder_gflops,
         &IsaNumbers::softmax_melems_s, &IsaNumbers::exp_melems_s,
-        &IsaNumbers::tanh_melems_s, &IsaNumbers::foldin_users_s}) {
+        &IsaNumbers::tanh_melems_s, &IsaNumbers::adagrad_melems_s,
+        &IsaNumbers::scale_add_melems_s, &IsaNumbers::foldin_users_s}) {
     std::vector<double> values;
     for (const IsaNumbers& r : per_round) values.push_back(r.*field);
     std::nth_element(values.begin(), values.begin() + values.size() / 2,
@@ -197,16 +237,18 @@ int Main() {
   std::string table;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-8s %12s %12s %14s %12s %12s %14s\n", "isa", "gemm_gflops",
-                "dec_gflops", "softmax_Mel/s", "exp_Mel/s", "tanh_Mel/s",
+                "%-8s %12s %12s %14s %12s %12s %14s %14s %14s\n", "isa",
+                "gemm_gflops", "dec_gflops", "softmax_Mel/s", "exp_Mel/s",
+                "tanh_Mel/s", "adagrad_Mel/s", "scale_add_Mel/s",
                 "foldin_users/s");
   table += line;
   for (const auto& [isa, n] : numbers) {
-    std::snprintf(line, sizeof(line),
-                  "%-8s %12.2f %12.2f %14.1f %12.1f %12.1f %14.1f\n",
-                  IsaName(isa), n.gemm_gflops, n.gemm_decoder_gflops,
-                  n.softmax_melems_s, n.exp_melems_s, n.tanh_melems_s,
-                  n.foldin_users_s);
+    std::snprintf(
+        line, sizeof(line),
+        "%-8s %12.2f %12.2f %14.1f %12.1f %12.1f %14.1f %14.1f %14.1f\n",
+        IsaName(isa), n.gemm_gflops, n.gemm_decoder_gflops,
+        n.softmax_melems_s, n.exp_melems_s, n.tanh_melems_s,
+        n.adagrad_melems_s, n.scale_add_melems_s, n.foldin_users_s);
     table += line;
   }
   const double scalar_foldin = numbers[Isa::kScalar].foldin_users_s;
@@ -216,12 +258,13 @@ int Main() {
   std::snprintf(line, sizeof(line),
                 "\ngemm shapes (m x k x n): gemm %zux%zux%zu (serving "
                 "encoder), dec %zux%zux%zu (training decoder head)\n"
+                "row kernels: %zu rows of dim %zu, one call per row\n"
                 "median of %d rounds per ISA\n"
                 "cold fold-in encode speedup, native (%s) vs scalar: "
                 "%.2fx\n",
                 kEncoderGemm.m, kEncoderGemm.k, kEncoderGemm.n,
-                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRounds,
-                IsaName(native), foldin_speedup);
+                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRows,
+                kRowDim, kRounds, IsaName(native), foldin_speedup);
   table += line;
   std::printf("%s", table.c_str());
 
@@ -232,9 +275,11 @@ int Main() {
   std::snprintf(buf, sizeof(buf),
                 "  \"gemm_shape\": [%zu, %zu, %zu],\n"
                 "  \"gemm_decoder_shape\": [%zu, %zu, %zu],\n"
+                "  \"row_kernel_shape\": [%zu, %zu],\n"
                 "  \"rounds\": %d,\n",
                 kEncoderGemm.m, kEncoderGemm.k, kEncoderGemm.n,
-                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRounds);
+                kDecoderGemm.m, kDecoderGemm.k, kDecoderGemm.n, kRows,
+                kRowDim, kRounds);
   json += buf;
   json += "  \"isas\": {\n";
   bool first = true;
@@ -244,10 +289,12 @@ int Main() {
         "%s    \"%s\": {\"gemm_gflops\": %.2f, "
         "\"gemm_decoder_gflops\": %.2f, \"softmax_melems_s\": %.1f, "
         "\"exp_melems_s\": %.1f, \"tanh_melems_s\": %.1f, "
+        "\"adagrad_melems_s\": %.1f, \"scale_add_melems_s\": %.1f, "
         "\"foldin_users_s\": %.1f}",
         first ? "" : ",\n", IsaName(isa), n.gemm_gflops,
         n.gemm_decoder_gflops, n.softmax_melems_s, n.exp_melems_s,
-        n.tanh_melems_s, n.foldin_users_s);
+        n.tanh_melems_s, n.adagrad_melems_s, n.scale_add_melems_s,
+        n.foldin_users_s);
     json += buf;
     first = false;
   }

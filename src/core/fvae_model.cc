@@ -480,11 +480,14 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     });
 
     // logits = hdec * Wc^T (+ bc, added per row below).
+    obs::TraceSpan logits_span("train.fields.gemm_logits");
     GemmNTPooled(hdec, scratch.wc, &scratch.logits, pool, &scratch.panel);
+    logits_span.End();
 
     // Per-user multinomial NLL and gradient over the candidate subset. Each
     // row's loss lands in row_nll and is summed serially below, so the
     // field loss does not depend on how rows were split.
+    obs::TraceSpan nll_span("train.fields.nll");
     scratch.logits_grad.Resize(batch, num_cand);
     scratch.row_nll.assign(batch, 0.0);
     const float weight = alpha_w[k] / static_cast<float>(batch);
@@ -515,12 +518,18 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
     double field_loss = 0.0;
     for (double nll : scratch.row_nll) field_loss += nll;
     stats.field_nll[k] = field_loss / double(batch);
+    nll_span.End();
 
     // Backprop into the decoder hidden state and the candidate rows.
+    obs::TraceSpan hidden_grad_span("train.fields.gemm_hidden_grad");
     GemmAccumulatePooled(scratch.logits_grad, scratch.wc, &hdec_grad, pool);
+    hidden_grad_span.End();
+    obs::TraceSpan row_grad_span("train.fields.gemm_row_grad");
     GemmTNPooled(scratch.logits_grad, hdec, &scratch.wc_grad, pool);
+    row_grad_span.End();
     // Candidate rows are distinct, so each column's bias-gradient sum (in
     // row order) and its table-row accumulation run on one worker.
+    obs::TraceSpan bias_grad_span("train.fields.bias_grad");
     for (uint32_t row : scratch.rows) out_table.MarkTouched(row);
     scratch.bias_grad.assign(num_cand, 0.0);
     ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {

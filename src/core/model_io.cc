@@ -128,19 +128,31 @@ bool ReadTableInto(BufferReader& in, nn::EmbeddingTable* table) {
   if (dim != table->dim() || (with_bias != 0) != table->with_bias()) {
     return false;
   }
+  // Every entry is a key, dim weights and a bias.
+  const uint64_t entry_bytes = sizeof(uint64_t) + (dim + 1) * sizeof(float);
+  if (count > in.remaining() / entry_bytes) return false;
+  // Keys first, in file order: the table rebuilds the slot layout that
+  // listed them, so a model saved right after this load is the same file.
+  std::vector<uint64_t> keys(count);
   std::vector<float> weights(dim);
+  float bias = 0.0f;
+  BufferReader keys_pass = in;
+  for (uint64_t& key : keys) {
+    if (!keys_pass.ReadPod(&key) ||
+        !keys_pass.ReadBytes(weights.data(), dim * sizeof(float)) ||
+        !keys_pass.ReadPod(&bias)) {
+      return false;
+    }
+  }
+  table->RestoreKeys(keys);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t key = 0;
-    float bias = 0.0f;
     if (!in.ReadPod(&key) ||
         !in.ReadBytes(weights.data(), dim * sizeof(float)) ||
         !in.ReadPod(&bias)) {
       return false;
     }
-    const uint32_t row = table->GetOrCreateRow(key);
-    std::span<float> dst = table->Row(row);
-    std::copy(weights.begin(), weights.end(), dst.begin());
-    if (table->with_bias()) table->set_bias(row, bias);
+    table->RestoreRow(key, weights, bias);
   }
   return true;
 }
@@ -439,8 +451,8 @@ Status ParseCursor(BufferReader& in, FieldVae* model, TrainingCursor* cursor) {
   for (RngState& state : cursor->output_table_rng) {
     if (!ReadRngState(in, &state)) return Status::IoError("truncated cursor");
   }
-  // Restore RNG streams last: the table loads above consumed initializer
-  // draws for every re-created row, and these snapshots supersede them.
+  // The table loads above inserted their rows without drawing, so the
+  // generators are still at their seeds until these snapshots land.
   model->set_rng_state(cursor->model_rng);
   for (size_t k = 0; k < model->num_fields(); ++k) {
     model->input_table(k).set_rng_state(cursor->input_table_rng[k]);
@@ -463,8 +475,7 @@ Status ParseRng(BufferReader& in, FieldVae* model) {
   for (RngState& state : output_rng) {
     if (!ReadRngState(in, &state)) return Status::IoError("truncated rng");
   }
-  // As with the cursor, restore last so the snapshots supersede the draws
-  // the table load consumed creating rows.
+  // As with the cursor: the table load drew nothing, these set the state.
   model->set_rng_state(model_rng);
   for (size_t k = 0; k < model->num_fields(); ++k) {
     model->input_table(k).set_rng_state(input_rng[k]);
@@ -511,7 +522,7 @@ Result<LoadedCheckpoint> LoadBody(BufferReader& in, const std::string& path) {
   FvaeConfig config;
   uint32_t last_tag = 0;
   bool saw_config = false, saw_schemas = false, saw_dense = false,
-       saw_tables = false, saw_end = false;
+       saw_tables = false, saw_rng = false, saw_end = false;
   while (!saw_end) {
     uint32_t tag = 0;
     uint64_t size = 0;
@@ -595,6 +606,7 @@ Result<LoadedCheckpoint> LoadBody(BufferReader& in, const std::string& path) {
           return Status::InvalidArgument("rng before tables in " + path);
         }
         FVAE_RETURN_IF_ERROR(ParseRng(section, loaded.model.get()));
+        saw_rng = true;
         break;
       default:
         return Status::InvalidArgument("unknown section tag " +
@@ -603,6 +615,12 @@ Result<LoadedCheckpoint> LoadBody(BufferReader& in, const std::string& path) {
   }
   if (!saw_tables) {
     return Status::InvalidArgument("missing sections in " + path);
+  }
+  // Restored rows skip their initializer draws, so only a saved generator
+  // state gives the loaded tables the state the saved ones had.
+  if (!loaded.has_cursor && !saw_rng) {
+    return Status::InvalidArgument("neither cursor nor rng section in " +
+                                   path);
   }
   return loaded;
 }

@@ -1,5 +1,6 @@
 #include "hash/dynamic_hash_table.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.h"
@@ -72,6 +73,79 @@ std::vector<std::pair<uint64_t, uint32_t>> DynamicHashTable::Items() const {
   }
   if (has_sentinel_key_) items.emplace_back(kEmptyKey, sentinel_index_);
   return items;
+}
+
+void DynamicHashTable::RestoreItems(std::span<const uint64_t> keys) {
+  FVAE_CHECK(size_ == 0) << "RestoreItems needs an empty table";
+  const bool has_sentinel = !keys.empty() && keys.back() == kEmptyKey;
+  const std::span<const uint64_t> slotted =
+      keys.first(keys.size() - (has_sentinel ? 1 : 0));
+  // The listed table grew before any insert that would pass load 0.7. A
+  // sentinel key inserted before its last slotted key counted towards that
+  // load, so with a sentinel both capacities are candidates.
+  for (size_t counted = slotted.size();
+       counted <= slotted.size() + (has_sentinel ? 1 : 0); ++counted) {
+    size_t capacity = slots_.size();
+    while (counted * 10 > capacity * 7) capacity *= 2;
+    if (PlaceInSlotOrder(slotted, capacity)) {
+      size_ = slotted.size();
+      if (has_sentinel) {
+        has_sentinel_key_ = true;
+        sentinel_index_ = static_cast<uint32_t>(size_++);
+      }
+      return;
+    }
+  }
+  for (uint64_t key : keys) GetOrInsert(key);
+}
+
+bool DynamicHashTable::PlaceInSlotOrder(std::span<const uint64_t> keys,
+                                        size_t capacity) {
+  const size_t mask = capacity - 1;
+  if (keys.size() >= capacity) return false;
+  for (uint64_t key : keys) {
+    if (key == kEmptyKey) return false;
+  }
+  // Items() walks the slots upward, so the listing gives every key's slot
+  // in ascending order, and slot = max(home, previous slot + 1) replays
+  // linear probing. The one exception is the run of keys from slot 0 that
+  // probed past the last slot and wrapped around: try growing lengths of
+  // it, keeping the first layout in which every key is found.
+  constexpr size_t kMaxWrapped = 1024;
+  std::vector<Slot> slots(capacity);
+  std::vector<size_t> placed(keys.size());
+  for (size_t wrapped = 0; wrapped <= std::min(keys.size(), kMaxWrapped);
+       ++wrapped) {
+    std::fill(slots.begin(), slots.end(), Slot{});
+    size_t next = 0;
+    bool fits = true;
+    for (size_t i = 0; i < keys.size() && fits; ++i) {
+      const size_t pos =
+          i < wrapped ? i : std::max<size_t>(Mix(keys[i]) & mask, next);
+      fits = pos <= mask;
+      if (fits) {
+        slots[pos] = {keys[i], static_cast<uint32_t>(i)};
+        placed[i] = pos;
+        next = pos + 1;
+      }
+    }
+    // Valid when probing from each key's home crosses only occupied slots
+    // holding other keys before it reaches the key's own.
+    for (size_t i = 0; i < keys.size() && fits; ++i) {
+      for (size_t pos = Mix(keys[i]) & mask; pos != placed[i];
+           pos = (pos + 1) & mask) {
+        if (slots[pos].key == kEmptyKey || slots[pos].key == keys[i]) {
+          fits = false;
+          break;
+        }
+      }
+    }
+    if (fits) {
+      slots_ = std::move(slots);
+      return true;
+    }
+  }
+  return false;
 }
 
 void DynamicHashTable::Clear() {

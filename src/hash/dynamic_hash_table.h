@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace fvae {
@@ -44,8 +45,16 @@ class DynamicHashTable {
   /// Current number of slots (for load-factor tests).
   size_t capacity() const { return slots_.size(); }
 
-  /// All (key, index) pairs in unspecified order.
+  /// All (key, index) pairs, in slot order (an out-of-band sentinel key
+  /// last).
   std::vector<std::pair<uint64_t, uint32_t>> Items() const;
+
+  /// Fills an empty table with distinct `keys`, dense index i for keys[i].
+  /// When `keys` is the key column of some table's Items() (a saved table
+  /// read back), the table is rebuilt with that one's capacity and slot
+  /// layout, so Items() lists the keys in the same order again; any other
+  /// order is inserted key by key.
+  void RestoreItems(std::span<const uint64_t> keys);
 
   /// Removes every entry; subsequent inserts restart dense indices at 0.
   void Clear();
@@ -62,6 +71,9 @@ class DynamicHashTable {
 
   static uint64_t Mix(uint64_t key);
   void Grow();
+  /// RestoreItems' layout step at one capacity: false when no layout there
+  /// lists `keys` in order.
+  bool PlaceInSlotOrder(std::span<const uint64_t> keys, size_t capacity);
   size_t ProbeStart(uint64_t mixed) const {
     return mixed & (slots_.size() - 1);
   }

@@ -29,6 +29,10 @@ namespace fvae {
 ///  - GEMM accumulates in ascending-p order in every tile and tail path
 ///    and never skips zero multiplicands, so 0*inf/0*NaN propagation is
 ///    identical between the tiled body and the remainder loops.
+///  - the kernel TUs build with -ffp-contract=off: an FMA appears only
+///    where a kernel asks for one by intrinsic, so scale_add and
+///    adagrad_step (whose contract is "never fused") stay bitwise equal to
+///    the scalar loops on every ISA.
 ///  - denormals: Kernels() applies FTZ+DAZ to the calling thread's MXCSR
 ///    once per thread (disable with FVAE_FTZ=0) so subnormal intermediates
 ///    in the exp/KL path cannot stall the pipeline; the multinomial-loss
@@ -52,8 +56,19 @@ struct KernelTable {
                           size_t m, size_t k, size_t n) = nullptr;
   /// Inner product accumulated in double.
   double (*dot)(const float* a, const float* b, size_t n) = nullptr;
-  /// y += alpha * x.
+  /// y += alpha * x (the vector ISAs fuse this into one FMA per element).
   void (*axpy)(float alpha, const float* x, float* y, size_t n) = nullptr;
+  /// y += v * x with the product rounded to float before the add, never
+  /// fused: every ISA gives bitwise the scalar `y[i] += v * x[i]`. The
+  /// embedding tables accumulate their sparse gradients with it.
+  void (*scale_add)(float v, const float* x, float* y, size_t n) = nullptr;
+  /// One AdaGrad step over n parameters, per element and in this order:
+  /// acc += g*g; w -= lr*g / (sqrt(acc) + eps); g = 0. No operation is
+  /// fused and sqrt/div are exactly rounded, so every ISA gives bitwise
+  /// the scalar loop (the embedding tables' sparse update). w, acc and g
+  /// must not overlap.
+  void (*adagrad_step)(float* w, float* acc, float* g, float lr, float eps,
+                       size_t n) = nullptr;
   void (*softmax_inplace)(float* x, size_t n) = nullptr;
   void (*log_softmax_inplace)(float* x, size_t n) = nullptr;
   void (*exp_inplace)(float* x, size_t n) = nullptr;

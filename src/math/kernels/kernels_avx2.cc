@@ -281,6 +281,61 @@ void AxpyAvx2(float alpha, const float* x, float* y, size_t n) {
   }
 }
 
+// y + v*x as two rounded operations. The TU builds with -ffp-contract=off,
+// so the compiler cannot fold the pair into one FMA (scale_add's contract).
+__m256 ScaleAdd8(__m256 vv, __m256 x, __m256 y) {
+  return _mm256_add_ps(y, _mm256_mul_ps(vv, x));
+}
+
+void ScaleAddAvx2(float v, const float* x, float* y, size_t n) {
+  const __m256 vv = _mm256_set1_ps(v);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(
+        y + i, ScaleAdd8(vv, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
+  }
+  if (i < n) {
+    const __m256i mask = TailMask8(n - i);
+    _mm256_maskstore_ps(y + i, mask,
+                        ScaleAdd8(vv, _mm256_maskload_ps(x + i, mask),
+                                  _mm256_maskload_ps(y + i, mask)));
+  }
+}
+
+// One AdaGrad step on 8 lanes, operation for operation the scalar loop:
+// acc + g*g, then w - (lr*g) / (sqrt(acc) + eps).
+void AdagradStep8(__m256 vlr, __m256 veps, __m256* w, __m256* acc, __m256 g) {
+  *acc = _mm256_add_ps(*acc, _mm256_mul_ps(g, g));
+  const __m256 step =
+      _mm256_div_ps(_mm256_mul_ps(vlr, g),
+                    _mm256_add_ps(_mm256_sqrt_ps(*acc), veps));
+  *w = _mm256_sub_ps(*w, step);
+}
+
+void AdagradStepAvx2(float* w, float* acc, float* g, float lr, float eps,
+                     size_t n) {
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 veps = _mm256_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 vw = _mm256_loadu_ps(w + i);
+    __m256 va = _mm256_loadu_ps(acc + i);
+    AdagradStep8(vlr, veps, &vw, &va, _mm256_loadu_ps(g + i));
+    _mm256_storeu_ps(w + i, vw);
+    _mm256_storeu_ps(acc + i, va);
+    _mm256_storeu_ps(g + i, _mm256_setzero_ps());
+  }
+  if (i < n) {
+    const __m256i mask = TailMask8(n - i);
+    __m256 vw = _mm256_maskload_ps(w + i, mask);
+    __m256 va = _mm256_maskload_ps(acc + i, mask);
+    AdagradStep8(vlr, veps, &vw, &va, _mm256_maskload_ps(g + i, mask));
+    _mm256_maskstore_ps(w + i, mask, vw);
+    _mm256_maskstore_ps(acc + i, mask, va);
+    _mm256_maskstore_ps(g + i, mask, _mm256_setzero_ps());
+  }
+}
+
 float MaxOrNegInfAvx2(const float* x, size_t n) {
   __m256 vm = _mm256_set1_ps(-HUGE_VALF);
   size_t i = 0;
@@ -424,6 +479,8 @@ void FillAvx2(KernelTable* t) {
   t->gemm_accumulate = GemmAccumulateAvx2;
   t->dot = DotAvx2;
   t->axpy = AxpyAvx2;
+  t->scale_add = ScaleAddAvx2;
+  t->adagrad_step = AdagradStepAvx2;
   t->softmax_inplace = SoftmaxAvx2;
   t->log_softmax_inplace = LogSoftmaxAvx2;
   t->exp_inplace = ExpInPlaceAvx2;

@@ -240,6 +240,62 @@ void AxpyAvx512(float alpha, const float* x, float* y, size_t n) {
   }
 }
 
+// y + v*x as two rounded operations. The TU builds with -ffp-contract=off,
+// so the compiler cannot fold the pair into one FMA (scale_add's contract).
+__m512 ScaleAdd16(__m512 vv, __m512 x, __m512 y) {
+  return _mm512_add_ps(y, _mm512_mul_ps(vv, x));
+}
+
+void ScaleAddAvx512(float v, const float* x, float* y, size_t n) {
+  const __m512 vv = _mm512_set1_ps(v);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(
+        y + i, ScaleAdd16(vv, _mm512_loadu_ps(x + i), _mm512_loadu_ps(y + i)));
+  }
+  if (i < n) {
+    const __mmask16 mask = TailMask16(n - i);
+    _mm512_mask_storeu_ps(y + i, mask,
+                          ScaleAdd16(vv, _mm512_maskz_loadu_ps(mask, x + i),
+                                     _mm512_maskz_loadu_ps(mask, y + i)));
+  }
+}
+
+// One AdaGrad step on 16 lanes, operation for operation the scalar loop:
+// acc + g*g, then w - (lr*g) / (sqrt(acc) + eps).
+void AdagradStep16(__m512 vlr, __m512 veps, __m512* w, __m512* acc,
+                   __m512 g) {
+  *acc = _mm512_add_ps(*acc, _mm512_mul_ps(g, g));
+  const __m512 step =
+      _mm512_div_ps(_mm512_mul_ps(vlr, g),
+                    _mm512_add_ps(_mm512_sqrt_ps(*acc), veps));
+  *w = _mm512_sub_ps(*w, step);
+}
+
+void AdagradStepAvx512(float* w, float* acc, float* g, float lr, float eps,
+                       size_t n) {
+  const __m512 vlr = _mm512_set1_ps(lr);
+  const __m512 veps = _mm512_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512 vw = _mm512_loadu_ps(w + i);
+    __m512 va = _mm512_loadu_ps(acc + i);
+    AdagradStep16(vlr, veps, &vw, &va, _mm512_loadu_ps(g + i));
+    _mm512_storeu_ps(w + i, vw);
+    _mm512_storeu_ps(acc + i, va);
+    _mm512_storeu_ps(g + i, _mm512_setzero_ps());
+  }
+  if (i < n) {
+    const __mmask16 mask = TailMask16(n - i);
+    __m512 vw = _mm512_maskz_loadu_ps(mask, w + i);
+    __m512 va = _mm512_maskz_loadu_ps(mask, acc + i);
+    AdagradStep16(vlr, veps, &vw, &va, _mm512_maskz_loadu_ps(mask, g + i));
+    _mm512_mask_storeu_ps(w + i, mask, vw);
+    _mm512_mask_storeu_ps(acc + i, mask, va);
+    _mm512_mask_storeu_ps(g + i, mask, _mm512_setzero_ps());
+  }
+}
+
 float MaxOrNegInfAvx512(const float* x, size_t n) {
   __m512 vm = _mm512_set1_ps(-HUGE_VALF);
   size_t i = 0;
@@ -379,6 +435,8 @@ void FillAvx512(KernelTable* t) {
   t->gemm_accumulate = GemmAccumulateAvx512;
   t->dot = DotAvx512;
   t->axpy = AxpyAvx512;
+  t->scale_add = ScaleAddAvx512;
+  t->adagrad_step = AdagradStepAvx512;
   t->softmax_inplace = SoftmaxAvx512;
   t->log_softmax_inplace = LogSoftmaxAvx512;
   t->exp_inplace = ExpInPlaceAvx512;

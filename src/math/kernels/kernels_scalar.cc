@@ -41,6 +41,19 @@ void AxpyScalar(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void ScaleAddScalar(float v, const float* x, float* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] += v * x[i];
+}
+
+void AdagradStepScalar(float* w, float* acc, float* g, float lr, float eps,
+                       size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    acc[i] += g[i] * g[i];
+    w[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+    g[i] = 0.0f;
+  }
+}
+
 // NaN-ignoring max (`>` is false on NaN); -inf when nothing finite.
 float MaxOrNegInf(const float* x, size_t n) {
   float mx = -HUGE_VALF;
@@ -110,6 +123,8 @@ void FillScalar(KernelTable* t) {
   t->gemm_accumulate = GemmAccumulateScalar;
   t->dot = DotScalar;
   t->axpy = AxpyScalar;
+  t->scale_add = ScaleAddScalar;
+  t->adagrad_step = AdagradStepScalar;
   t->softmax_inplace = SoftmaxScalar;
   t->log_softmax_inplace = LogSoftmaxScalar;
   t->exp_inplace = ExpInPlaceScalar;

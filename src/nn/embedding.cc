@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 
 namespace fvae::nn {
 
@@ -12,14 +15,73 @@ namespace {
 
 constexpr uint32_t kNoSlot = ~uint32_t{0};
 
+// A block holds the largest power-of-two number of rows whose weights fit
+// in this many floats (at least one row).
+constexpr size_t kBlockFloats = size_t{1} << 16;
+
+uint32_t RowShift(size_t dim) {
+  uint32_t shift = 0;
+  while ((dim << (shift + 1)) <= kBlockFloats) ++shift;
+  return shift;
+}
+
 }  // namespace
+
+void EmbeddingTable::FreeDeleter::operator()(float* p) const { std::free(p); }
 
 EmbeddingTable::EmbeddingTable(size_t dim, bool with_bias, float init_stddev,
                                uint64_t seed)
     : dim_(dim), with_bias_(with_bias), init_stddev_(init_stddev),
-      rng_(seed) {
+      rng_(seed), row_shift_(RowShift(dim)),
+      row_mask_((uint32_t{1} << row_shift_) - 1),
+      block_floats_((size_t{row_mask_} + 1) * dim) {
   FVAE_CHECK(dim > 0) << "embedding dim must be positive";
   FVAE_CHECK(init_stddev >= 0.0f) << "negative init stddev";
+}
+
+uint32_t EmbeddingTable::InsertKey(uint64_t key, bool* inserted) {
+  const size_t before = hash_.size();
+  const uint32_t row = hash_.GetOrInsert(key);
+  *inserted = hash_.size() > before;
+  if (*inserted) {
+    AddRowStorage(row);
+    FVAE_CHECK(keys_.size() == row) << "row/key bookkeeping out of sync";
+    keys_.push_back(key);
+  }
+  return row;
+}
+
+void EmbeddingTable::RestoreKeys(std::span<const uint64_t> keys) {
+  FVAE_CHECK(num_rows() == 0) << "RestoreKeys needs an empty table";
+  hash_.RestoreItems(keys);
+  keys_.resize(hash_.size());
+  for (const auto& [key, row] : hash_.Items()) keys_[row] = key;
+  for (uint32_t row = 0; row < hash_.size(); ++row) AddRowStorage(row);
+}
+
+void EmbeddingTable::AddRowStorage(uint32_t row) {
+  if ((row >> row_shift_) == blocks_.size()) {
+    // calloc hands back zeroed memory without touching it: a fresh block's
+    // pages fault in where its rows are first written. The rows start on
+    // a cache line, so at a dim that is a multiple of 16 no vector load of
+    // a row straddles two lines.
+    constexpr size_t kLineFloats = 64 / sizeof(float);
+    float* memory = static_cast<float*>(
+        std::calloc(3 * block_floats_ + kLineFloats, sizeof(float)));
+    FVAE_CHECK(memory != nullptr) << "embedding block allocation failed";
+    const size_t skew =
+        reinterpret_cast<uintptr_t>(memory) / sizeof(float) % kLineFloats;
+    float* weights = memory + (kLineFloats - skew) % kLineFloats;
+    blocks_.push_back(
+        {std::unique_ptr<float[], FreeDeleter>(memory), weights});
+  }
+  is_touched_.push_back(false);
+  is_dirty_.push_back(false);
+  if (with_bias_) {
+    biases_.push_back(0.0f);
+    adagrad_bias_.push_back(0.0f);
+    grad_bias_.push_back(0.0f);
+  }
 }
 
 uint32_t EmbeddingTable::GetOrCreateRow(uint64_t key) {
@@ -29,16 +91,22 @@ uint32_t EmbeddingTable::GetOrCreateRow(uint64_t key) {
 }
 
 uint32_t EmbeddingTable::GetOrCreateRowDeferred(uint64_t key) {
-  const size_t before = hash_.size();
-  const uint32_t row = hash_.GetOrInsert(key);
-  if (hash_.size() > before) {
-    EnsureCapacity(row);
-    FVAE_CHECK(keys_.size() == row) << "row/key bookkeeping out of sync";
-    keys_.push_back(key);
+  bool inserted = false;
+  const uint32_t row = InsertKey(key, &inserted);
+  if (inserted) {
     pending_.push_back({row, rng_.GetState()});
     rng_.SkipNormals(dim_);
   }
   return row;
+}
+
+void EmbeddingTable::RestoreRow(uint64_t key, std::span<const float> weights,
+                                float bias) {
+  FVAE_CHECK(weights.size() == dim_) << "weight dim mismatch";
+  bool inserted = false;
+  const uint32_t row = InsertKey(key, &inserted);
+  std::copy(weights.begin(), weights.end(), Weights(row));
+  if (with_bias_) biases_[row] = bias;
 }
 
 void EmbeddingTable::InitPendingRows(ThreadPool* pool) {
@@ -46,7 +114,7 @@ void EmbeddingTable::InitPendingRows(ThreadPool* pool) {
     Rng rng;
     for (size_t i = lo; i < hi; ++i) {
       rng.SetState(pending_[i].state);
-      float* w = weights_.data() + size_t(pending_[i].row) * dim_;
+      float* w = Weights(pending_[i].row);
       for (size_t d = 0; d < dim_; ++d) {
         w[d] = static_cast<float>(rng.Normal(0.0, init_stddev_));
       }
@@ -74,12 +142,12 @@ std::optional<uint32_t> EmbeddingTable::FindRow(uint64_t key) const {
 
 std::span<float> EmbeddingTable::Row(uint32_t row) {
   FVAE_CHECK(row < num_rows()) << "row out of range";
-  return {weights_.data() + size_t(row) * dim_, dim_};
+  return {Weights(row), dim_};
 }
 
 std::span<const float> EmbeddingTable::Row(uint32_t row) const {
   FVAE_CHECK(row < num_rows()) << "row out of range";
-  return {weights_.data() + size_t(row) * dim_, dim_};
+  return {Weights(row), dim_};
 }
 
 float EmbeddingTable::bias(uint32_t row) const {
@@ -104,8 +172,8 @@ void EmbeddingTable::AddGrad(uint32_t row, std::span<const float> grad,
                              float bias_grad) {
   FVAE_CHECK(row < num_rows()) << "row out of range";
   FVAE_CHECK(grad.size() == dim_) << "gradient dim mismatch";
-  float* g = grad_.data() + size_t(row) * dim_;
-  for (size_t d = 0; d < dim_; ++d) g[d] += grad[d];
+  // 1 * x is x exactly, so this is the plain elementwise add.
+  Kernels().scale_add(1.0f, grad.data(), Gradient(row), dim_);
   if (with_bias_) grad_bias_[row] += bias_grad;
 }
 
@@ -141,17 +209,19 @@ void EmbeddingTable::ScatterGrad(std::span<const SparseRef> refs,
   for (uint32_t row : slot_rows_) slot_of_row_[row] = kNoSlot;
 
   const auto sum_rows = [&](size_t lo, size_t hi) {
-    // Each term is rounded to float before it is added, as a caller of
-    // AccumulateGrad rounds its scaled gradient.
-    std::vector<float> scaled(dim_);
+    // scale_add rounds each term to float before adding it, as a caller of
+    // AccumulateGrad rounds its scaled gradient. That caller's zero bias
+    // gradient still adds +0.0f once (turning a -0.0f sum into +0.0f);
+    // further +0.0f adds change nothing.
+    const KernelTable& kernels = Kernels();
     for (size_t s = lo; s < hi; ++s) {
+      const uint32_t row = slot_rows_[s];
+      float* row_grad = Gradient(row);
       for (size_t t = slot_begin_[s]; t < slot_begin_[s + 1]; ++t) {
-        const float* g = grads.Row(slot_terms_[t].item);
-        for (size_t d = 0; d < dim_; ++d) {
-          scaled[d] = slot_terms_[t].value * g[d];
-        }
-        AddGrad(slot_rows_[s], scaled);
+        kernels.scale_add(slot_terms_[t].value,
+                          grads.Row(slot_terms_[t].item), row_grad, dim_);
       }
+      if (with_bias_) grad_bias_[row] += 0.0f;
     }
   };
   ParallelForRange(pool, 0, slot_rows_.size(), /*align=*/1, sum_rows);
@@ -167,16 +237,11 @@ void EmbeddingTable::ApplyGradients(float learning_rate, ThreadPool* pool,
     is_touched_[row] = false;
   }
   const auto step_rows = [&](size_t lo, size_t hi) {
+    const KernelTable& kernels = Kernels();
     for (size_t i = lo; i < hi; ++i) {
       const uint32_t row = touched_[i];
-      float* w = weights_.data() + size_t(row) * dim_;
-      float* g = grad_.data() + size_t(row) * dim_;
-      float* acc = adagrad_.data() + size_t(row) * dim_;
-      for (size_t d = 0; d < dim_; ++d) {
-        acc[d] += g[d] * g[d];
-        w[d] -= learning_rate * g[d] / (std::sqrt(acc[d]) + epsilon);
-        g[d] = 0.0f;
-      }
+      kernels.adagrad_step(Weights(row), Accumulators(row), Gradient(row),
+                           learning_rate, epsilon, dim_);
       if (with_bias_) {
         const float gb = grad_bias_[row];
         adagrad_bias_[row] += gb * gb;
@@ -192,7 +257,7 @@ void EmbeddingTable::ApplyGradients(float learning_rate, ThreadPool* pool,
 
 std::span<const float> EmbeddingTable::AdagradRow(uint32_t row) const {
   FVAE_CHECK(row < num_rows());
-  return {adagrad_.data() + size_t(row) * dim_, dim_};
+  return {Accumulators(row), dim_};
 }
 
 float EmbeddingTable::adagrad_bias(uint32_t row) const {
@@ -205,32 +270,13 @@ void EmbeddingTable::RestoreAdagradRow(uint32_t row,
                                        float bias_accum) {
   FVAE_CHECK(row < num_rows());
   FVAE_CHECK(accum.size() == dim_) << "accumulator dim mismatch";
-  float* acc = adagrad_.data() + size_t(row) * dim_;
-  std::copy(accum.begin(), accum.end(), acc);
+  std::copy(accum.begin(), accum.end(), Accumulators(row));
   if (with_bias_) adagrad_bias_[row] = bias_accum;
 }
 
 std::span<const float> EmbeddingTable::RowGrad(uint32_t row) const {
   FVAE_CHECK(row < num_rows());
-  return {grad_.data() + size_t(row) * dim_, dim_};
-}
-
-void EmbeddingTable::EnsureCapacity(uint32_t row) {
-  const size_t needed = (size_t(row) + 1) * dim_;
-  if (weights_.size() < needed) {
-    weights_.resize(needed, 0.0f);
-    adagrad_.resize(needed, 0.0f);
-    grad_.resize(needed, 0.0f);
-  }
-  if (is_touched_.size() < size_t(row) + 1) {
-    is_touched_.resize(size_t(row) + 1, false);
-    is_dirty_.resize(size_t(row) + 1, false);
-  }
-  if (with_bias_ && biases_.size() < size_t(row) + 1) {
-    biases_.resize(size_t(row) + 1, 0.0f);
-    adagrad_bias_.resize(size_t(row) + 1, 0.0f);
-    grad_bias_.resize(size_t(row) + 1, 0.0f);
-  }
+  return {Gradient(row), dim_};
 }
 
 }  // namespace fvae::nn

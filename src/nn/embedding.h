@@ -2,6 +2,7 @@
 #define FVAE_NN_EMBEDDING_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -34,6 +35,14 @@ namespace fvae::nn {
 /// Training uses sparse AdaGrad: gradients are accumulated per touched row
 /// and applied in ApplyGradients, which also clears the accumulation state.
 ///
+/// Storage: rows live in blocks of rows_per_block rows, the largest power
+/// of two with rows_per_block * dim <= 2^16 (at least 1). A block holds
+/// its rows' weights, then their AdaGrad accumulators, then their
+/// gradients, each as a rows_per_block x dim array. The row that opens a
+/// block allocates it zeroed and untouched; nothing is ever reallocated or
+/// copied, so rows never move and a span from Row() stays valid as the
+/// table grows. Row() is a shift, a mask and a multiply.
+///
 /// Threading: hash inserts, the generator and the touched/dirty bookkeeping
 /// belong to one calling thread. The row-disjoint arithmetic (replaying a
 /// deferred row's initial draws, AddGrad, the AdaGrad step) may run on pool
@@ -57,6 +66,17 @@ class EmbeddingTable {
   /// by replaying its recorded generator state, split by row over `pool`
   /// (null runs inline).
   void InitPendingRows(ThreadPool* pool);
+
+  /// Model load, step one: inserts distinct `keys`, in the order Items()
+  /// listed them when the table was saved, into an empty table, so that
+  /// Items() lists them in that order again (DynamicHashTable::
+  /// RestoreItems). Nothing is drawn: the load restores the generator
+  /// state afterwards.
+  void RestoreKeys(std::span<const uint64_t> keys);
+
+  /// Model load, step two: sets `key`'s row to `weights` (and `bias`, for a
+  /// table with biases), inserting the row, without drawing, if new.
+  void RestoreRow(uint64_t key, std::span<const float> weights, float bias);
 
   /// Dense row index for `key`, or nullopt for unseen keys.
   std::optional<uint32_t> FindRow(uint64_t key) const;
@@ -85,6 +105,7 @@ class EmbeddingTable {
 
   /// Adds a gradient contribution to a row marked touched, without any
   /// bookkeeping: calls on distinct rows may run on different threads.
+  /// Each element is one rounded add, exactly `g[d] += grad[d]`.
   void AddGrad(uint32_t row, std::span<const float> grad,
                float bias_grad = 0.0f);
 
@@ -105,9 +126,9 @@ class EmbeddingTable {
                    ThreadPool* pool);
 
   /// AdaGrad update over all rows touched since the last call, then resets
-  /// the accumulated gradients. The per-row steps are split over `pool`
-  /// (null runs inline); the dirty list is kept in touched order either
-  /// way. `epsilon` guards the adaptive denominator.
+  /// the accumulated gradients. The per-row steps (the adagrad_step kernel)
+  /// are split over `pool` (null runs inline); the dirty list is kept in
+  /// touched order either way. `epsilon` guards the adaptive denominator.
   void ApplyGradients(float learning_rate, ThreadPool* pool = nullptr,
                       float epsilon = 1e-8f);
 
@@ -147,7 +168,24 @@ class EmbeddingTable {
   void set_rng_state(const RngState& state) { rng_.SetState(state); }
 
  private:
-  void EnsureCapacity(uint32_t row);
+  /// Dense row index for `key`; `*inserted` says whether it is new. A new
+  /// row gets zeroed storage and its key recorded, nothing more.
+  uint32_t InsertKey(uint64_t key, bool* inserted);
+
+  /// Zeroed storage and clear bookkeeping for `row`, the next new row.
+  void AddRowStorage(uint32_t row);
+
+  /// `row`'s weights. Its AdaGrad accumulators sit block_floats_ further
+  /// on, and its gradient 2 * block_floats_ further.
+  float* Weights(uint32_t row) const {
+    return blocks_[row >> row_shift_].weights + size_t(row & row_mask_) * dim_;
+  }
+  float* Accumulators(uint32_t row) const {
+    return Weights(row) + block_floats_;
+  }
+  float* Gradient(uint32_t row) const {
+    return Weights(row) + 2 * block_floats_;
+  }
 
   /// A row created by GetOrCreateRowDeferred, not yet initialized.
   struct PendingRow {
@@ -155,17 +193,30 @@ class EmbeddingTable {
     RngState state;  // generator state before the row's draws
   };
 
+  struct FreeDeleter {
+    void operator()(float* p) const;
+  };
+
+  /// One block's calloc'd memory, and the first row's weights inside it,
+  /// moved up to the next cache line.
+  struct Block {
+    std::unique_ptr<float[], FreeDeleter> memory;
+    float* weights;
+  };
+
   size_t dim_;
   bool with_bias_;
   float init_stddev_;
   Rng rng_;
   DynamicHashTable hash_;
-  std::vector<float> weights_;       // num_rows x dim
+  // rows_per_block = 1 << row_shift_; a row's gradient is zero whenever
+  // the row is untouched.
+  uint32_t row_shift_;
+  uint32_t row_mask_;
+  size_t block_floats_;  // rows_per_block * dim: one of a block's 3 arrays
+  std::vector<Block> blocks_;
   std::vector<float> biases_;        // num_rows (if with_bias_)
-  std::vector<float> adagrad_;       // num_rows x dim accumulators
   std::vector<float> adagrad_bias_;  // num_rows
-  // Sparse gradient accumulation.
-  std::vector<float> grad_;          // num_rows x dim (zeroed when untouched)
   std::vector<float> grad_bias_;
   std::vector<uint32_t> touched_;
   std::vector<bool> is_touched_;

@@ -383,6 +383,94 @@ TEST_F(CheckpointTest, SavedModelIsExactWarmStart) {
             0.0f);
 }
 
+// A load inserts every row without drawing initial values and takes the
+// generator states from the file, so saving what was loaded writes the
+// file back byte for byte: for an export, for a trainer checkpoint, and
+// for tables whose rows span several storage blocks.
+TEST_F(CheckpointTest, LoadThenSaveGivesSameBytes) {
+  const MultiFieldDataset data = Fixture();
+  TrainOptions options;
+  options.batch_size = 16;
+  options.epochs = 2;
+  options.checkpoint_every_steps = 5;
+  options.checkpoint_dir = Path("ckpts");
+  FieldVae trained(SmallConfig(), data.fields());
+  TrainFvae(trained, data, options);
+  ASSERT_TRUE(SaveFieldVae(trained, Path("trained.fvmd")).ok());
+
+  // Input rows of dim 100 (512 to a block), output rows of dim 256 (256 to
+  // a block), each table over more than three blocks, with AdaGrad state.
+  FvaeConfig wide = SmallConfig();
+  wide.encoder_hidden = {100};
+  wide.decoder_hidden = {256};
+  FieldVae blocks(wide, data.fields());
+  for (size_t k = 0; k < blocks.num_fields(); ++k) {
+    for (auto [table, rows] :
+         {std::pair{&blocks.input_table(k), uint64_t{3 * 512 + 5}},
+          std::pair{&blocks.output_table(k), uint64_t{3 * 256 + 5}}}) {
+      for (uint64_t key = 0; key < rows; ++key) {
+        const uint32_t row = table->GetOrCreateRow(key * 977 + k);
+        if (key % 3 == 0) {
+          const std::vector<float> grad(table->dim(), 0.01f * float(key % 5));
+          table->AccumulateGrad(row, grad, 0.5f);
+        }
+      }
+      table->ApplyGradients(0.1f);
+    }
+  }
+  ASSERT_TRUE(SaveFieldVae(blocks, Path("blocks.fvmd")).ok());
+
+  for (const char* name : {"trained.fvmd", "blocks.fvmd"}) {
+    auto loaded = LoadFieldVae(Path(name));
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    ASSERT_TRUE(SaveFieldVae(**loaded, Path("again.fvmd")).ok());
+    EXPECT_TRUE(ReadFile(Path(name)) == ReadFile(Path("again.fvmd"))) << name;
+  }
+  const std::string checkpoint = Path("ckpts") + "/checkpoint-5.fvmd";
+  auto loaded = LoadCheckpoint(checkpoint);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->has_cursor);
+  ASSERT_TRUE(
+      SaveCheckpoint(*loaded->model, loaded->cursor, Path("again.fvmd")).ok());
+  EXPECT_TRUE(ReadFile(checkpoint) == ReadFile(Path("again.fvmd")));
+}
+
+// Without a cursor or rng section a load could not set the generators: the
+// restored rows skipped their draws, so the file is refused outright.
+TEST_F(CheckpointTest, FileWithoutCursorOrRngIsRejected) {
+  const MultiFieldDataset data = Fixture();
+  FieldVae model(SmallConfig(), data.fields());
+  ASSERT_TRUE(SaveFieldVae(model, Path("export.fvmd")).ok());
+  std::string bytes = ReadFile(Path("export.fvmd"));
+  // Walk the sections (tag u32, size u64, payload, crc u32) after the
+  // magic and version, and cut the rng one (tag 7) out whole. Every other
+  // section keeps its CRC, so only the missing section is wrong.
+  size_t at = 8;
+  bool cut = false;
+  while (at + 12 <= bytes.size()) {
+    uint32_t tag = 0;
+    uint64_t size = 0;
+    std::memcpy(&tag, bytes.data() + at, sizeof(tag));
+    std::memcpy(&size, bytes.data() + at + 4, sizeof(size));
+    const size_t framed = 4 + 8 + size + 4;
+    if (tag == 7) {
+      bytes.erase(at, framed);
+      cut = true;
+      break;
+    }
+    at += framed;
+  }
+  ASSERT_TRUE(cut);
+  WriteFile(Path("no_rng.fvmd"), bytes);
+
+  auto loaded = LoadFieldVae(Path("no_rng.fvmd"));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = loaded.status().message();
+  EXPECT_NE(message.find("neither cursor nor rng"), std::string::npos)
+      << message;
+}
+
 // ---------------------------------------------------------------------------
 // CheckpointManager: rotation, discovery, retry.
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
 #include "hash/dynamic_hash_table.h"
@@ -95,6 +97,53 @@ TEST(DynamicHashTableTest, StressAgainstUnorderedMap) {
   EXPECT_EQ(table.size(), reference.size());
   for (const auto& [key, idx] : reference) {
     ASSERT_EQ(table.Find(key).value(), idx);
+  }
+}
+
+// A table rebuilt from the key column of another's Items() lists the keys
+// in the same order, whatever order they were first inserted in, so a
+// saved table read back saves to the same bytes. Indices follow the list.
+TEST(DynamicHashTableTest, RestoreItemsReproducesItemsOrder) {
+  Rng rng(321);
+  for (size_t n : {0, 1, 11, 12, 100, 1000, 5000}) {
+    for (const bool sentinel_first : {false, true}) {
+      DynamicHashTable original;
+      if (sentinel_first) original.GetOrInsert(~uint64_t{0});
+      while (original.size() < n) original.GetOrInsert(rng.Next64());
+      if (!sentinel_first && n % 2 == 1) original.GetOrInsert(~uint64_t{0});
+      std::vector<uint64_t> keys;
+      for (const auto& [key, index] : original.Items()) keys.push_back(key);
+
+      DynamicHashTable restored;
+      restored.RestoreItems(keys);
+      ASSERT_EQ(restored.size(), keys.size());
+      EXPECT_EQ(restored.capacity(), original.capacity()) << "n=" << n;
+      const auto items = restored.Items();
+      ASSERT_EQ(items.size(), keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(items[i].first, keys[i]) << "n=" << n << " i=" << i;
+        ASSERT_EQ(restored.Find(keys[i]), i);
+      }
+      // Inserts keep working on the rebuilt layout.
+      const uint64_t fresh = rng.Next64();
+      EXPECT_EQ(restored.GetOrInsert(fresh), keys.size());
+      EXPECT_EQ(restored.Find(fresh), keys.size());
+    }
+  }
+}
+
+// A list no table could give (here: reversed) still yields every key.
+TEST(DynamicHashTableTest, RestoreItemsAcceptsAnyOrder) {
+  DynamicHashTable original;
+  for (uint64_t key = 0; key < 300; ++key) original.GetOrInsert(key * 7919);
+  std::vector<uint64_t> keys;
+  for (const auto& [key, index] : original.Items()) keys.push_back(key);
+  std::reverse(keys.begin(), keys.end());
+  DynamicHashTable restored;
+  restored.RestoreItems(keys);
+  ASSERT_EQ(restored.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(restored.Find(keys[i]), i);
   }
 }
 

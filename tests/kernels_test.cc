@@ -81,6 +81,8 @@ TEST(KernelDispatchTest, TableIsFullyPopulated) {
   EXPECT_NE(t.gemm_accumulate, nullptr);
   EXPECT_NE(t.dot, nullptr);
   EXPECT_NE(t.axpy, nullptr);
+  EXPECT_NE(t.scale_add, nullptr);
+  EXPECT_NE(t.adagrad_step, nullptr);
   EXPECT_NE(t.softmax_inplace, nullptr);
   EXPECT_NE(t.log_softmax_inplace, nullptr);
   EXPECT_NE(t.exp_inplace, nullptr);
@@ -208,6 +210,78 @@ TEST_P(KernelIsaTest, DotAndAxpyParity) {
     ref_.axpy(0.37f, x.data(), want.data(), n);
     for (size_t i = 0; i < n; ++i) {
       EXPECT_TRUE(Close(got[i], want[i], 2, 1e-7f)) << "n=" << n;
+    }
+  }
+}
+
+// ---- never-fused row kernels: bitwise against an in-test formula --------
+
+/// Bitwise equality, except that any NaN matches any NaN (payload and sign
+/// of a NaN are not part of any kernel's contract).
+::testing::AssertionResult SameBits(float got, float want) {
+  if (std::isnan(got) && std::isnan(want)) return ::testing::AssertionSuccess();
+  uint32_t a, b;
+  std::memcpy(&a, &got, sizeof(a));
+  std::memcpy(&b, &want, sizeof(b));
+  if (a == b) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << got << " (0x" << std::hex << a << ") vs " << want << " (0x" << b
+         << ")";
+}
+
+/// Random values with every special a row can hold sprinkled in: +-0,
+/// +-inf, NaN and subnormals of both signs.
+std::vector<float> RowValues(size_t n, std::mt19937* rng) {
+  constexpr float kSpecials[] = {0.0f,  -0.0f,   kInf,        -kInf,
+                                 kNan,  1e-40f,  -3e-39f,     1.0e-3f};
+  std::vector<float> v = RandomVec(n, rng, -2.0f, 2.0f);
+  std::uniform_int_distribution<size_t> pick(0, std::size(kSpecials) - 1);
+  for (size_t i = 0; i < n; i += 3) v[i] = kSpecials[pick(*rng)];
+  return v;
+}
+
+constexpr size_t kRowKernelSizes[] = {1, 7, 15, 16, 17, 31, 33, 256};
+
+TEST_P(KernelIsaTest, ScaleAddIsProductThenSumBitwise) {
+  std::mt19937 rng(41);
+  for (size_t n : kRowKernelSizes) {
+    for (float v : {0.37f, -1.75f, 0.0f, -0.0f, kInf, kNan, 1e-40f}) {
+      const std::vector<float> x = RowValues(n, &rng);
+      const std::vector<float> y = RowValues(n, &rng);
+      std::vector<float> got = y;
+      T().scale_add(v, x.data(), got.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        // volatile: the product is rounded on its own even where the
+        // compiler could contract it into an FMA.
+        const volatile float product = v * x[i];
+        EXPECT_TRUE(SameBits(got[i], y[i] + product))
+            << "n=" << n << " v=" << v << " i=" << i << " x=" << x[i]
+            << " y=" << y[i];
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaTest, AdagradStepIsScalarFormulaBitwise) {
+  std::mt19937 rng(43);
+  for (size_t n : kRowKernelSizes) {
+    for (const auto& [lr, eps] : {std::pair{0.05f, 1e-8f},
+                                  std::pair{1.5f, 0.0f}}) {
+      const std::vector<float> w0 = RowValues(n, &rng);
+      const std::vector<float> g0 = RowValues(n, &rng);
+      std::vector<float> acc0 = RowValues(n, &rng);
+      // Mostly valid (non-negative) accumulators, a negative one or two.
+      for (size_t i = 1; i < n; i += 4) acc0[i] = std::fabs(acc0[i]);
+      std::vector<float> w = w0, acc = acc0, g = g0;
+      T().adagrad_step(w.data(), acc.data(), g.data(), lr, eps, n);
+      for (size_t i = 0; i < n; ++i) {
+        const volatile float square = g0[i] * g0[i];
+        const float want_acc = acc0[i] + square;
+        const float want_w = w0[i] - lr * g0[i] / (std::sqrt(want_acc) + eps);
+        EXPECT_TRUE(SameBits(acc[i], want_acc)) << "n=" << n << " i=" << i;
+        EXPECT_TRUE(SameBits(w[i], want_w)) << "n=" << n << " i=" << i;
+        EXPECT_TRUE(SameBits(g[i], 0.0f)) << "n=" << n << " i=" << i;
+      }
     }
   }
 }

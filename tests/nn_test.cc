@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 #include "math/matrix.h"
 #include "math/vector_ops.h"
 #include "nn/activations.h"
@@ -462,6 +463,195 @@ TEST(EmbeddingTableTest, AdagradShrinksEffectiveStep) {
   table.ApplyGradients(0.1f);
   const float second_step = std::fabs(table.Row(row)[0] - before);
   EXPECT_LT(second_step, first_step);
+}
+
+// ---------- EmbeddingTable: row kernels and block storage ----------
+
+/// Bitwise equality of two rows, except that any NaN matches any NaN.
+bool SameBitsOrBothNan(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+/// Normal draws with +-0, +-inf, NaN and subnormals at every third entry.
+std::vector<float> RowValues(size_t n, Rng* rng) {
+  constexpr float kSpecials[] = {0.0f,  -0.0f,  HUGE_VALF, -HUGE_VALF,
+                                 NAN,   1e-40f, -3e-39f,   1.0e-3f};
+  std::vector<float> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = i % 3 == 0 ? kSpecials[rng->UniformInt(std::size(kSpecials))]
+                      : static_cast<float>(rng->Normal());
+  }
+  return v;
+}
+
+// AddGrad is `g += grad`, ScatterGrad `g += v * grad` with the product
+// rounded first, and ApplyGradients the scalar AdaGrad formula, bit for bit
+// on whatever ISA the dispatch table runs (the forced-ISA legs rerun this
+// per ISA). A fused multiply-add anywhere changes some of these bits.
+TEST(EmbeddingTableTest, RowKernelsAreScalarFormulasBitwise) {
+  Kernels();  // FTZ/DAZ on this thread before any reference arithmetic
+  Rng rng(29);
+  constexpr float kScale = -0.75f;
+  constexpr float kLr = 0.1f;
+  for (size_t dim : {1, 7, 15, 16, 17, 31, 33, 256}) {
+    EmbeddingTable table(dim, /*with_bias=*/false, 0.0f, 31);
+    const uint32_t row = table.GetOrCreateRow(1);
+    const std::vector<float> w0 = RowValues(dim, &rng);
+    std::vector<float> acc0 = RowValues(dim, &rng);
+    for (size_t d = 1; d < dim; d += 4) acc0[d] = std::fabs(acc0[d]);
+    const std::vector<float> a = RowValues(dim, &rng);
+    Matrix b(1, dim);
+    const std::vector<float> b_values = RowValues(dim, &rng);
+    std::copy(b_values.begin(), b_values.end(), b.Row(0));
+    std::copy(w0.begin(), w0.end(), table.Row(row).begin());
+    table.RestoreAdagradRow(row, acc0, 0.0f);
+
+    table.AccumulateGrad(row, a);
+    const std::vector<EmbeddingTable::SparseRef> refs{{0, row, kScale}};
+    table.ScatterGrad(refs, b, nullptr);
+    std::vector<float> g(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      // volatile: the product is rounded on its own even where the
+      // compiler could contract it into an FMA.
+      const volatile float product = kScale * b_values[d];
+      g[d] = (0.0f + a[d]) + product;
+    }
+    EXPECT_TRUE(SameBitsOrBothNan(table.RowGrad(row), g)) << "dim " << dim;
+
+    table.ApplyGradients(kLr);
+    std::vector<float> want_w(dim), want_acc(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      const volatile float square = g[d] * g[d];
+      want_acc[d] = acc0[d] + square;
+      want_w[d] = w0[d] - kLr * g[d] / (std::sqrt(want_acc[d]) + 1e-8f);
+    }
+    EXPECT_TRUE(SameBitsOrBothNan(table.AdagradRow(row), want_acc))
+        << "dim " << dim;
+    EXPECT_TRUE(SameBitsOrBothNan(table.Row(row), want_w)) << "dim " << dim;
+    EXPECT_TRUE(SameFloats(table.RowGrad(row), std::vector<float>(dim, 0.0f)))
+        << "dim " << dim;
+  }
+}
+
+/// Table shapes whose rows fill more than three storage blocks: 256 rows
+/// of dim 256 fit a block, and 512 of dim 100 (65536 / 100 is not a power
+/// of two, so those blocks are not full).
+struct BlockShape {
+  size_t dim;
+  uint64_t rows;
+};
+constexpr BlockShape kBlockShapes[] = {{256, 3 * 256 + 5}, {100, 3 * 512 + 5}};
+
+// Deferred rows spread over several blocks, filled on a pool in two
+// rounds, hold the reference draws; a row's storage never moves as later
+// rounds add blocks.
+TEST(EmbeddingTableTest, BlockTablesDeferredInitMatchesReferenceDraws) {
+  ThreadPool pool(4);
+  for (const BlockShape& shape : kBlockShapes) {
+    EmbeddingTable table(shape.dim, /*with_bias=*/true, 0.25f, 37);
+    Rng reference(37);
+    std::vector<float> expected;
+    const float* first_row = nullptr;
+    for (const auto& [lo, hi] : {std::pair{uint64_t{0}, shape.rows / 2},
+                                 std::pair{shape.rows / 2, shape.rows}}) {
+      for (uint64_t i = lo; i < hi; ++i) {
+        for (size_t d = 0; d < shape.dim; ++d) {
+          expected.push_back(static_cast<float>(reference.Normal(0.0, 0.25)));
+        }
+        ASSERT_EQ(table.GetOrCreateRowDeferred(7919 * i + 3), i);
+      }
+      table.InitPendingRows(&pool);
+      if (lo == 0) first_row = table.Row(0).data();
+    }
+    ASSERT_EQ(table.num_rows(), shape.rows);
+    EXPECT_EQ(table.Row(0).data(), first_row) << "dim " << shape.dim;
+    for (uint32_t row = 0; row < shape.rows; ++row) {
+      const std::span<const float> want(expected.data() + row * shape.dim,
+                                        shape.dim);
+      ASSERT_TRUE(SameFloats(table.Row(row), want))
+          << "dim " << shape.dim << " row " << row;
+      ASSERT_EQ(table.FindRow(7919 * row + 3), row);
+    }
+    EXPECT_TRUE(table.rng_state() == reference.GetState());
+  }
+}
+
+TEST(EmbeddingTableTest, BlockTablesScatterGradMatchesAccumulateGrad) {
+  ThreadPool pool(4);
+  for (const BlockShape& shape : kBlockShapes) {
+    EmbeddingTable serial(shape.dim, /*with_bias=*/false, 0.1f, 41);
+    EmbeddingTable scattered(shape.dim, /*with_bias=*/false, 0.1f, 41);
+    for (uint64_t key = 0; key < shape.rows; ++key) {
+      serial.GetOrCreateRow(key);
+      scattered.GetOrCreateRow(key);
+    }
+    Rng rng(43);
+    Matrix grads(64, shape.dim);
+    for (size_t i = 0; i < grads.size(); ++i) {
+      grads.data()[i] = static_cast<float>(rng.Normal());
+    }
+    // Rows from every block, each hit by several items.
+    std::vector<EmbeddingTable::SparseRef> refs;
+    for (uint32_t item = 0; item < 64; ++item) {
+      for (uint32_t f = 0; f < 24; ++f) {
+        refs.push_back({item, uint32_t(rng.UniformInt(shape.rows / 3) * 3),
+                        static_cast<float>(rng.Uniform(-2.0, 2.0))});
+      }
+    }
+    std::vector<float> scaled(shape.dim);
+    for (const EmbeddingTable::SparseRef& ref : refs) {
+      for (size_t d = 0; d < shape.dim; ++d) {
+        scaled[d] = ref.value * grads(ref.item, d);
+      }
+      serial.AccumulateGrad(ref.row, scaled);
+    }
+    scattered.ScatterGrad(refs, grads, &pool);
+    EXPECT_EQ(scattered.touched_rows(), serial.touched_rows());
+    for (uint32_t row = 0; row < shape.rows; ++row) {
+      ASSERT_TRUE(SameFloats(scattered.RowGrad(row), serial.RowGrad(row)))
+          << "dim " << shape.dim << " row " << row;
+    }
+  }
+}
+
+TEST(EmbeddingTableTest, BlockTablesPooledAdagradMatchesSerial) {
+  ThreadPool pool(4);
+  for (const BlockShape& shape : kBlockShapes) {
+    EmbeddingTable serial(shape.dim, /*with_bias=*/true, 0.2f, 47);
+    EmbeddingTable pooled(shape.dim, /*with_bias=*/true, 0.2f, 47);
+    for (uint64_t key = 0; key < shape.rows; ++key) {
+      serial.GetOrCreateRow(key);
+      pooled.GetOrCreateRow(key);
+    }
+    Rng rng(53);
+    std::vector<float> grad(shape.dim);
+    for (uint32_t step = 0; step < 3; ++step) {
+      for (uint32_t t = 0; t < shape.rows; t += 2) {
+        const uint32_t row = (t * 7 + step * 11) % shape.rows;
+        for (float& x : grad) x = static_cast<float>(rng.Normal(0.0, 0.1));
+        serial.AccumulateGrad(row, grad, grad[0]);
+        pooled.MarkTouched(row);
+        pooled.AddGrad(row, grad, grad[0]);
+      }
+      EXPECT_EQ(pooled.touched_rows(), serial.touched_rows());
+      serial.ApplyGradients(0.05f);
+      pooled.ApplyGradients(0.05f, &pool);
+    }
+    for (uint32_t row = 0; row < shape.rows; ++row) {
+      ASSERT_TRUE(SameFloats(pooled.Row(row), serial.Row(row)))
+          << "dim " << shape.dim << " row " << row;
+      ASSERT_TRUE(SameFloats(pooled.AdagradRow(row), serial.AdagradRow(row)))
+          << "dim " << shape.dim << " row " << row;
+      ASSERT_EQ(pooled.bias(row), serial.bias(row)) << row;
+      ASSERT_EQ(pooled.adagrad_bias(row), serial.adagrad_bias(row)) << row;
+    }
+    EXPECT_EQ(pooled.TakeDirtyRows(), serial.TakeDirtyRows());
+  }
 }
 
 // ---------- Losses ----------
