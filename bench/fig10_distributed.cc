@@ -1,10 +1,10 @@
 // Reproduces Fig. 10: training speedup of the FVAE with the number of
 // training servers (3..12 in the paper; simulated servers here,
-// substitution documented in DESIGN.md §5). The trainer's discrete-event
-// mode measures each server's busy time per synchronization round and
-// models the cluster's wall clock as max(busy) + sync — so the scaling
-// curve is faithful even on a single-core host. Reported as modeled
-// throughput relative to one server.
+// substitution documented in DESIGN.md §5). The trainer is a
+// discrete-event simulation: it measures each server's busy time per
+// synchronization round and models the cluster's wall clock as
+// max(busy) + sync, so the scaling curve is faithful even on a single-core
+// host. Reported as modeled throughput relative to one server.
 //
 // Paper shape to verify: near-linear speedup with server count.
 
@@ -40,7 +40,6 @@ int Run() {
     config.epochs = epochs;
     config.batch_size = 256;
     config.sync_every_batches = 4;
-    config.simulate_cluster = true;
     config.seed = 151;
     distributed::ParallelFvaeTrainer trainer(model_config, config);
     const distributed::DistributedResult result =

@@ -5,8 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/fvae_config.h"
 #include "core/fvae_model.h"
 #include "data/dataset.h"
@@ -22,44 +20,18 @@ struct DistributedConfig {
   size_t sync_every_batches = 8;
   size_t epochs = 2;
   size_t batch_size = 256;
-  /// true  — discrete-event cluster simulation: workers run sequentially
-  ///         and the per-round wall clock is modeled as
-  ///         max(worker busy time) + synchronization time. Gives faithful
-  ///         scaling curves on any host, including single-core machines.
-  /// false — real worker threads (requires >= num_workers cores for
-  ///         meaningful speedup numbers).
-  bool simulate_cluster = true;
+  /// Worker r shuffles its shard with seed + r.
   uint64_t seed = 77;
-  /// Save a crash-safe checkpoint of the averaged model after every this
-  /// many synchronization rounds (0 = never). Requires checkpoint_dir.
-  /// Rounds are the only safe granularity: between barriers the replicas
-  /// hold divergent state that no single checkpoint could capture.
-  size_t checkpoint_every_rounds = 0;
-  /// Directory for `checkpoint-<round>.fvmd` files (core/checkpoint.h).
-  std::string checkpoint_dir;
-  size_t checkpoint_retain = 3;
-  /// Resume from the newest checkpoint in checkpoint_dir when one exists
-  /// (otherwise start fresh). The batch schedule is replayed to the saved
-  /// round, so the resumed run is deterministic — but unlike TrainFvae it
-  /// is a warm start, not bitwise-identical: every worker restarts from
-  /// the replica-0 post-barrier model, while an uninterrupted run's
-  /// replicas keep private never-merged embedding rows.
-  bool resume = false;
 };
 
-/// Outcome of a distributed run.
+/// Outcome of a simulated run.
 struct DistributedResult {
-  /// Real elapsed time of the run.
-  double seconds = 0.0;
-  /// Modeled cluster time: with simulate_cluster, the sum over rounds of
-  /// max(per-worker busy time) + sync time; otherwise equal to `seconds`.
+  /// Modeled cluster time: the sum over rounds of max(per-worker busy
+  /// time) + sync time.
   double simulated_seconds = 0.0;
   size_t users_processed = 0;
   size_t rounds = 0;
 
-  double UsersPerSecond() const {
-    return seconds > 0.0 ? double(users_processed) / seconds : 0.0;
-  }
   /// Throughput of the modeled cluster — the Fig. 10 quantity.
   double SimulatedUsersPerSecond() const {
     return simulated_seconds > 0.0
@@ -68,21 +40,27 @@ struct DistributedResult {
   }
 };
 
-/// Data-parallel FVAE training with periodic model averaging (local SGD).
+/// Discrete-event simulation of data-parallel FVAE training with periodic
+/// model averaging (local SGD), the Fig. 10 experiment.
 ///
 /// Users are sharded round-robin across `num_workers` model replicas; each
 /// worker runs `sync_every_batches` Algorithm-1 steps on its shard, then a
 /// barrier averages the dense parameters and key-merges the embedding
-/// tables across replicas. This mirrors the compute/communication profile
-/// of the paper's multi-server setup: gradient work is embarrassingly
-/// parallel and the synchronization cost is proportional to the model, not
-/// the data — hence the near-linear speedup of Fig. 10.
+/// tables across replicas. The workers run one after another on the
+/// calling thread; each round's modeled wall clock is max(worker busy
+/// time) + synchronization time, so the scaling curve does not depend on
+/// the host's core count. Gradient work is embarrassingly parallel and the
+/// synchronization cost is proportional to the rows updated since the last
+/// barrier, not to the data.
+///
+/// With one worker and sync_every_batches = 1 the run is TrainFvae with
+/// shuffle_seed = seed, bit for bit.
 class ParallelFvaeTrainer {
  public:
   ParallelFvaeTrainer(const core::FvaeConfig& model_config,
                       const DistributedConfig& config);
 
-  /// Runs the distributed training to completion.
+  /// Runs the simulated training to completion.
   DistributedResult Train(const MultiFieldDataset& dataset);
 
   /// The averaged model (replica 0) after Train.
@@ -94,10 +72,6 @@ class ParallelFvaeTrainer {
   core::FvaeConfig model_config_;
   DistributedConfig config_;
   std::vector<std::unique_ptr<core::FieldVae>> replicas_;
-  /// Progress aggregated across worker threads: with simulate_cluster off,
-  /// every worker folds its per-round user count in concurrently.
-  Mutex progress_mutex_;
-  size_t users_processed_ FVAE_GUARDED_BY(progress_mutex_) = 0;
 };
 
 }  // namespace fvae::distributed

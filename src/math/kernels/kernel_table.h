@@ -60,7 +60,8 @@ struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n) = nullptr;
   /// y += v * x with the product rounded to float before the add, never
   /// fused: every ISA gives bitwise the scalar `y[i] += v * x[i]`. The
-  /// embedding tables accumulate their sparse gradients with it.
+  /// embedding tables accumulate their sparse gradients with it, and the
+  /// distributed merge sums replica rows with it at v = 1.
   void (*scale_add)(float v, const float* x, float* y, size_t n) = nullptr;
   /// One AdaGrad step over n parameters, per element and in this order:
   /// acc += g*g; w -= lr*g / (sqrt(acc) + eps); g = 0. No operation is

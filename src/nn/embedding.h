@@ -74,8 +74,9 @@ class EmbeddingTable {
   /// state afterwards.
   void RestoreKeys(std::span<const uint64_t> keys);
 
-  /// Model load, step two: sets `key`'s row to `weights` (and `bias`, for a
-  /// table with biases), inserting the row, without drawing, if new.
+  /// Sets `key`'s row to `weights` (and `bias`, for a table with biases),
+  /// inserting the row without drawing if it is new. Model load's second
+  /// step, and the distributed merge's write-back.
   void RestoreRow(uint64_t key, std::span<const float> weights, float bias);
 
   /// Dense row index for `key`, or nullopt for unseen keys.
@@ -133,14 +134,14 @@ class EmbeddingTable {
                       float epsilon = 1e-8f);
 
   /// Rows touched (AccumulateGrad, MarkTouched, ScatterGrad) since the last
-  /// ApplyGradients, in first-touch order (for tests and for the
-  /// distributed trainer's gradient exchange).
+  /// ApplyGradients, in first-touch order (for tests).
   const std::vector<uint32_t>& touched_rows() const { return touched_; }
 
   /// Direct access to accumulated row gradient (valid for touched rows).
   std::span<const float> RowGrad(uint32_t row) const;
 
-  /// All (key, row) pairs currently in the table (distributed merging).
+  /// All (key, row) pairs currently in the table (model save, full
+  /// softmax candidates).
   std::vector<std::pair<uint64_t, uint32_t>> Items() const {
     return hash_.Items();
   }

@@ -5,9 +5,11 @@
 
 #include "common/random.h"
 #include "core/fvae_model.h"
+#include "core/trainer.h"
 #include "datagen/profile_generator.h"
 #include "distributed/parallel_trainer.h"
 #include "eval/tasks.h"
+#include "model_compare.h"
 
 namespace fvae::distributed {
 namespace {
@@ -42,7 +44,53 @@ TEST(ParallelTrainerTest, SingleWorkerRuns) {
   const DistributedResult result = trainer.Train(data);
   EXPECT_GT(result.users_processed, 0u);
   EXPECT_GT(result.rounds, 0u);
-  EXPECT_GT(result.UsersPerSecond(), 0.0);
+  EXPECT_GT(result.SimulatedUsersPerSecond(), 0.0);
+}
+
+// One worker synchronizing after every batch is Algorithm 1 itself: the
+// same batch order (its iterator seed is `seed`), the same beta per step,
+// and a serial step, which is bitwise the pooled step TrainFvae takes.
+TEST(ParallelTrainerTest, OneWorkerIsTrainFvae) {
+  const MultiFieldDataset data = SmallProfiles(120);
+  DistributedConfig config;
+  config.num_workers = 1;
+  config.sync_every_batches = 1;
+  config.epochs = 2;
+  config.batch_size = 16;
+  config.seed = 5;
+  ParallelFvaeTrainer trainer(SmallConfig(), config);
+  const DistributedResult result = trainer.Train(data);
+
+  core::FieldVae reference(SmallConfig(), data.fields());
+  core::TrainOptions options;
+  options.batch_size = config.batch_size;
+  options.epochs = config.epochs;
+  options.shuffle_seed = config.seed;
+  const core::TrainResult expected = core::TrainFvae(reference, data, options);
+
+  EXPECT_EQ(result.rounds, expected.steps);
+  EXPECT_EQ(result.users_processed, expected.users_processed);
+  EXPECT_TRUE(trainer.model().rng_state() == reference.rng_state());
+  model_compare::ExpectSameModel(trainer.model(), reference);
+}
+
+// The merge visits keys in first-seen order, so a replica that lacks a key
+// inserts it at the same row every time: two identical runs agree bit for
+// bit.
+TEST(ParallelTrainerTest, RunsAreDeterministic) {
+  const MultiFieldDataset data = SmallProfiles(150);
+  DistributedConfig config;
+  config.num_workers = 3;
+  config.epochs = 2;
+  config.batch_size = 16;
+  config.sync_every_batches = 2;
+  ParallelFvaeTrainer first(SmallConfig(), config);
+  ParallelFvaeTrainer second(SmallConfig(), config);
+  const DistributedResult a = first.Train(data);
+  const DistributedResult b = second.Train(data);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.users_processed, b.users_processed);
+  model_compare::ExpectSameModel(first.model(), second.model());
 }
 
 TEST(ParallelTrainerTest, MultiWorkerProcessesAllShards) {
@@ -58,20 +106,6 @@ TEST(ParallelTrainerTest, MultiWorkerProcessesAllShards) {
   // wrap unevenly at boundaries).
   EXPECT_GT(result.users_processed, size_t(200 * 2 * 0.7));
   EXPECT_GT(result.simulated_seconds, 0.0);
-}
-
-TEST(ParallelTrainerTest, ThreadModeAlsoWorks) {
-  const MultiFieldDataset data = SmallProfiles(120);
-  DistributedConfig config;
-  config.num_workers = 3;
-  config.epochs = 1;
-  config.batch_size = 16;
-  config.sync_every_batches = 2;
-  config.simulate_cluster = false;
-  ParallelFvaeTrainer trainer(SmallConfig(), config);
-  const DistributedResult result = trainer.Train(data);
-  EXPECT_GT(result.users_processed, 0u);
-  EXPECT_DOUBLE_EQ(result.simulated_seconds, result.seconds);
 }
 
 TEST(ParallelTrainerTest, SimulatedClusterTimeShrinksWithWorkers) {

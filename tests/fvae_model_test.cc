@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -12,6 +11,7 @@
 #include "core/fvae_model.h"
 #include "core/trainer.h"
 #include "datagen/profile_generator.h"
+#include "model_compare.h"
 
 namespace fvae::core {
 namespace {
@@ -316,35 +316,7 @@ TEST(FieldVaeTest, DeepEncoderAndDecoderWork) {
 
 // ---------- pooled training step ----------
 
-bool BitwiseEqual(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-/// Two tables equal row for row, bit for bit: keys, weights, biases and
-/// AdaGrad accumulators, plus the row-init generator and the dirty-row
-/// order the distributed trainer's delta sync reads.
-void ExpectSameTable(nn::EmbeddingTable& a, nn::EmbeddingTable& b,
-                     const std::string& what) {
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
-  const size_t bytes = a.dim() * sizeof(float);
-  for (uint32_t row = 0; row < a.num_rows(); ++row) {
-    EXPECT_EQ(a.KeyOfRow(row), b.KeyOfRow(row)) << what << " row " << row;
-    EXPECT_EQ(std::memcmp(a.Row(row).data(), b.Row(row).data(), bytes), 0)
-        << what << " weights of row " << row;
-    EXPECT_EQ(std::memcmp(a.AdagradRow(row).data(), b.AdagradRow(row).data(),
-                          bytes),
-              0)
-        << what << " accumulators of row " << row;
-    if (a.with_bias()) {
-      EXPECT_EQ(a.bias(row), b.bias(row)) << what << " bias of row " << row;
-      EXPECT_EQ(a.adagrad_bias(row), b.adagrad_bias(row))
-          << what << " bias accumulator of row " << row;
-    }
-  }
-  EXPECT_TRUE(a.rng_state() == b.rng_state()) << what;
-  EXPECT_EQ(a.TakeDirtyRows(), b.TakeDirtyRows()) << what;
-}
+using model_compare::BitwiseEqual;
 
 /// (batched softmax, deep trunks)
 class PooledStepTest
@@ -379,19 +351,7 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
     EXPECT_EQ(p.candidates_per_field, s.candidates_per_field)
         << "step " << step;
   }
-  const auto serial_params = serial.DenseParams();
-  const auto pooled_params = pooled.DenseParams();
-  ASSERT_EQ(pooled_params.size(), serial_params.size());
-  for (size_t i = 0; i < serial_params.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(*pooled_params[i], *serial_params[i]))
-        << "dense param " << i;
-  }
-  for (size_t k = 0; k < serial.num_fields(); ++k) {
-    ExpectSameTable(pooled.input_table(k), serial.input_table(k),
-                    "input table " + std::to_string(k));
-    ExpectSameTable(pooled.output_table(k), serial.output_table(k),
-                    "output table " + std::to_string(k));
-  }
+  model_compare::ExpectSameModel(pooled, serial);
   std::vector<uint32_t> all(gen.dataset.num_users());
   std::iota(all.begin(), all.end(), 0u);
   EXPECT_TRUE(BitwiseEqual(pooled.Encode(gen.dataset, all),
