@@ -31,34 +31,6 @@ std::vector<float> NormalizedAlpha(const std::vector<float>& alpha,
   return weights;
 }
 
-/// One row of the encoder's first layer at inference: out = tanh(bias +
-/// sum value * embedding_row) over the features the input tables know;
-/// cold feature IDs are skipped. `features(k)` yields the user's entries
-/// of field k.
-template <typename FieldFeatures>
-void InferFirstLayerRow(
-    const std::vector<std::unique_ptr<nn::EmbeddingTable>>& tables,
-    const float* bias, const FieldFeatures& features, float* out,
-    size_t h1_dim) {
-  for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
-  for (size_t k = 0; k < tables.size(); ++k) {
-    const nn::EmbeddingTable& table = *tables[k];
-    for (const FeatureEntry& e : features(k)) {
-      const auto found = table.FindRow(e.id);
-      if (!found.has_value()) continue;  // cold feature at inference
-      Kernels().axpy(e.value, table.Row(*found).data(), out, h1_dim);
-    }
-  }
-  Kernels().tanh_inplace(out, h1_dim);
-}
-
-/// Clamps log-variance for numeric safety (exp() in KL and reparam).
-void ClampLogvar(Matrix* logvar) {
-  for (size_t i = 0; i < logvar->size(); ++i) {
-    logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
-  }
-}
-
 }  // namespace
 
 struct FieldVae::StepScratch {
@@ -204,45 +176,55 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   }
   mu_head_->Forward(*enc_out, mu);
   logvar_head_->Forward(*enc_out, logvar);
-  ClampLogvar(logvar);
+  // Clamped for numeric safety: exp() in the KL term and reparameterization.
+  for (size_t i = 0; i < logvar->size(); ++i) {
+    logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
+  }
 }
 
-void FieldVae::EncodeConst(const MultiFieldDataset& dataset,
-                           std::span<const uint32_t> users, Matrix* mu,
-                           Matrix* logvar) const {
-  FVAE_CHECK(dataset.num_fields() == field_schemas_.size())
-      << "dataset field count mismatch";
+template <typename UserFieldFeatures>
+void FieldVae::EncodeMu(size_t batch, const UserFieldFeatures& features,
+                        FoldInScratch* scratch, Matrix* mu) const {
+  // h1 = tanh(bias + sum value * embedding_row) over the features the input
+  // tables know; cold feature IDs are skipped.
   const size_t h1_dim = config_.encoder_hidden.front();
-  Matrix h1(users.size(), h1_dim);
-  for (size_t i = 0; i < users.size(); ++i) {
-    InferFirstLayerRow(
-        input_tables_, first_bias_.Row(0),
-        [&](size_t k) { return dataset.UserField(users[i], k); }, h1.Row(i),
-        h1_dim);
+  const float* bias = first_bias_.Row(0);
+  Matrix& h1 = scratch->h1;
+  h1.Resize(batch, h1_dim);
+  for (size_t i = 0; i < batch; ++i) {
+    float* out = h1.Row(i);
+    for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
+    for (size_t k = 0; k < input_tables_.size(); ++k) {
+      const nn::EmbeddingTable& table = *input_tables_[k];
+      for (const FeatureEntry& e : features(i, k)) {
+        const auto found = table.FindRow(e.id);
+        if (!found.has_value()) continue;  // cold feature at inference
+        Kernels().axpy(e.value, table.Row(*found).data(), out, h1_dim);
+      }
+    }
+    Kernels().tanh_inplace(out, h1_dim);
   }
+  // The const inference pass writes only into the caller's scratch.
   const Matrix* enc_out = &h1;
-  Matrix trunk_out;
-  std::vector<Matrix> trunk_activations;
   if (encoder_trunk_) {
-    encoder_trunk_->Infer(h1, &trunk_out, &trunk_activations);
-    enc_out = &trunk_out;
+    encoder_trunk_->Infer(h1, &scratch->trunk_out,
+                          &scratch->trunk_activations);
+    enc_out = &scratch->trunk_out;
   }
   mu_head_->Infer(*enc_out, mu);
-  logvar_head_->Infer(*enc_out, logvar);
-  ClampLogvar(logvar);
 }
 
 Matrix FieldVae::Encode(const MultiFieldDataset& dataset,
                         std::span<const uint32_t> users) const {
-  Matrix mu, logvar;
-  EncodeConst(dataset, users, &mu, &logvar);
+  FVAE_CHECK(dataset.num_fields() == field_schemas_.size())
+      << "dataset field count mismatch";
+  FoldInScratch scratch;
+  Matrix mu;
+  EncodeMu(
+      users.size(),
+      [&](size_t i, size_t k) { return dataset.UserField(users[i], k); },
+      &scratch, &mu);
   return mu;
-}
-
-void FieldVae::EncodeWithVariance(const MultiFieldDataset& dataset,
-                                  std::span<const uint32_t> users, Matrix* mu,
-                                  Matrix* logvar) const {
-  EncodeConst(dataset, users, mu, logvar);
 }
 
 Matrix FieldVae::EncodeFoldIn(
@@ -255,35 +237,18 @@ Matrix FieldVae::EncodeFoldIn(
 
 void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
                                 FoldInScratch* scratch, Matrix* mu) const {
-  // The first hidden activation is computed straight from the raw feature
-  // vectors — no throwaway dataset build — by the same row pass as
-  // EncodeConst: cold feature IDs are skipped, h1 = tanh(bias + sum value *
-  // embedding_row).
-  const size_t batch = users.size();
-  const size_t h1_dim = config_.encoder_hidden.front();
-  Matrix& h1 = scratch->h1;
-  h1.Resize(batch, h1_dim);
-  for (size_t i = 0; i < batch; ++i) {
-    const RawUserFeatures* user = users[i];
+  for (const RawUserFeatures* user : users) {
     FVAE_CHECK(user != nullptr);
     FVAE_CHECK(user->size() == field_schemas_.size())
         << "fold-in user has " << user->size() << " fields, model expects "
         << field_schemas_.size();
-    InferFirstLayerRow(
-        input_tables_, first_bias_.Row(0),
-        [user](size_t k) { return std::span<const FeatureEntry>((*user)[k]); },
-        h1.Row(i), h1_dim);
   }
-  // The const inference pass writes only into the caller's scratch; the
-  // logvar head is never run — fold-in consumers use the posterior mean
-  // alone.
-  const Matrix* enc_out = &h1;
-  if (encoder_trunk_) {
-    encoder_trunk_->Infer(h1, &scratch->trunk_out,
-                          &scratch->trunk_activations);
-    enc_out = &scratch->trunk_out;
-  }
-  mu_head_->Infer(*enc_out, mu);
+  EncodeMu(
+      users.size(),
+      [users](size_t i, size_t k) {
+        return std::span<const FeatureEntry>((*users[i])[k]);
+      },
+      scratch, mu);
 }
 
 Matrix FieldVae::DecoderHidden(const Matrix& z) const {
@@ -330,13 +295,10 @@ size_t FieldVae::KnownFeatures(size_t k) const {
 }
 
 size_t FieldVae::ParameterCount() const {
-  size_t total = first_bias_.size();
-  std::vector<nn::ParamRef> params;
-  if (encoder_trunk_) encoder_trunk_->CollectParams(&params);
-  mu_head_->CollectParams(&params);
-  logvar_head_->CollectParams(&params);
-  decoder_trunk_->CollectParams(&params);
-  for (const nn::ParamRef& p : params) total += p.value->size();
+  size_t total = 0;
+  for (const nn::ParamRef& p : dense_optimizer_->params()) {
+    total += p.value->size();
+  }
   for (size_t k = 0; k < field_schemas_.size(); ++k) {
     total += input_tables_[k]->num_rows() * input_tables_[k]->dim();
     total += output_tables_[k]->num_rows() * (output_tables_[k]->dim() + 1);
@@ -345,26 +307,32 @@ size_t FieldVae::ParameterCount() const {
 }
 
 std::vector<const Matrix*> FieldVae::DenseParams() const {
-  auto mutable_params = const_cast<FieldVae*>(this)->DenseParams();
-  return {mutable_params.begin(), mutable_params.end()};
+  std::vector<const Matrix*> params;
+  for (const nn::ParamRef& p : dense_optimizer_->params()) {
+    params.push_back(p.value);
+  }
+  return params;
 }
 
 std::vector<Matrix*> FieldVae::DenseParams() {
-  std::vector<nn::ParamRef> refs;
-  refs.push_back({&first_bias_, &first_bias_grad_});
-  if (encoder_trunk_) encoder_trunk_->CollectParams(&refs);
-  mu_head_->CollectParams(&refs);
-  logvar_head_->CollectParams(&refs);
-  decoder_trunk_->CollectParams(&refs);
   std::vector<Matrix*> params;
-  params.reserve(refs.size());
-  for (const nn::ParamRef& ref : refs) params.push_back(ref.value);
+  for (const nn::ParamRef& p : dense_optimizer_->params()) {
+    params.push_back(p.value);
+  }
   return params;
 }
 
 StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
                               std::span<const uint32_t> users, float beta,
                               ThreadPool* pool) {
+  StepStats stats = ComputeGradients(dataset, users, beta, pool);
+  ApplyUpdates(pool);
+  return stats;
+}
+
+StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
+                                     std::span<const uint32_t> users,
+                                     float beta, ThreadPool* pool) {
   FVAE_CHECK(!users.empty()) << "empty batch";
   const size_t batch = users.size();
   const size_t num_fields = field_schemas_.size();
@@ -598,18 +566,17 @@ StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
   for (size_t k = 0; k < num_fields; ++k) {
     input_tables_[k]->ScatterGrad(scratch.field_refs[k], h1_grad, pool);
   }
-  scatter_span.End();
-  backward_span.End();
+  return stats;
+}
 
-  // ---- Parameter updates ----
+void FieldVae::ApplyUpdates(ThreadPool* pool) {
   obs::TraceSpan update_span("train.update");
   dense_optimizer_->Step();
   obs::TraceSpan sparse_span("train.update.sparse");
-  for (size_t k = 0; k < num_fields; ++k) {
+  for (size_t k = 0; k < field_schemas_.size(); ++k) {
     input_tables_[k]->ApplyGradients(config_.sparse_learning_rate, pool);
     output_tables_[k]->ApplyGradients(config_.sparse_learning_rate, pool);
   }
-  return stats;
 }
 
 }  // namespace fvae::core

@@ -68,15 +68,29 @@ class FieldVae {
   ~FieldVae();
 
   /// One Algorithm-1 training step over `users` from `dataset`, with the
-  /// current annealed KL weight `beta`. A non-null `pool` row-splits the
-  /// per-field GEMMs, the per-user multinomial NLL, the dense-layer
-  /// backward GEMMs and the sparse-table passes (row init, embedding
-  /// gather, gradient scatter, AdaGrad) over it; the step's stats and
-  /// parameter updates are bitwise identical to a serial step with any
-  /// pool size.
+  /// current annealed KL weight `beta`: exactly ComputeGradients, then
+  /// ApplyUpdates. A non-null `pool` row-splits the per-field GEMMs, the
+  /// per-user multinomial NLL, the dense-layer backward GEMMs and the
+  /// sparse-table passes (row init, embedding gather, gradient scatter,
+  /// AdaGrad) over it; the step's stats and parameter updates are bitwise
+  /// identical to a serial step with any pool size.
   StepStats TrainStep(const MultiFieldDataset& dataset,
                       std::span<const uint32_t> users, float beta,
                       ThreadPool* pool = nullptr);
+
+  /// The first half of TrainStep: forward, per-field likelihood and
+  /// backward. Leaves every gradient readable until ApplyUpdates: dense
+  /// ones in dense_optimizer().params(), sparse ones through each table's
+  /// touched_rows(), RowGrad() and (output tables) bias_grad(). No weight,
+  /// bias, AdaGrad accumulator or Adam moment of an existing row or
+  /// parameter changes; rows for features first seen here are created.
+  StepStats ComputeGradients(const MultiFieldDataset& dataset,
+                             std::span<const uint32_t> users, float beta,
+                             ThreadPool* pool = nullptr);
+
+  /// The second half of TrainStep: Adam on the dense parameters and sparse
+  /// AdaGrad on every table, consuming and clearing the gradients.
+  void ApplyUpdates(ThreadPool* pool = nullptr);
 
   /// Posterior means (num users x latent_dim) — the user embeddings.
   /// Unknown feature IDs are skipped (cold-start behaviour). This and the
@@ -85,11 +99,6 @@ class FieldVae {
   /// concurrently.
   Matrix Encode(const MultiFieldDataset& dataset,
                 std::span<const uint32_t> users) const;
-
-  /// Posterior means and log-variances.
-  void EncodeWithVariance(const MultiFieldDataset& dataset,
-                          std::span<const uint32_t> users, Matrix* mu,
-                          Matrix* logvar) const;
 
   /// Fold-in entry point for the online module (Fig. 2): posterior means
   /// (users.size() x latent_dim) for users given directly as raw sparse
@@ -111,15 +120,13 @@ class FieldVae {
   };
 
   /// Allocation-conscious fold-in encode: writes the posterior means
-  /// (users.size() x latent_dim) into `*mu` using caller-owned scratch.
-  /// Two savings over EncodeFoldIn: no throwaway dataset is built (features
-  /// are read straight from the raw vectors), and the log-variance head is
-  /// skipped entirely — fold-in consumers only use mu, so that is one whole
-  /// GEMM less per request batch. Once scratch/mu have seen the maximum
-  /// batch shape a call performs zero heap allocations (runtime-witnessed
-  /// by serving_test's operator-new interposer; statically checked by
-  /// fvae_lint's FVAE_NOALLOC walk). Same concurrency contract as
-  /// EncodeFoldIn: concurrent callers are safe with distinct scratch.
+  /// (users.size() x latent_dim) into `*mu` using caller-owned scratch,
+  /// reading features straight from the raw vectors. Once scratch/mu have
+  /// seen the maximum batch shape a call performs zero heap allocations
+  /// (runtime-witnessed by serving_test's operator-new interposer;
+  /// statically checked by fvae_lint's FVAE_NOALLOC walk). Same
+  /// concurrency contract as EncodeFoldIn: concurrent callers are safe
+  /// with distinct scratch.
   void EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
                         FoldInScratch* scratch, Matrix* mu) const
       FVAE_HOT FVAE_NOALLOC;
@@ -194,11 +201,13 @@ class FieldVae {
                          std::span<const uint32_t> users, ThreadPool* pool,
                          Matrix* mu, Matrix* logvar);
 
-  /// Read-only encode used by the const public methods: the layers' const
-  /// inference pass over local scratch, so concurrent callers are safe.
-  void EncodeConst(const MultiFieldDataset& dataset,
-                   std::span<const uint32_t> users, Matrix* mu,
-                   Matrix* logvar) const;
+  /// The one inference encoder behind Encode and EncodeFoldInInto: the
+  /// layers' const inference pass over `scratch`, mu head only (inference
+  /// has no log-variance consumer). `features(i, k)` yields user i's
+  /// entries of field k.
+  template <typename UserFieldFeatures>
+  void EncodeMu(size_t batch, const UserFieldFeatures& features,
+                FoldInScratch* scratch, Matrix* mu) const;
 
   FvaeConfig config_;
   std::vector<FieldSchema> field_schemas_;
@@ -218,9 +227,9 @@ class FieldVae {
 
   std::unique_ptr<nn::AdamOptimizer> dense_optimizer_;
 
-  // Buffers of TrainStep (input refs, first-layer activations, field-loop
-  // candidates), reused across steps: they only grow to the high-water
-  // batch shape.
+  // Buffers of ComputeGradients (input refs, first-layer activations,
+  // field-loop candidates), reused across steps: they only grow to the
+  // high-water batch shape.
   std::unique_ptr<StepScratch> step_scratch_;
 };
 

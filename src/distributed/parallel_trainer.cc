@@ -1,6 +1,7 @@
 #include "distributed/parallel_trainer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -33,29 +34,44 @@ void MergeDirtyRows(const std::vector<nn::EmbeddingTable*>& tables) {
   }
 
   // Sums in replica order; 1 * x is exact, so each element is the plain
-  // float sum of the replicas' values.
+  // float sum of the replicas' values. rows[r * n + i] keeps replica r's
+  // row of key i (kMissing when it lacks the key) for the write-back.
+  constexpr uint32_t kMissing = UINT32_MAX;
+  const size_t n = keys.size();
   const size_t dim = tables[0]->dim();
   const KernelTable& kernels = Kernels();
-  std::vector<float> sum(keys.size() * dim, 0.0f);
-  std::vector<float> bias(keys.size(), 0.0f);
-  std::vector<uint32_t> count(keys.size(), 0);
-  for (const nn::EmbeddingTable* table : tables) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const auto row = table->FindRow(keys[i]);
+  std::vector<float> sum(n * dim, 0.0f);
+  std::vector<float> bias(n, 0.0f);
+  std::vector<uint32_t> count(n, 0);
+  std::vector<uint32_t> rows(tables.size() * n, kMissing);
+  for (size_t r = 0; r < tables.size(); ++r) {
+    const nn::EmbeddingTable& table = *tables[r];
+    for (size_t i = 0; i < n; ++i) {
+      const auto row = table.FindRow(keys[i]);
       if (!row.has_value()) continue;
-      kernels.scale_add(1.0f, table->Row(*row).data(), &sum[i * dim], dim);
-      if (table->with_bias()) bias[i] += table->bias(*row);
+      rows[r * n + i] = *row;
+      kernels.scale_add(1.0f, table.Row(*row).data(), &sum[i * dim], dim);
+      if (table.with_bias()) bias[i] += table.bias(*row);
       ++count[i];
     }
   }
 
-  for (size_t i = 0; i < keys.size(); ++i) {
+  // Rows never move, so a replica that knows the key is written in place;
+  // one that lacks it inserts the key, in key-major order.
+  for (size_t i = 0; i < n; ++i) {
     const float scale = 1.0f / float(count[i]);
     const std::span<float> merged(&sum[i * dim], dim);
     for (float& v : merged) v *= scale;
     bias[i] *= scale;
-    for (nn::EmbeddingTable* table : tables) {
-      table->RestoreRow(keys[i], merged, bias[i]);
+    for (size_t r = 0; r < tables.size(); ++r) {
+      nn::EmbeddingTable& table = *tables[r];
+      const uint32_t row = rows[r * n + i];
+      if (row == kMissing) {
+        table.RestoreRow(keys[i], merged, bias[i]);
+        continue;
+      }
+      std::copy(merged.begin(), merged.end(), table.Row(row).begin());
+      if (table.with_bias()) table.set_bias(row, bias[i]);
     }
   }
 }

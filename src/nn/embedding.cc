@@ -279,4 +279,9 @@ std::span<const float> EmbeddingTable::RowGrad(uint32_t row) const {
   return {Gradient(row), dim_};
 }
 
+float EmbeddingTable::bias_grad(uint32_t row) const {
+  FVAE_CHECK(with_bias_ && row < num_rows());
+  return grad_bias_[row];
+}
+
 }  // namespace fvae::nn

@@ -139,6 +139,8 @@ class EmbeddingTable {
 
   /// Direct access to accumulated row gradient (valid for touched rows).
   std::span<const float> RowGrad(uint32_t row) const;
+  /// The row's accumulated bias gradient (tables with biases).
+  float bias_grad(uint32_t row) const;
 
   /// All (key, row) pairs currently in the table (model save, full
   /// softmax candidates).

@@ -189,7 +189,7 @@ class TraceRecorder {
 
 /// RAII span: records [construction, destruction) into `recorder` (the
 /// global one by default). End() closes the span early — useful when two
-/// consecutive phases share a C++ scope (see FieldVae::TrainStep).
+/// consecutive phases share a C++ scope (see FieldVae::ComputeGradients).
 ///
 /// When a thread-ambient TraceContext is installed (and the recorder is
 /// enabled), the span joins the trace: it inherits the trace_id, adopts

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -136,18 +138,6 @@ TEST(FieldVaeTest, EncodeIsDeterministicAndMeanBased) {
   EXPECT_EQ(z1.rows(), 3u);
   EXPECT_EQ(z1.cols(), 8u);
   EXPECT_LT(Matrix::MaxAbsDiff(z1, z2), 1e-9f);
-}
-
-TEST(FieldVaeTest, EncodeWithVarianceClampsLogvar) {
-  const MultiFieldDataset data = GroupedFixture(4);
-  FieldVae model(SmallConfig(), data.fields());
-  Matrix mu, logvar;
-  const std::vector<uint32_t> users{0, 1};
-  model.EncodeWithVariance(data, users, &mu, &logvar);
-  for (size_t i = 0; i < logvar.size(); ++i) {
-    EXPECT_LE(logvar.data()[i], 10.0f);
-    EXPECT_GE(logvar.data()[i], -10.0f);
-  }
 }
 
 TEST(FieldVaeTest, ColdFeaturesAreSkippedAtInference) {
@@ -314,17 +304,166 @@ TEST(FieldVaeTest, DeepEncoderAndDecoderWork) {
   EXPECT_LT(last, first);
 }
 
-// ---------- pooled training step ----------
+// ---------- the step's two halves ----------
 
 using model_compare::BitwiseEqual;
+
+/// Appends the bit patterns of `values` to `bits`.
+void AppendBits(std::span<const float> values, std::vector<uint32_t>* bits) {
+  for (float v : values) bits->push_back(std::bit_cast<uint32_t>(v));
+}
+
+/// Every dense parameter and Adam moment, bit for bit, then the step count.
+std::vector<uint32_t> DenseBits(const FieldVae& model) {
+  const nn::AdamOptimizer& adam = model.dense_optimizer();
+  std::vector<uint32_t> bits;
+  for (size_t p = 0; p < adam.params().size(); ++p) {
+    const Matrix& value = *adam.params()[p].value;
+    for (const Matrix* m :
+         {&value, &adam.first_moments()[p], &adam.second_moments()[p]}) {
+      AppendBits({m->data(), m->size()}, &bits);
+    }
+  }
+  bits.push_back(uint32_t(adam.step_count()));
+  return bits;
+}
+
+/// Each row of every input and output table, bit for bit: key, weights,
+/// AdaGrad accumulators and, with biases, the bias and its accumulator.
+std::vector<std::vector<std::vector<uint32_t>>> TableBits(
+    const FieldVae& model) {
+  std::vector<std::vector<std::vector<uint32_t>>> tables;
+  for (size_t k = 0; k < model.num_fields(); ++k) {
+    for (const nn::EmbeddingTable* table :
+         {&model.input_table(k), &model.output_table(k)}) {
+      std::vector<std::vector<uint32_t>>& rows = tables.emplace_back();
+      for (uint32_t r = 0; r < table->num_rows(); ++r) {
+        const uint64_t key = table->KeyOfRow(r);
+        std::vector<uint32_t>& bits = rows.emplace_back();
+        bits = {uint32_t(key), uint32_t(key >> 32)};
+        AppendBits(table->Row(r), &bits);
+        AppendBits(table->AdagradRow(r), &bits);
+        if (table->with_bias()) {
+          const float bias[2] = {table->bias(r), table->adagrad_bias(r)};
+          AppendBits(bias, &bits);
+        }
+      }
+    }
+  }
+  return tables;
+}
+
+// ComputeGradients leaves the step's gradients readable and moves nothing:
+// every pre-existing weight, bias, AdaGrad accumulator and Adam moment is
+// bitwise unchanged, and the only change is the rows of features the batch
+// sees for the first time. ApplyUpdates then finishes exactly the step
+// TrainStep takes.
+TEST(FieldVaeTest, ComputeGradientsMovesNoWeight) {
+  const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(160, 5));
+  FvaeConfig config = SmallConfig();
+  config.encoder_hidden = {16, 12};
+  config.sampling_strategy = SamplingStrategy::kUniform;
+  config.sampling_rate = 0.3;
+  FieldVae model(config, gen.dataset.fields());
+  FieldVae twin(config, gen.dataset.fields());
+  std::vector<uint32_t> batch(40);
+  for (size_t step = 0; step < 3; ++step) {
+    std::iota(batch.begin(), batch.end(), uint32_t(step * 40));
+    model.TrainStep(gen.dataset, batch, 0.1f);
+    twin.TrainStep(gen.dataset, batch, 0.1f);
+  }
+  // Users 120..159 bring features the tables have not seen yet.
+  std::iota(batch.begin(), batch.end(), 120u);
+  const std::vector<uint32_t> dense_before = DenseBits(model);
+  const auto tables_before = TableBits(model);
+
+  const StepStats stats = model.ComputeGradients(gen.dataset, batch, 0.1f);
+  EXPECT_EQ(DenseBits(model), dense_before);
+  const auto tables_after = TableBits(model);
+  size_t new_rows = 0;
+  for (size_t t = 0; t < tables_before.size(); ++t) {
+    const auto& before = tables_before[t];
+    const auto& after = tables_after[t];
+    ASSERT_GE(after.size(), before.size()) << "table " << t;
+    EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin()))
+        << "table " << t;
+    new_rows += after.size() - before.size();
+  }
+  EXPECT_GT(new_rows, 0u);
+
+  // The gradients are there to read.
+  double dense_grad = 0.0;
+  for (const nn::ParamRef& p : model.dense_optimizer().params()) {
+    for (size_t i = 0; i < p.grad->size(); ++i) {
+      dense_grad += std::fabs(p.grad->data()[i]);
+    }
+  }
+  EXPECT_GT(dense_grad, 0.0);
+  for (size_t k = 0; k < model.num_fields(); ++k) {
+    for (const nn::EmbeddingTable* table :
+         {&model.input_table(k), &model.output_table(k)}) {
+      double row_grad = 0.0, bias_grad = 0.0;
+      for (uint32_t row : table->touched_rows()) {
+        for (float g : table->RowGrad(row)) row_grad += std::fabs(g);
+        if (table->with_bias()) bias_grad += std::fabs(table->bias_grad(row));
+      }
+      EXPECT_GT(row_grad, 0.0) << "field " << k;
+      EXPECT_EQ(bias_grad > 0.0, table->with_bias()) << "field " << k;
+    }
+  }
+
+  model.ApplyUpdates();
+  const StepStats whole = twin.TrainStep(gen.dataset, batch, 0.1f);
+  EXPECT_EQ(stats.loss, whole.loss);
+  model_compare::ExpectSameModel(model, twin);
+}
+
+// ---------- pooled training step ----------
+
+/// A table's pending gradients, bit for bit: the touched rows in order,
+/// their row gradients and, with biases, their bias gradients.
+void ExpectSameTableGradients(const nn::EmbeddingTable& a,
+                              const nn::EmbeddingTable& b,
+                              const std::string& what) {
+  ASSERT_EQ(a.touched_rows(), b.touched_rows()) << what;
+  const size_t bytes = a.dim() * sizeof(float);
+  for (uint32_t row : a.touched_rows()) {
+    EXPECT_EQ(std::memcmp(a.RowGrad(row).data(), b.RowGrad(row).data(), bytes),
+              0)
+        << what << " row " << row;
+    if (a.with_bias()) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(a.bias_grad(row)),
+                std::bit_cast<uint32_t>(b.bias_grad(row)))
+          << what << " bias of row " << row;
+    }
+  }
+}
+
+/// The gradients ComputeGradients left, bit for bit: every dense gradient
+/// and every input and output table's pending gradients.
+void ExpectSameGradients(const FieldVae& a, const FieldVae& b) {
+  const std::vector<nn::ParamRef>& pa = a.dense_optimizer().params();
+  const std::vector<nn::ParamRef>& pb = b.dense_optimizer().params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(*pa[i].grad, *pb[i].grad)) << "dense grad " << i;
+  }
+  for (size_t k = 0; k < a.num_fields(); ++k) {
+    ExpectSameTableGradients(a.input_table(k), b.input_table(k),
+                             "input table " + std::to_string(k));
+    ExpectSameTableGradients(a.output_table(k), b.output_table(k),
+                             "output table " + std::to_string(k));
+  }
+}
 
 /// (batched softmax, deep trunks)
 class PooledStepTest
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 // A pooled step only re-partitions work over output rows and table rows,
-// so N pooled steps must reproduce N serial steps bit for bit: stats, dense
-// parameters, every input and output table, and the encoder output.
+// so N pooled steps must reproduce N serial steps bit for bit: stats, the
+// gradients before each update, dense parameters, every input and output
+// table, and the encoder output.
 TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   const auto [batched, deep] = GetParam();
   const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(160, 5));
@@ -343,13 +482,20 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   std::vector<uint32_t> batch(67);
   for (size_t step = 0; step < 4; ++step) {
     std::iota(batch.begin(), batch.end(), uint32_t(step * 23));
-    const StepStats s = serial.TrainStep(gen.dataset, batch, 0.1f);
-    const StepStats p = pooled.TrainStep(gen.dataset, batch, 0.1f, &pool);
+    const StepStats s = serial.ComputeGradients(gen.dataset, batch, 0.1f);
+    const StepStats p =
+        pooled.ComputeGradients(gen.dataset, batch, 0.1f, &pool);
     EXPECT_EQ(p.loss, s.loss) << "step " << step;
     EXPECT_EQ(p.kl, s.kl) << "step " << step;
     EXPECT_EQ(p.field_nll, s.field_nll) << "step " << step;
     EXPECT_EQ(p.candidates_per_field, s.candidates_per_field)
         << "step " << step;
+    {
+      SCOPED_TRACE("gradients of step " + std::to_string(step));
+      ExpectSameGradients(pooled, serial);
+    }
+    serial.ApplyUpdates();
+    pooled.ApplyUpdates(&pool);
   }
   model_compare::ExpectSameModel(pooled, serial);
   std::vector<uint32_t> all(gen.dataset.num_users());
@@ -371,21 +517,17 @@ TEST(FieldVaeTest, ConcurrentEncodesMatchSerial) {
   for (size_t step = 0; step < 3; ++step) {
     model.TrainStep(gen.dataset, std::span(users).first(40), 0.1f);
   }
-  Matrix mu, logvar;
-  model.EncodeWithVariance(gen.dataset, users, &mu, &logvar);
+  const Matrix mu = model.Encode(gen.dataset, users);
   const std::vector<uint64_t> candidates = {1, 2, 3, 5, 8};
   const Matrix scores = model.EncodeAndScore(gen.dataset, users, 0, candidates);
 
   constexpr size_t kThreads = 4;
-  std::vector<Matrix> got_mu(kThreads), got_logvar(kThreads),
-      got_encode(kThreads), got_scores(kThreads);
+  std::vector<Matrix> got_encode(kThreads), got_scores(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 3; ++rep) {
         got_encode[t] = model.Encode(gen.dataset, users);
-        model.EncodeWithVariance(gen.dataset, users, &got_mu[t],
-                                 &got_logvar[t]);
         got_scores[t] =
             model.EncodeAndScore(gen.dataset, users, 0, candidates);
       }
@@ -394,8 +536,6 @@ TEST(FieldVaeTest, ConcurrentEncodesMatchSerial) {
   for (std::thread& thread : threads) thread.join();
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(BitwiseEqual(got_encode[t], mu)) << "thread " << t;
-    EXPECT_TRUE(BitwiseEqual(got_mu[t], mu)) << "thread " << t;
-    EXPECT_TRUE(BitwiseEqual(got_logvar[t], logvar)) << "thread " << t;
     EXPECT_TRUE(BitwiseEqual(got_scores[t], scores)) << "thread " << t;
   }
 }
