@@ -111,7 +111,7 @@ double MeasureGemm(const KernelTable& t, GemmShape shape, double budget_s) {
   for (float& v : b) v = dist(rng);
   const double calls_s = MeasureRate(budget_s, [&] {
     t.gemm_accumulate(a.data(), b.data(), c.data(), shape.m, shape.k,
-                      shape.n);
+                      shape.n, shape.n, shape.n);
   });
   return calls_s * 2.0 * double(shape.m) * double(shape.k) *
          double(shape.n) / 1e9;

@@ -45,14 +45,15 @@ struct FieldVae::StepScratch {
   std::vector<Candidate> candidates;
   std::vector<uint64_t> chosen_ids;
   std::vector<uint32_t> rows;  // output-table row of each candidate
-  Matrix wc;                   // candidates x dec_dim weight rows
+  // Candidate weight rows as strip panels: Wc^T (logits), Wc (hidden grad).
+  std::vector<float> wc_t_panel;
+  std::vector<float> wc_panel;
   std::vector<float> bc;       // candidate biases
   Matrix logits;               // batch x candidates
   Matrix logits_grad;
   Matrix wc_grad;              // candidates x dec_dim
   std::vector<double> bias_grad;
   std::vector<double> row_nll;  // per-user NLL, summed serially in row order
-  std::vector<float> panel;     // Wc^T for the logits GEMM
 };
 
 FieldVae::FieldVae(const FvaeConfig& config,
@@ -171,11 +172,11 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   const Matrix* enc_out = &h1;
   Matrix trunk_out;
   if (encoder_trunk_) {
-    encoder_trunk_->Forward(h1, &trunk_out);
+    encoder_trunk_->Forward(h1, &trunk_out, pool);
     enc_out = &trunk_out;
   }
-  mu_head_->Forward(*enc_out, mu);
-  logvar_head_->Forward(*enc_out, logvar);
+  mu_head_->Forward(*enc_out, mu, pool);
+  logvar_head_->Forward(*enc_out, logvar, pool);
   // Clamped for numeric safety: exp() in the KL term and reparameterization.
   for (size_t i = 0; i < logvar->size(); ++i) {
     logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
@@ -366,7 +367,7 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
 
   // ---- Decoder trunk forward ----
   Matrix hdec;
-  decoder_trunk_->Forward(z, &hdec);
+  decoder_trunk_->Forward(z, &hdec, pool);
   const size_t dec_dim = hdec.cols();
   Matrix hdec_grad(batch, dec_dim);
   forward_span.End();
@@ -437,19 +438,26 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
     obs::TraceSpan init_span("train.embed.init");
     out_table.InitPendingRows(pool);
     init_span.End();
-    scratch.wc.Resize(num_cand, dec_dim);
+    // Both strip panels in one pass over the rows; chunks are whole strips.
+    obs::TraceSpan gather_span("train.fields.gather");
+    ResizeStripPanel(dec_dim, num_cand, &scratch.wc_t_panel);
+    ResizeStripPanel(num_cand, dec_dim, &scratch.wc_panel);
     scratch.bc.resize(num_cand);
-    ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {
+    ParallelForRange(pool, 0, num_cand, kGemmStripCols,
+                     [&](size_t lo, size_t hi) {
       for (size_t c = lo; c < hi; ++c) {
-        std::span<const float> w = out_table.Row(scratch.rows[c]);
-        std::copy(w.begin(), w.end(), scratch.wc.Row(c));
+        const float* w = out_table.Row(scratch.rows[c]).data();
+        PackStripColumn(w, dec_dim, c, scratch.wc_t_panel.data());
+        PackStripRow(w, num_cand, dec_dim, c, scratch.wc_panel.data());
         scratch.bc[c] = out_table.bias(scratch.rows[c]);
       }
     });
+    gather_span.End();
 
     // logits = hdec * Wc^T (+ bc, added per row below).
     obs::TraceSpan logits_span("train.fields.gemm_logits");
-    GemmNTPooled(hdec, scratch.wc, &scratch.logits, pool, &scratch.panel);
+    scratch.logits.Resize(batch, num_cand);
+    GemmStripsPooled(hdec, scratch.wc_t_panel.data(), &scratch.logits, pool);
     logits_span.End();
 
     // Per-user multinomial NLL and gradient over the candidate subset. Each
@@ -490,7 +498,8 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
 
     // Backprop into the decoder hidden state and the candidate rows.
     obs::TraceSpan hidden_grad_span("train.fields.gemm_hidden_grad");
-    GemmAccumulatePooled(scratch.logits_grad, scratch.wc, &hdec_grad, pool);
+    GemmStripsPooled(scratch.logits_grad, scratch.wc_panel.data(), &hdec_grad,
+                     pool);
     hidden_grad_span.End();
     obs::TraceSpan row_grad_span("train.fields.gemm_row_grad");
     GemmTNPooled(scratch.logits_grad, hdec, &scratch.wc_grad, pool);

@@ -27,7 +27,7 @@ struct DistributedConfig {
 /// Outcome of a simulated run.
 struct DistributedResult {
   /// Modeled cluster time: the sum over rounds of max(per-worker busy
-  /// time) + sync time.
+  /// time) + sync time, both in the simulating thread's CPU time.
   double simulated_seconds = 0.0;
   size_t users_processed = 0;
   size_t rounds = 0;

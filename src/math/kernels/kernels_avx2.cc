@@ -116,17 +116,17 @@ __m256 Tanh8(__m256 x) {
 
 // ---- GEMM --------------------------------------------------------------
 
-// One row of out += a_row * b: out_row[j] += sum_p a_row[p] * b[p*n + j],
+// One row of out += a_row * b: out_row[j] += sum_p a_row[p] * b[p*ldb + j],
 // ascending p per 16/8/tail column strip.
 void Gemm1RowAvx2(const float* a_row, const float* b, float* out_row,
-                  size_t k, size_t n) {
+                  size_t k, size_t n, size_t ldb) {
   size_t j = 0;
   for (; j + 16 <= n; j += 16) {
     __m256 c0 = _mm256_loadu_ps(out_row + j);
     __m256 c1 = _mm256_loadu_ps(out_row + j + 8);
     for (size_t p = 0; p < k; ++p) {
       const __m256 va = _mm256_set1_ps(a_row[p]);
-      const float* b_row = b + p * n + j;
+      const float* b_row = b + p * ldb + j;
       c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b_row), c0);
       c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b_row + 8), c1);
     }
@@ -137,7 +137,7 @@ void Gemm1RowAvx2(const float* a_row, const float* b, float* out_row,
     __m256 c0 = _mm256_loadu_ps(out_row + j);
     for (size_t p = 0; p < k; ++p) {
       c0 = _mm256_fmadd_ps(_mm256_set1_ps(a_row[p]),
-                           _mm256_loadu_ps(b + p * n + j), c0);
+                           _mm256_loadu_ps(b + p * ldb + j), c0);
     }
     _mm256_storeu_ps(out_row + j, c0);
   }
@@ -148,7 +148,7 @@ void Gemm1RowAvx2(const float* a_row, const float* b, float* out_row,
       // maskload keeps the final B row from reading past the buffer; dead
       // lanes are zero and never stored back.
       c0 = _mm256_fmadd_ps(_mm256_set1_ps(a_row[p]),
-                           _mm256_maskload_ps(b + p * n + j, mask), c0);
+                           _mm256_maskload_ps(b + p * ldb + j, mask), c0);
     }
     _mm256_maskstore_ps(out_row + j, mask, c0);
   }
@@ -157,7 +157,7 @@ void Gemm1RowAvx2(const float* a_row, const float* b, float* out_row,
 // Four rows of out += a * b sharing each B load across rows.
 void Gemm4RowsAvx2(const float* a0, const float* a1, const float* a2,
                    const float* a3, const float* b, float* o0, float* o1,
-                   float* o2, float* o3, size_t k, size_t n) {
+                   float* o2, float* o3, size_t k, size_t n, size_t ldb) {
   size_t j = 0;
   for (; j + 16 <= n; j += 16) {
     __m256 c00 = _mm256_loadu_ps(o0 + j), c01 = _mm256_loadu_ps(o0 + j + 8);
@@ -165,7 +165,7 @@ void Gemm4RowsAvx2(const float* a0, const float* a1, const float* a2,
     __m256 c20 = _mm256_loadu_ps(o2 + j), c21 = _mm256_loadu_ps(o2 + j + 8);
     __m256 c30 = _mm256_loadu_ps(o3 + j), c31 = _mm256_loadu_ps(o3 + j + 8);
     for (size_t p = 0; p < k; ++p) {
-      const float* b_row = b + p * n + j;
+      const float* b_row = b + p * ldb + j;
       const __m256 b0 = _mm256_loadu_ps(b_row);
       const __m256 b1 = _mm256_loadu_ps(b_row + 8);
       const __m256 v0 = _mm256_set1_ps(a0[p]);
@@ -196,7 +196,7 @@ void Gemm4RowsAvx2(const float* a0, const float* a1, const float* a2,
     __m256 c2 = _mm256_loadu_ps(o2 + j);
     __m256 c3 = _mm256_loadu_ps(o3 + j);
     for (size_t p = 0; p < k; ++p) {
-      const __m256 b0 = _mm256_loadu_ps(b + p * n + j);
+      const __m256 b0 = _mm256_loadu_ps(b + p * ldb + j);
       c0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), b0, c0);
       c1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), b0, c1);
       c2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), b0, c2);
@@ -214,7 +214,7 @@ void Gemm4RowsAvx2(const float* a0, const float* a1, const float* a2,
     __m256 c2 = _mm256_maskload_ps(o2 + j, mask);
     __m256 c3 = _mm256_maskload_ps(o3 + j, mask);
     for (size_t p = 0; p < k; ++p) {
-      const __m256 b0 = _mm256_maskload_ps(b + p * n + j, mask);
+      const __m256 b0 = _mm256_maskload_ps(b + p * ldb + j, mask);
       c0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), b0, c0);
       c1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), b0, c1);
       c2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), b0, c2);
@@ -228,15 +228,15 @@ void Gemm4RowsAvx2(const float* a0, const float* a1, const float* a2,
 }
 
 void GemmAccumulateAvx2(const float* a, const float* b, float* out, size_t m,
-                        size_t k, size_t n) {
+                        size_t k, size_t n, size_t ldb, size_t ldc) {
   size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     Gemm4RowsAvx2(a + i * k, a + (i + 1) * k, a + (i + 2) * k,
-                  a + (i + 3) * k, b, out + i * n, out + (i + 1) * n,
-                  out + (i + 2) * n, out + (i + 3) * n, k, n);
+                  a + (i + 3) * k, b, out + i * ldc, out + (i + 1) * ldc,
+                  out + (i + 2) * ldc, out + (i + 3) * ldc, k, n, ldb);
   }
   for (; i < m; ++i) {
-    Gemm1RowAvx2(a + i * k, b, out + i * n, k, n);
+    Gemm1RowAvx2(a + i * k, b, out + i * ldc, k, n, ldb);
   }
 }
 

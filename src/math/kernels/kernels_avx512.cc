@@ -118,25 +118,28 @@ __m512 Tanh16(__m512 x) {
 // need 8+ independent chains to stay busy: the 8x32 tile keeps 16. The
 // last vector of each row is predicated by `mask` (all ones except in the
 // column tail). Every output element is one FMA chain over ascending p
-// starting from `out`, in every tile shape, so results are bitwise those
-// of the AVX2 kernels. GCC 12 does not fully unroll the r/v loops at -O2
-// on its own; left rolled, the accumulators spill.
+// starting from `out`, in every tile shape and at every row stride, so
+// results are bitwise those of the AVX2 kernels. GCC 12 does not fully
+// unroll the r/v loops at -O2 on its own; left rolled, the accumulators
+// spill.
 template <int R, int V>
 void GemmTileAvx512(const float* a, const float* b, float* out, size_t k,
-                    size_t n, size_t j, __mmask16 mask) {
+                    size_t ldb, size_t ldc, size_t j, __mmask16 mask) {
   auto lane_mask = [mask](int v) {
     return v + 1 == V ? mask : static_cast<__mmask16>(0xffff);
   };
+  b += j;
+  out += j;
   __m512 c[R][V];
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
-      c[r][v] = _mm512_maskz_loadu_ps(lane_mask(v), out + r * n + j + 16 * v);
+      c[r][v] = _mm512_maskz_loadu_ps(lane_mask(v), out + r * ldc + 16 * v);
     }
   }
   for (size_t p = 0; p < k; ++p) {
-    const float* b_row = b + p * n + j;
+    const float* b_row = b + p * ldb;
     __m512 bv[V];
 #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
@@ -155,7 +158,7 @@ void GemmTileAvx512(const float* a, const float* b, float* out, size_t k,
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
     for (int v = 0; v < V; ++v) {
-      _mm512_mask_storeu_ps(out + r * n + j + 16 * v, lane_mask(v), c[r][v]);
+      _mm512_mask_storeu_ps(out + r * ldc + 16 * v, lane_mask(v), c[r][v]);
     }
   }
 }
@@ -167,19 +170,19 @@ void GemmTileAvx512(const float* a, const float* b, float* out, size_t k,
 // masked.
 template <int R>
 void GemmRowsAvx512(const float* a, const float* b, float* out, size_t k,
-                    size_t n) {
+                    size_t n, size_t ldb, size_t ldc) {
   constexpr __mmask16 kFull = 0xffff;
   size_t j = 0;
   if constexpr (R == 1) {
     for (; j + 128 <= n; j += 128) {
-      GemmTileAvx512<1, 8>(a, b, out, k, n, j, kFull);
+      GemmTileAvx512<1, 8>(a, b, out, k, ldb, ldc, j, kFull);
     }
   }
   for (; j + 32 <= n; j += 32) {
-    GemmTileAvx512<R, 2>(a, b, out, k, n, j, kFull);
+    GemmTileAvx512<R, 2>(a, b, out, k, ldb, ldc, j, kFull);
   }
   for (; j < n; j += 16) {
-    GemmTileAvx512<R, 1>(a, b, out, k, n, j,
+    GemmTileAvx512<R, 1>(a, b, out, k, ldb, ldc, j,
                          TailMask16(n - j < 16 ? n - j : 16));
   }
 }
@@ -187,17 +190,18 @@ void GemmRowsAvx512(const float* a, const float* b, float* out, size_t k,
 static_assert(kGemmRowTile % 8 == 0, "pooled splits must not cut a tile");
 
 void GemmAccumulateAvx512(const float* a, const float* b, float* out,
-                          size_t m, size_t k, size_t n) {
+                          size_t m, size_t k, size_t n, size_t ldb,
+                          size_t ldc) {
   size_t i = 0;
   for (; i + 8 <= m; i += 8) {
-    GemmRowsAvx512<8>(a + i * k, b, out + i * n, k, n);
+    GemmRowsAvx512<8>(a + i * k, b, out + i * ldc, k, n, ldb, ldc);
   }
   if (i + 4 <= m) {
-    GemmRowsAvx512<4>(a + i * k, b, out + i * n, k, n);
+    GemmRowsAvx512<4>(a + i * k, b, out + i * ldc, k, n, ldb, ldc);
     i += 4;
   }
   for (; i < m; ++i) {
-    GemmRowsAvx512<1>(a + i * k, b, out + i * n, k, n);
+    GemmRowsAvx512<1>(a + i * k, b, out + i * ldc, k, n, ldb, ldc);
   }
 }
 

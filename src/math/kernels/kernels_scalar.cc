@@ -17,13 +17,14 @@ namespace fvae {
 namespace {
 
 void GemmAccumulateScalar(const float* a, const float* b, float* out,
-                          size_t m, size_t k, size_t n) {
+                          size_t m, size_t k, size_t n, size_t ldb,
+                          size_t ldc) {
   for (size_t i = 0; i < m; ++i) {
     const float* a_row = a + i * k;
-    float* out_row = out + i * n;
+    float* out_row = out + i * ldc;
     for (size_t p = 0; p < k; ++p) {
       const float a_ip = a_row[p];
-      const float* b_row = b + p * n;
+      const float* b_row = b + p * ldb;
       for (size_t j = 0; j < n; ++j) out_row[j] += a_ip * b_row[j];
     }
   }

@@ -127,29 +127,38 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   // Shape checks stay here; the arithmetic runs in the ISA-dispatched
   // kernel layer (src/math/kernels/), which guarantees ascending-p
   // accumulation with no zero-operand skips in every tile and tail path.
-  Kernels().gemm_accumulate(a.Row(0), b.Row(0), out->Row(0), m, k, n);
+  Kernels().gemm_accumulate(a.Row(0), b.Row(0), out->Row(0), m, k, n, n, n);
 }
 
-namespace {
-
-// Writes rows [lo, hi) of src^T (src.cols() x src.rows(), row-major) into
-// `panel`. The reads walk a 16-row strip of src at a time, so every cache
-// line of the strip is reused across consecutive panel rows before it is
-// evicted.
-void PackTransposedRows(const Matrix& src, size_t lo, size_t hi,
-                        float* panel) {
-  constexpr size_t kStrip = 16;
-  const size_t src_rows = src.rows();
-  for (size_t c0 = 0; c0 < src_rows; c0 += kStrip) {
-    const size_t c1 = std::min(src_rows, c0 + kStrip);
-    for (size_t r = lo; r < hi; ++r) {
-      float* dst = panel + r * src_rows;
-      for (size_t c = c0; c < c1; ++c) dst[c] = src(c, r);
-    }
+void ResizeStripPanel(size_t k, size_t n, std::vector<float>* panel) {
+  const size_t strips = (n + kGemmStripCols - 1) / kGemmStripCols;
+  const size_t size = strips * k * kGemmStripCols;
+  // Grow-only: the field loop's candidate counts go up and down field by
+  // field, and each regrow would zero-fill the regrown tail for nothing.
+  if (panel->size() < size) panel->resize(size);
+  const size_t used = n % kGemmStripCols;
+  if (used == 0) return;
+  float* last = panel->data() + (strips - 1) * k * kGemmStripCols;
+  for (size_t p = 0; p < k; ++p) {
+    std::fill(last + p * kGemmStripCols + used,
+              last + (p + 1) * kGemmStripCols, 0.0f);
   }
 }
 
-}  // namespace
+void PackStripColumn(const float* col, size_t k, size_t j, float* panel) {
+  float* dst = panel + (j / kGemmStripCols) * k * kGemmStripCols +
+               j % kGemmStripCols;
+  for (size_t p = 0; p < k; ++p) dst[p * kGemmStripCols] = col[p];
+}
+
+void PackStripRow(const float* row, size_t k, size_t n, size_t p,
+                  float* panel) {
+  float* dst = panel + p * kGemmStripCols;
+  for (size_t j0 = 0; j0 < n; j0 += kGemmStripCols) {
+    std::copy(row + j0, row + std::min(n, j0 + kGemmStripCols), dst);
+    dst += k * kGemmStripCols;
+  }
+}
 
 void GemmNT(const Matrix& a, const Matrix& b, Matrix* out) {
   std::vector<float> panel;
@@ -160,23 +169,35 @@ void GemmTN(const Matrix& a, const Matrix& b, Matrix* out) {
   GemmTNPooled(a, b, out, nullptr);
 }
 
+void GemmStripsPooled(const Matrix& a, const float* panel, Matrix* out,
+                      ThreadPool* pool) {
+  const size_t m = a.rows(), k = a.cols(), n = out->cols();
+  FVAE_CHECK(out->rows() == m) << "gemm-strips shape mismatch";
+  // Kernels() runs on the thread doing the arithmetic, so pool workers get
+  // the same per-thread FTZ/DAZ mode as the serial caller.
+  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
+    const KernelTable& kt = Kernels();
+    for (size_t j0 = 0; j0 < n; j0 += kGemmStripCols) {
+      kt.gemm_accumulate(a.Row(lo), panel + j0 * k, out->Row(lo) + j0,
+                         hi - lo, k, std::min(kGemmStripCols, n - j0),
+                         kGemmStripCols, n);
+    }
+  });
+}
+
 void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool, std::vector<float>* panel) {
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   FVAE_CHECK(b.cols() == k)
       << "gemm-nt shape mismatch: " << a.cols() << " vs " << b.cols();
-  // panel = b^T (k x n), shared read-only by every row chunk below.
-  panel->resize(k * n);
+  // b's rows are b^T's columns; each chunk packs whole strips.
+  ResizeStripPanel(k, n, panel);
   float* bt = panel->data();
-  ParallelForRange(pool, 0, k, /*align=*/16, [&](size_t lo, size_t hi) {
-    PackTransposedRows(b, lo, hi, bt);
+  ParallelForRange(pool, 0, n, kGemmStripCols, [&](size_t lo, size_t hi) {
+    for (size_t j = lo; j < hi; ++j) PackStripColumn(b.Row(j), k, j, bt);
   });
   out->Resize(m, n);
-  // Kernels() runs on the thread doing the arithmetic, so pool workers get
-  // the same per-thread FTZ/DAZ mode as the serial caller.
-  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
-    Kernels().gemm_accumulate(a.Row(lo), bt, out->Row(lo), hi - lo, k, n);
-  });
+  GemmStripsPooled(a, bt, out, pool);
 }
 
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
@@ -196,19 +217,9 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
         const float* src = a.Row(p) + i0;
         for (size_t r = 0; r < rows; ++r) tile[r * k + p] = src[r];
       }
-      kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n);
+      kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n, n,
+                         n);
     }
-  });
-}
-
-void GemmAccumulatePooled(const Matrix& a, const Matrix& b, Matrix* out,
-                          ThreadPool* pool) {
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  FVAE_CHECK(b.rows() == k && out->rows() == m && out->cols() == n)
-      << "gemm-accumulate shape mismatch";
-  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
-    Kernels().gemm_accumulate(a.Row(lo), b.Row(0), out->Row(lo), hi - lo, k,
-                              n);
   });
 }
 

@@ -3,20 +3,33 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace fvae::nn {
 
-void TanhLayer::Forward(const Matrix& input, Matrix* output) {
-  Infer(input, output);
+namespace {
+// Rows [lo, hi) of tanh(input), scalar: the SIMD tanh rounds differently.
+void TanhRows(const Matrix& input, size_t lo, size_t hi, Matrix* output) {
+  for (size_t i = lo * input.cols(); i < hi * input.cols(); ++i) {
+    output->data()[i] = std::tanh(input.data()[i]);
+  }
+}
+}  // namespace
+
+void TanhLayer::Forward(const Matrix& input, Matrix* output,
+                        ThreadPool* pool) {
+  output->Resize(input.rows(), input.cols());
+  ParallelForRange(pool, 0, input.rows(), /*align=*/1,
+                   [&](size_t lo, size_t hi) {
+                     TanhRows(input, lo, hi, output);
+                   });
   cached_output_ = *output;  // capacity-reusing once warm
 }
 
 void TanhLayer::Infer(const Matrix& input, Matrix* output,
                       std::vector<Matrix>* /*scratch*/) const {
-  *output = input;
-  for (size_t i = 0; i < output->size(); ++i) {
-    output->data()[i] = std::tanh(output->data()[i]);
-  }
+  output->Resize(input.rows(), input.cols());
+  TanhRows(input, 0, input.rows(), output);
 }
 
 void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input,

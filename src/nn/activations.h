@@ -9,7 +9,8 @@ namespace fvae::nn {
 /// Elementwise tanh. Backward uses the cached output: d = (1 - y^2).
 class TanhLayer : public Layer {
  public:
-  void Forward(const Matrix& input, Matrix* output) override;
+  void Forward(const Matrix& input, Matrix* output,
+               ThreadPool* pool = nullptr) override;
   void Infer(const Matrix& input, Matrix* output,
              std::vector<Matrix>* scratch = nullptr) const override;
   void Backward(const Matrix& grad_output, Matrix* grad_input,

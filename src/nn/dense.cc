@@ -1,6 +1,8 @@
 #include "nn/dense.h"
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 
 namespace fvae::nn {
 
@@ -10,8 +12,16 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Rng& rng)
       weight_grad_(in_dim, out_dim),
       bias_grad_(1, out_dim) {}
 
-void DenseLayer::Forward(const Matrix& input, Matrix* output) {
-  Infer(input, output);
+void DenseLayer::Forward(const Matrix& input, Matrix* output,
+                         ThreadPool* pool) {
+  FVAE_CHECK(input.cols() == weight_.rows())
+      << "dense input dim " << input.cols() << " != " << weight_.rows();
+  output->Resize(input.rows(), weight_.cols());
+  // Chunks cut on kGemmRowTile run the row tiles Infer runs.
+  ParallelForRange(pool, 0, input.rows(), kGemmRowTile,
+                   [&](size_t lo, size_t hi) {
+                     AffineRows(input, lo, hi, output);
+                   });
   // The copy-assign reuses capacity, so a warmed-up pass stays
   // allocation-free.
   cached_input_ = input;
@@ -21,11 +31,19 @@ void DenseLayer::Infer(const Matrix& input, Matrix* output,
                        std::vector<Matrix>* /*scratch*/) const {
   FVAE_CHECK(input.cols() == weight_.rows())
       << "dense input dim " << input.cols() << " != " << weight_.rows();
-  Gemm(input, weight_, output);
-  for (size_t r = 0; r < output->rows(); ++r) {
+  output->Resize(input.rows(), weight_.cols());
+  AffineRows(input, 0, input.rows(), output);
+}
+
+void DenseLayer::AffineRows(const Matrix& input, size_t lo, size_t hi,
+                            Matrix* output) const {
+  const size_t k = weight_.rows(), n = weight_.cols();
+  Kernels().gemm_accumulate(input.Row(lo), weight_.Row(0), output->Row(lo),
+                            hi - lo, k, n, n, n);
+  const float* b = bias_.Row(0);
+  for (size_t r = lo; r < hi; ++r) {
     float* row = output->Row(r);
-    const float* b = bias_.Row(0);
-    for (size_t c = 0; c < output->cols(); ++c) row[c] += b[c];
+    for (size_t c = 0; c < n; ++c) row[c] += b[c];
   }
 }
 

@@ -24,15 +24,18 @@ struct ParamRef {
 /// accumulates) parameter gradients; one optimizer Step per Forward/Backward
 /// pair.
 ///
-/// Infer is the read-only twin of Forward: every layer computes its output
-/// in Infer, and Forward is Infer plus the cache copy Backward needs, so
-/// Infer and Forward produce bitwise identical outputs.
+/// Infer is the read-only twin of Forward: Forward computes the same output
+/// (row-split over a pool when given one) plus the cache copy Backward
+/// needs, and the two produce bitwise identical outputs.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// output = f(input), caching what Backward needs.
-  virtual void Forward(const Matrix& input, Matrix* output) = 0;
+  /// output = f(input), caching what Backward needs. A non-null `pool`
+  /// row-splits the pass over it; the output is bitwise the serial one (and
+  /// Infer's). Every override repeats the nullptr default.
+  virtual void Forward(const Matrix& input, Matrix* output,
+                       ThreadPool* pool = nullptr) = 0;
 
   /// Inference pass: output = f(input). Writes only `*output` and
   /// `*scratch`, never the layer, so any number of threads may run it on

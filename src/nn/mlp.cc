@@ -38,10 +38,10 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng, bool activate_output) {
   }
 }
 
-void Mlp::Forward(const Matrix& input, Matrix* output) {
+void Mlp::Forward(const Matrix& input, Matrix* output, ThreadPool* pool) {
   RunLayers(layers_, input, output, &activations_,
-            [](Layer& layer, const Matrix& in, Matrix* out) {
-              layer.Forward(in, out);
+            [pool](Layer& layer, const Matrix& in, Matrix* out) {
+              layer.Forward(in, out, pool);
             });
 }
 

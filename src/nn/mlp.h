@@ -22,7 +22,8 @@ class Mlp : public Layer {
   /// `dims` = {in, h1, ..., out} with at least two entries.
   Mlp(const std::vector<size_t>& dims, Rng& rng, bool activate_output = false);
 
-  void Forward(const Matrix& input, Matrix* output) override;
+  void Forward(const Matrix& input, Matrix* output,
+               ThreadPool* pool = nullptr) override;
   /// `scratch` is required: it receives each layer's output.
   void Infer(const Matrix& input, Matrix* output,
              std::vector<Matrix>* scratch = nullptr) const override;

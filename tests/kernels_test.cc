@@ -7,6 +7,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/kernels/kernel_table.h"
@@ -133,8 +134,8 @@ TEST_P(KernelIsaTest, GemmParityAcrossTailSizes) {
         const std::vector<float> b = RandomVec(k * n, &rng);
         std::vector<float> got = RandomVec(m * n, &rng);
         std::vector<float> want = got;
-        T().gemm_accumulate(a.data(), b.data(), got.data(), m, k, n);
-        ref_.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n);
+        T().gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, n, n);
+        ref_.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n, n, n);
         for (size_t i = 0; i < m * n; ++i) {
           EXPECT_TRUE(Close(got[i], want[i], 64,
                             1e-6f * static_cast<float>(k)))
@@ -166,11 +167,67 @@ TEST(KernelGemmTest, Avx512GemmIsBitwiseAvx2) {
         const std::vector<float> b = RandomVec(k * n, &rng);
         std::vector<float> got = RandomVec(m * n, &rng);
         std::vector<float> want = got;
-        avx512.gemm_accumulate(a.data(), b.data(), got.data(), m, k, n);
-        avx2.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n);
+        avx512.gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, n, n);
+        avx2.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n, n, n);
         ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                                  got.size() * sizeof(float)))
             << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+// A strided call (b's rows ldb floats apart, out's ldc apart, as a strip
+// panel's kernel calls are) must give bitwise the contiguous call in every
+// ISA, and AVX-512 bitwise AVX2. The gaps between rows hold NaN: a kernel
+// that read one would poison its output, and one that wrote one would
+// change it.
+TEST(KernelGemmTest, StridedGemmIsBitwiseContiguous) {
+  const Isa entry = ActiveIsa();
+  std::vector<std::pair<Isa, KernelTable>> tables;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (ForceIsa(isa)) tables.emplace_back(isa, Kernels());
+  }
+  ASSERT_TRUE(ForceIsa(entry));
+  std::mt19937 rng(23);
+  for (size_t m : {1, 4, 8, 9, 17}) {
+    for (size_t k : {1, 7, 256}) {
+      for (size_t n : {1, 15, 16, 17, 31, 32, 33, 63}) {
+        const size_t ldb = n + 5, ldc = n + 3;
+        const std::vector<float> a = RandomVec(m * k, &rng);
+        const std::vector<float> b = RandomVec(k * n, &rng);
+        const std::vector<float> out0 = RandomVec(m * n, &rng);
+        std::vector<float> b_strided(k * ldb, kNan);
+        std::vector<float> out_strided(m * ldc, kNan);
+        for (size_t p = 0; p < k; ++p) {
+          std::memcpy(&b_strided[p * ldb], &b[p * n], n * sizeof(float));
+        }
+        std::vector<float> strided_avx2;
+        for (const auto& [isa, t] : tables) {
+          std::vector<float> want = out0;
+          t.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n, n, n);
+          std::vector<float> got = out_strided;
+          for (size_t i = 0; i < m; ++i) {
+            std::memcpy(&got[i * ldc], &out0[i * n], n * sizeof(float));
+          }
+          t.gemm_accumulate(a.data(), b_strided.data(), got.data(), m, k, n,
+                            ldb, ldc);
+          for (size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(0, std::memcmp(&got[i * ldc], &want[i * n],
+                                     n * sizeof(float)))
+                << IsaName(isa) << " m=" << m << " k=" << k << " n=" << n;
+            for (size_t j = n; j < ldc; ++j) {
+              ASSERT_TRUE(std::isnan(got[i * ldc + j]))
+                  << IsaName(isa) << " wrote a gap, n=" << n;
+            }
+          }
+          if (isa == Isa::kAvx2) strided_avx2 = got;
+          if (isa == Isa::kAvx512 && !strided_avx2.empty()) {
+            ASSERT_EQ(0, std::memcmp(got.data(), strided_avx2.data(),
+                                     got.size() * sizeof(float)))
+                << "avx512 vs avx2 m=" << m << " k=" << k << " n=" << n;
+          }
+        }
       }
     }
   }
@@ -186,8 +243,8 @@ TEST_P(KernelIsaTest, GemmPropagatesInfAndNanLikeScalar) {
     std::vector<float> b(k * n, 1.0f);
     b[0] = kInf;  // B(0,0) pairs with A's zero: 0 * inf = NaN
     std::vector<float> got(m * n, 0.0f), want(m * n, 0.0f);
-    T().gemm_accumulate(a.data(), b.data(), got.data(), m, k, n);
-    ref_.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n);
+    T().gemm_accumulate(a.data(), b.data(), got.data(), m, k, n, n, n);
+    ref_.gemm_accumulate(a.data(), b.data(), want.data(), m, k, n, n, n);
     EXPECT_TRUE(std::isnan(got[0])) << "n=" << n;
     EXPECT_TRUE(std::isnan(want[0])) << "n=" << n;
     for (size_t i = 1; i < n; ++i) {

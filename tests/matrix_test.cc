@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 #include "math/matrix.h"
 
 namespace fvae {
@@ -28,6 +29,27 @@ Matrix NaiveMultiply(const Matrix& a, const Matrix& b) {
 bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The strip panel of the k x n operand b, packed row by row or (from b^T,
+// whose rows are b's columns) column by column. The panel starts out NaN,
+// so a float that neither ResizeStripPanel's padding nor a pack call wrote
+// would poison the product.
+std::vector<float> StripsOf(const Matrix& b, bool by_columns) {
+  const size_t k = b.rows(), n = b.cols();
+  const size_t strips = (n + kGemmStripCols - 1) / kGemmStripCols;
+  std::vector<float> panel(strips * k * kGemmStripCols,
+                           std::numeric_limits<float>::quiet_NaN());
+  ResizeStripPanel(k, n, &panel);
+  const Matrix bt = b.Transposed();
+  for (size_t i = 0; i < (by_columns ? n : k); ++i) {
+    if (by_columns) {
+      PackStripColumn(bt.Row(i), k, i, panel.data());
+    } else {
+      PackStripRow(b.Row(i), k, n, i, panel.data());
+    }
+  }
+  return panel;
 }
 
 TEST(MatrixTest, ConstructionAndAccess) {
@@ -254,6 +276,70 @@ TEST(GemmTransposedTest, SpecialsPropagateExactlyLikeGemmAccumulate) {
       Matrix tn;
       GemmTN(at, bt, &tn);
       EXPECT_TRUE(BitwiseEqual(tn, want)) << "tn m=" << m << " n=" << n;
+
+      Matrix strips(m, n);
+      GemmStripsPooled(a, StripsOf(b.Transposed(), false).data(), &strips,
+                       nullptr);
+      EXPECT_TRUE(BitwiseEqual(strips, want)) << "strips m=" << m
+                                              << " n=" << n;
+    }
+  }
+}
+
+// A strip panel changes where B's floats live, not the FMA chain of any
+// output element, so the strip GEMM is GemmAccumulate on the unpacked
+// operand bit for bit: at every row-tile remainder, at widths below, at and
+// across one 32-column strip, and at the field loop's 887 candidates.
+TEST(GemmStripsTest, StripGemmIsBitwiseGemmAccumulate) {
+  Rng rng(31);
+  for (size_t m = 1; m <= 17; ++m) {
+    for (size_t k : {size_t{1}, size_t{7}, size_t{256}}) {
+      for (size_t n : {1, 15, 16, 17, 31, 32, 33, 63, 887}) {
+        const Matrix a = Matrix::Gaussian(m, k, 1.0f, rng);
+        const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
+        const Matrix base = Matrix::Gaussian(m, n, 1.0f, rng);
+        Matrix want = base;
+        GemmAccumulate(a, b, &want);
+        for (bool by_columns : {false, true}) {
+          Matrix got = base;
+          GemmStripsPooled(a, StripsOf(b, by_columns).data(), &got, nullptr);
+          ASSERT_TRUE(BitwiseEqual(got, want))
+              << "m=" << m << " k=" << k << " n=" << n
+              << " by_columns=" << by_columns;
+        }
+        Matrix nt, plain(m, n);
+        GemmNT(a, b.Transposed(), &nt);
+        GemmAccumulate(a, b, &plain);
+        ASSERT_TRUE(BitwiseEqual(nt, plain))
+            << "nt m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+// The panel only grows, and resizing it writes nothing but the last
+// strip's padding.
+TEST(GemmStripsTest, ResizeGrowsAndZeroesOnlyThePadding) {
+  std::vector<float> grown;
+  ResizeStripPanel(5, 40, &grown);
+  EXPECT_EQ(grown.size(), 2 * 5 * kGemmStripCols);
+  ResizeStripPanel(1, 1, &grown);
+  EXPECT_EQ(grown.size(), 2 * 5 * kGemmStripCols);
+  for (size_t n : {size_t{1}, size_t{31}, size_t{32}, size_t{33}}) {
+    const size_t k = 3;
+    const size_t strips = (n + kGemmStripCols - 1) / kGemmStripCols;
+    std::vector<float> panel(strips * k * kGemmStripCols, 7.0f);
+    ResizeStripPanel(k, n, &panel);
+    ASSERT_EQ(panel.size(), strips * k * kGemmStripCols);
+    for (size_t s = 0; s < strips; ++s) {
+      for (size_t p = 0; p < k; ++p) {
+        for (size_t c = 0; c < kGemmStripCols; ++c) {
+          const bool pad = s * kGemmStripCols + c >= n;
+          EXPECT_EQ(panel[(s * k + p) * kGemmStripCols + c],
+                    pad ? 0.0f : 7.0f)
+              << "n=" << n << " s=" << s << " p=" << p << " c=" << c;
+        }
+      }
     }
   }
 }
@@ -275,6 +361,7 @@ TEST(GemmTransposedTest, TNDoesNotSkipZeroMultipliers) {
 
 // Row-split over a pool must not move a single bit: rows are cut on
 // multiples of kGemmRowTile, so each row runs the code it runs serially.
+// The n = 45 operands span one full and one padded strip.
 // The row counts end the split in an 8-row tile, a 4-row tile, single
 // rows and mixes of them.
 TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
@@ -286,6 +373,7 @@ TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
     const Matrix a_tn = Matrix::Gaussian(k, m, 1.0f, rng);
     const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
     const Matrix base = Matrix::Gaussian(m, n, 1.0f, rng);
+    const std::vector<float> strips = StripsOf(b, /*by_columns=*/false);
     Matrix nt, tn, acc = base;
     GemmNT(a, b_nt, &nt);
     GemmTN(a_tn, b, &tn);
@@ -299,9 +387,9 @@ TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
       GemmTNPooled(a_tn, b, &pooled, &pool);
       EXPECT_TRUE(BitwiseEqual(pooled, tn)) << "tn m=" << m << " t=" << threads;
       pooled = base;
-      GemmAccumulatePooled(a, b, &pooled, &pool);
+      GemmStripsPooled(a, strips.data(), &pooled, &pool);
       EXPECT_TRUE(BitwiseEqual(pooled, acc))
-          << "acc m=" << m << " t=" << threads;
+          << "strips m=" << m << " t=" << threads;
     }
   }
 }

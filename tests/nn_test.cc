@@ -219,6 +219,63 @@ TEST(InferTest, MlpMatchesForward) {
       6, 4);
 }
 
+/// Checks a pooled Forward against the serial one on twin layers built by
+/// `make`, for pools of 1, 2 and 4 and batches that end the row split in
+/// 8-row tiles, 4-row tiles and single rows: the output is bitwise the
+/// serial Forward's and Infer's, and the cache it leaves gives bitwise the
+/// serial Backward.
+void ExpectPooledForwardMatchesSerial(
+    const std::function<std::unique_ptr<Layer>()>& make, size_t in_dim,
+    uint64_t seed) {
+  Rng rng(seed);
+  for (size_t rows : {1, 5, 8, 13, 64, 131}) {
+    const Matrix x = Matrix::Gaussian(rows, in_dim, 1.0f, rng);
+    std::unique_ptr<Layer> serial = make();
+    Matrix want, infer_out, want_grad_in;
+    std::vector<Matrix> scratch;
+    serial->Forward(x, &want);
+    static_cast<const Layer&>(*serial).Infer(x, &infer_out, &scratch);
+    ASSERT_TRUE(BitwiseEqual(want, infer_out)) << "rows=" << rows;
+    const Matrix grad = Matrix::Gaussian(rows, want.cols(), 1.0f, rng);
+    serial->Backward(grad, &want_grad_in);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ThreadPool pool(threads);
+      std::unique_ptr<Layer> pooled = make();
+      Matrix got, got_grad_in;
+      pooled->Forward(x, &got, &pool);
+      EXPECT_TRUE(BitwiseEqual(got, want))
+          << "rows=" << rows << " threads=" << threads;
+      pooled->Backward(grad, &got_grad_in, &pool);
+      EXPECT_TRUE(BitwiseEqual(got_grad_in, want_grad_in))
+          << "rows=" << rows << " threads=" << threads;
+    }
+  }
+}
+
+TEST(PooledForwardTest, DenseMatchesSerial) {
+  ExpectPooledForwardMatchesSerial(
+      [] {
+        Rng rng(31);
+        return std::make_unique<DenseLayer>(37, 45, rng);
+      },
+      37, 5);
+}
+
+TEST(PooledForwardTest, TanhMatchesSerial) {
+  ExpectPooledForwardMatchesSerial(
+      [] { return std::make_unique<TanhLayer>(); }, 33, 6);
+}
+
+TEST(PooledForwardTest, TwoLayerMlpMatchesSerial) {
+  ExpectPooledForwardMatchesSerial(
+      [] {
+        Rng rng(37);
+        return std::make_unique<Mlp>(std::vector<size_t>{24, 40, 16}, rng,
+                                     /*activate_output=*/true);
+      },
+      24, 7);
+}
+
 // ---------- Adam ----------
 
 TEST(AdamTest, ConvergesOnQuadratic) {
