@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "math/kernels/kernel_table.h"
 #include "nn/losses.h"
@@ -31,6 +32,19 @@ std::vector<float> NormalizedAlpha(const std::vector<float>& alpha,
   return weights;
 }
 
+/// One user's first encoder layer, out = tanh(bias + sum value * row) over
+/// `dim` floats, where `user_rows(add)` calls add(value, row) per input-table
+/// row of the user. Training and inference share it: same rows, same bits.
+template <typename UserRows>
+void FirstLayerRow(const float* bias, size_t dim, const UserRows& user_rows,
+                   float* out) {
+  std::copy(bias, bias + dim, out);
+  user_rows([&](float value, const float* row) {
+    Kernels().axpy(value, row, out, dim);
+  });
+  Kernels().tanh_inplace(out, dim);
+}
+
 }  // namespace
 
 struct FieldVae::StepScratch {
@@ -41,16 +55,24 @@ struct FieldVae::StepScratch {
   std::vector<std::vector<uint32_t>> field_begin;  // batch + 1 offsets each
   Matrix h1;  // tanh output of the embedding-sum first layer (B x H1)
 
-  std::unordered_map<uint64_t, uint32_t> position;  // candidate -> column
-  std::vector<Candidate> candidates;
-  std::vector<uint64_t> chosen_ids;
-  std::vector<uint32_t> rows;  // output-table row of each candidate
+  // One field's softmax candidates, written by the step's prep task.
+  struct FieldCandidates {
+    std::vector<Candidate> candidates;  // the batch union
+    std::vector<uint64_t> chosen_ids;   // empty: the field has no candidate
+    std::unordered_map<uint64_t, uint32_t> position;  // candidate -> column
+    std::vector<uint32_t> rows;  // output-table row of each candidate
+    Matrix logits_grad;          // batch x candidates: logits, then grads
+  };
+  std::vector<FieldCandidates> fields;
+  // Set once the prep task has filled every field's candidates.
+  Mutex prep_mutex;
+  CondVar prep_done_cv;
+  bool prep_done FVAE_GUARDED_BY(prep_mutex) = false;
+
   // Candidate weight rows as strip panels: Wc^T (logits), Wc (hidden grad).
   std::vector<float> wc_t_panel;
   std::vector<float> wc_panel;
   std::vector<float> bc;       // candidate biases
-  Matrix logits;               // batch x candidates
-  Matrix logits_grad;
   Matrix wc_grad;              // candidates x dec_dim
   std::vector<double> bias_grad;
   std::vector<double> row_nll;  // per-user NLL, summed serially in row order
@@ -152,19 +174,16 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   Matrix& h1 = scratch.h1;
   h1.Resize(batch, h1_dim);
   ParallelForRange(pool, 0, batch, /*align=*/1, [&](size_t lo, size_t hi) {
-    const float* bias = first_bias_.Row(0);
     for (size_t i = lo; i < hi; ++i) {
-      float* out = h1.Row(i);
-      for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
-      for (size_t k = 0; k < num_fields; ++k) {
-        const nn::EmbeddingTable& table = *input_tables_[k];
-        const std::vector<uint32_t>& begin = scratch.field_begin[k];
-        for (uint32_t j = begin[i]; j < begin[i + 1]; ++j) {
-          const nn::EmbeddingTable::SparseRef& ref = scratch.field_refs[k][j];
-          Kernels().axpy(ref.value, table.Row(ref.row).data(), out, h1_dim);
+      FirstLayerRow(first_bias_.Row(0), h1_dim, [&](const auto& add) {
+        for (size_t k = 0; k < num_fields; ++k) {
+          const std::vector<uint32_t>& begin = scratch.field_begin[k];
+          for (uint32_t j = begin[i]; j < begin[i + 1]; ++j) {
+            const nn::EmbeddingTable::SparseRef& ref = scratch.field_refs[k][j];
+            add(ref.value, input_tables_[k]->Row(ref.row).data());
+          }
         }
-      }
-      Kernels().tanh_inplace(out, h1_dim);
+      }, h1.Row(i));
     }
   });
   gather_span.End();
@@ -186,24 +205,22 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
 template <typename UserFieldFeatures>
 void FieldVae::EncodeMu(size_t batch, const UserFieldFeatures& features,
                         FoldInScratch* scratch, Matrix* mu) const {
-  // h1 = tanh(bias + sum value * embedding_row) over the features the input
-  // tables know; cold feature IDs are skipped.
+  // h1 over the features the input tables know; cold feature IDs are
+  // skipped.
   const size_t h1_dim = config_.encoder_hidden.front();
-  const float* bias = first_bias_.Row(0);
   Matrix& h1 = scratch->h1;
   h1.Resize(batch, h1_dim);
   for (size_t i = 0; i < batch; ++i) {
-    float* out = h1.Row(i);
-    for (size_t d = 0; d < h1_dim; ++d) out[d] = bias[d];
-    for (size_t k = 0; k < input_tables_.size(); ++k) {
-      const nn::EmbeddingTable& table = *input_tables_[k];
-      for (const FeatureEntry& e : features(i, k)) {
-        const auto found = table.FindRow(e.id);
-        if (!found.has_value()) continue;  // cold feature at inference
-        Kernels().axpy(e.value, table.Row(*found).data(), out, h1_dim);
+    FirstLayerRow(first_bias_.Row(0), h1_dim, [&](const auto& add) {
+      for (size_t k = 0; k < input_tables_.size(); ++k) {
+        const nn::EmbeddingTable& table = *input_tables_[k];
+        for (const FeatureEntry& e : features(i, k)) {
+          const auto found = table.FindRow(e.id);
+          if (!found.has_value()) continue;  // cold feature at inference
+          add(e.value, table.Row(*found).data());
+        }
       }
-    }
-    Kernels().tanh_inplace(out, h1_dim);
+    }, h1.Row(i));
   }
   // The const inference pass writes only into the caller's scratch.
   const Matrix* enc_out = &h1;
@@ -323,6 +340,59 @@ std::vector<Matrix*> FieldVae::DenseParams() {
   return params;
 }
 
+void FieldVae::PrepareCandidates(const MultiFieldDataset& dataset,
+                                 std::span<const uint32_t> users) {
+  obs::TraceSpan prep_span("train.fields.prep");
+  std::vector<StepScratch::FieldCandidates>& fields = step_scratch_->fields;
+  fields.resize(field_schemas_.size());
+  // The batch union stays per step: its iteration order fixes the order
+  // sampling draws candidates in, and a map reused across steps would tie
+  // that order to earlier steps' bucket counts (a resumed run would then
+  // sample differently from the uninterrupted one).
+  std::unordered_map<uint64_t, uint32_t> freq;
+  for (size_t k = 0; k < fields.size(); ++k) {
+    nn::EmbeddingTable& out_table = *output_tables_[k];
+    StepScratch::FieldCandidates& field = fields[k];
+    // Batch union of observed features with in-batch frequencies.
+    freq.clear();
+    for (uint32_t u : users) {
+      for (const FeatureEntry& e : dataset.UserField(u, k)) ++freq[e.id];
+    }
+    field.candidates.clear();
+    if (config_.batched_softmax) {
+      field.candidates.reserve(freq.size());
+      for (const auto& [id, f] : freq) field.candidates.push_back({id, f});
+    } else {
+      // Legacy full softmax: every feature the model has ever seen, plus
+      // this batch's new ones.
+      for (const auto& [id, f] : freq) out_table.GetOrCreateRowDeferred(id);
+      for (const auto& [id, row] : out_table.Items()) {
+        auto it = freq.find(id);
+        field.candidates.push_back({id, it == freq.end() ? 0u : it->second});
+      }
+    }
+    // Dense fields and the full softmax keep every candidate (kNone draws
+    // nothing); no candidate at all leaves the field empty.
+    const bool sample_field =
+        field_schemas_[k].is_sparse && config_.batched_softmax;
+    field.chosen_ids = SampleCandidates(
+        field.candidates, config_.sampling_rate,
+        sample_field ? config_.sampling_strategy : SamplingStrategy::kNone,
+        rng_);
+    const size_t num_cand = field.chosen_ids.size();
+    field.position.clear();
+    field.rows.resize(num_cand);
+    for (size_t c = 0; c < num_cand; ++c) {
+      field.position[field.chosen_ids[c]] = static_cast<uint32_t>(c);
+      field.rows[c] = out_table.GetOrCreateRowDeferred(field.chosen_ids[c]);
+    }
+  }
+  prep_span.End();
+  MutexLock lock(step_scratch_->prep_mutex);
+  step_scratch_->prep_done = true;
+  step_scratch_->prep_done_cv.NotifyAll();
+}
+
 StepStats FieldVae::TrainStep(const MultiFieldDataset& dataset,
                               std::span<const uint32_t> users, float beta,
                               ThreadPool* pool) {
@@ -344,24 +414,37 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
   stats.field_nll.assign(num_fields, 0.0);
   stats.candidates_per_field.assign(num_fields, 0);
 
-  // ---- Encoder forward ----
+  // ---- Forward, beside the candidate prep ----
+  // eps is drawn first, so the sampling draws that follow in the prep task
+  // see the rng_ stream of a fully serial step. The encoder and decoder
+  // touch neither rng_ nor any output table, so the prep task runs beside
+  // them: on one pool worker, or inline without a pool.
   obs::TraceSpan forward_span("train.forward");
+  const size_t latent = config_.latent_dim;
+  Matrix eps(batch, latent);
+  for (size_t i = 0; i < eps.size(); ++i) {
+    eps.data()[i] = static_cast<float>(rng_.Normal());
+  }
+  if (pool == nullptr) {
+    PrepareCandidates(dataset, users);
+  } else {
+    pool->Submit(
+        [this, &dataset, users] { PrepareCandidates(dataset, users); });
+  }
+
   Matrix mu, logvar;
   EncodeForTraining(dataset, users, pool, &mu, &logvar);
-  const size_t latent = config_.latent_dim;
 
   // ---- Reparameterization ----
   // std_dev = exp(0.5 * logvar), computed once through the vectorized exp
   // kernel and reused by the logvar gradient in the backward pass below.
-  Matrix eps(batch, latent);
   Matrix z(batch, latent);
   Matrix std_dev(batch, latent);
   for (size_t i = 0; i < std_dev.size(); ++i) {
     std_dev.data()[i] = 0.5f * logvar.data()[i];
   }
   Kernels().exp_inplace(std_dev.data(), std_dev.size());
-  for (size_t i = 0; i < eps.size(); ++i) {
-    eps.data()[i] = static_cast<float>(rng_.Normal());
+  for (size_t i = 0; i < z.size(); ++i) {
     z.data()[i] = mu.data()[i] + std_dev.data()[i] * eps.data()[i];
   }
 
@@ -372,69 +455,26 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
   Matrix hdec_grad(batch, dec_dim);
   forward_span.End();
 
-  // ---- Per-field batched softmax + feature sampling + likelihood ----
-  // Candidate construction, sampling and output-row resolution stay on this
-  // thread (they draw from rng_ and grow tables); row init, the candidate
-  // copies, the GEMMs, the per-user NLL rows and the per-candidate gradient
+  // ---- Per-field batched softmax + likelihood ----
+  // Row init, the candidate copies, the fused per-user pass (logits GEMM,
+  // NLL and gradient, hidden-gradient GEMM) and the per-candidate gradient
   // accumulation go to the pool, each writing disjoint rows.
   obs::TraceSpan fields_span("train.fields");
   StepScratch& scratch = *step_scratch_;
-  // The batch union stays per step: its iteration order fixes the order
-  // sampling draws candidates in, and a map reused across steps would tie
-  // that order to earlier steps' bucket counts (a resumed run would then
-  // sample differently from the uninterrupted one).
-  std::unordered_map<uint64_t, uint32_t> freq;
+  {
+    obs::TraceSpan wait_span("train.fields.prep_wait");
+    MutexLock lock(scratch.prep_mutex);
+    while (!scratch.prep_done) scratch.prep_done_cv.Wait(scratch.prep_mutex);
+    scratch.prep_done = false;  // armed for the next step
+  }
 
   for (size_t k = 0; k < num_fields; ++k) {
     nn::EmbeddingTable& out_table = *output_tables_[k];
-    // Batch union of observed features with in-batch frequencies.
-    freq.clear();
-    for (uint32_t u : users) {
-      for (const FeatureEntry& e : dataset.UserField(u, k)) ++freq[e.id];
-    }
-    scratch.candidates.clear();
-    if (config_.batched_softmax) {
-      scratch.candidates.reserve(freq.size());
-      for (const auto& [id, f] : freq) scratch.candidates.push_back({id, f});
-    } else {
-      // Legacy full softmax: every feature the model has ever seen, plus
-      // this batch's new ones.
-      for (const auto& [id, f] : freq) out_table.GetOrCreateRowDeferred(id);
-      for (const auto& [id, row] : out_table.Items()) {
-        (void)row;
-        auto it = freq.find(id);
-        scratch.candidates.push_back(
-            {id, it == freq.end() ? 0u : static_cast<uint32_t>(it->second)});
-      }
-    }
-    if (scratch.candidates.empty()) continue;
-
-    const bool sample_field =
-        field_schemas_[k].is_sparse &&
-        config_.sampling_strategy != SamplingStrategy::kNone &&
-        config_.batched_softmax;
-    if (sample_field) {
-      scratch.chosen_ids =
-          SampleCandidates(scratch.candidates, config_.sampling_rate,
-                           config_.sampling_strategy, rng_);
-    } else {
-      scratch.chosen_ids.clear();
-      scratch.chosen_ids.reserve(scratch.candidates.size());
-      for (const Candidate& c : scratch.candidates) {
-        scratch.chosen_ids.push_back(c.id);
-      }
-    }
-    const size_t num_cand = scratch.chosen_ids.size();
+    StepScratch::FieldCandidates& field = scratch.fields[k];
+    const size_t num_cand = field.chosen_ids.size();
+    if (num_cand == 0) continue;
     stats.candidates_per_field[k] = num_cand;
 
-    obs::TraceSpan resolve_span("train.embed.resolve");
-    scratch.position.clear();
-    scratch.rows.resize(num_cand);
-    for (size_t c = 0; c < num_cand; ++c) {
-      scratch.position[scratch.chosen_ids[c]] = static_cast<uint32_t>(c);
-      scratch.rows[c] = out_table.GetOrCreateRowDeferred(scratch.chosen_ids[c]);
-    }
-    resolve_span.End();
     obs::TraceSpan init_span("train.embed.init");
     out_table.InitPendingRows(pool);
     init_span.End();
@@ -446,76 +486,71 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
     ParallelForRange(pool, 0, num_cand, kGemmStripCols,
                      [&](size_t lo, size_t hi) {
       for (size_t c = lo; c < hi; ++c) {
-        const float* w = out_table.Row(scratch.rows[c]).data();
+        const float* w = out_table.Row(field.rows[c]).data();
         PackStripColumn(w, dec_dim, c, scratch.wc_t_panel.data());
         PackStripRow(w, num_cand, dec_dim, c, scratch.wc_panel.data());
-        scratch.bc[c] = out_table.bias(scratch.rows[c]);
+        scratch.bc[c] = out_table.bias(field.rows[c]);
       }
     });
     gather_span.End();
 
-    // logits = hdec * Wc^T (+ bc, added per row below).
-    obs::TraceSpan logits_span("train.fields.gemm_logits");
-    scratch.logits.Resize(batch, num_cand);
-    GemmStripsPooled(hdec, scratch.wc_t_panel.data(), &scratch.logits, pool);
-    logits_span.End();
-
-    // Per-user multinomial NLL and gradient over the candidate subset. Each
-    // row's loss lands in row_nll and is summed serially below, so the
-    // field loss does not depend on how rows were split.
-    obs::TraceSpan nll_span("train.fields.nll");
-    scratch.logits_grad.Resize(batch, num_cand);
+    // One pass over row tiles of users: logits = hdec * Wc^T + bc, the
+    // multinomial NLL and its gradient in place, then the tile's share of
+    // hdec_grad += grad * Wc while the tile is still in cache. Each row's
+    // loss lands in row_nll and is summed serially below, so the field loss
+    // does not depend on how rows were split.
+    obs::TraceSpan rows_span("train.fields.rows");
+    Matrix& logits_grad = field.logits_grad;
+    logits_grad.Reshape(batch, num_cand);
     scratch.row_nll.assign(batch, 0.0);
     const float weight = alpha_w[k] / static_cast<float>(batch);
-    ParallelForRange(pool, 0, batch, /*align=*/1, [&](size_t lo, size_t hi) {
+    ParallelForRange(pool, 0, batch, kGemmRowTile, [&](size_t lo, size_t hi) {
+      std::fill(logits_grad.Row(lo), logits_grad.Row(hi), 0.0f);
+      GemmStripsRows(hdec, scratch.wc_t_panel.data(), &logits_grad, lo, hi);
       std::vector<float> counts(num_cand, 0.0f);
-      std::vector<uint32_t> touched_positions;
+      std::vector<uint32_t> touched;
       for (size_t i = lo; i < hi; ++i) {
-        float* logit_row = scratch.logits.Row(i);
-        for (size_t c = 0; c < num_cand; ++c) logit_row[c] += scratch.bc[c];
-        touched_positions.clear();
+        float* row = logits_grad.Row(i);
+        // row += 1 * bc: the product is exact, so this is the plain sum.
+        Kernels().axpy(1.0f, scratch.bc.data(), row, num_cand);
+        touched.clear();
         for (const FeatureEntry& e : dataset.UserField(users[i], k)) {
-          auto it = scratch.position.find(e.id);
-          if (it == scratch.position.end()) continue;  // sampled out this step
+          auto it = field.position.find(e.id);
+          if (it == field.position.end()) continue;  // sampled out this step
           counts[it->second] += e.value;
-          touched_positions.push_back(it->second);
+          touched.push_back(it->second);
         }
-        std::span<float> grad_row{scratch.logits_grad.Row(i), num_cand};
-        if (touched_positions.empty()) {
-          std::fill(grad_row.begin(), grad_row.end(), 0.0f);
-        } else {
-          scratch.row_nll[i] =
-              nn::MultinomialNll({logit_row, num_cand}, counts, grad_row);
-          for (float& g : grad_row) g *= weight;
+        if (touched.empty()) {
+          std::fill(row, row + num_cand, 0.0f);
+          continue;
         }
-        for (uint32_t p : touched_positions) counts[p] = 0.0f;
+        scratch.row_nll[i] =
+            nn::MultinomialNllInPlace({row, num_cand}, counts, touched);
+        for (size_t c = 0; c < num_cand; ++c) row[c] *= weight;
+        for (uint32_t p : touched) counts[p] = 0.0f;
       }
+      GemmStripsRows(logits_grad, scratch.wc_panel.data(), &hdec_grad, lo,
+                     hi);
     });
     double field_loss = 0.0;
     for (double nll : scratch.row_nll) field_loss += nll;
     stats.field_nll[k] = field_loss / double(batch);
-    nll_span.End();
+    rows_span.End();
 
-    // Backprop into the decoder hidden state and the candidate rows.
-    obs::TraceSpan hidden_grad_span("train.fields.gemm_hidden_grad");
-    GemmStripsPooled(scratch.logits_grad, scratch.wc_panel.data(), &hdec_grad,
-                     pool);
-    hidden_grad_span.End();
+    // Backprop into the candidate rows; the bias gradient is the column
+    // sum of logits_grad, taken in row order while the GEMM packs it.
     obs::TraceSpan row_grad_span("train.fields.gemm_row_grad");
-    GemmTNPooled(scratch.logits_grad, hdec, &scratch.wc_grad, pool);
+    scratch.bias_grad.resize(num_cand);
+    GemmTNPooled(logits_grad, hdec, &scratch.wc_grad, pool,
+                 scratch.bias_grad.data());
     row_grad_span.End();
-    // Candidate rows are distinct, so each column's bias-gradient sum (in
-    // row order) and its table-row accumulation run on one worker.
+    // Candidate rows are distinct, so each one's accumulation runs on one
+    // worker.
     obs::TraceSpan bias_grad_span("train.fields.bias_grad");
-    for (uint32_t row : scratch.rows) out_table.MarkTouched(row);
-    scratch.bias_grad.assign(num_cand, 0.0);
+    for (uint32_t row : field.rows) out_table.MarkTouched(row);
     ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {
-      for (size_t i = 0; i < batch; ++i) {
-        const float* g = scratch.logits_grad.Row(i);
-        for (size_t c = lo; c < hi; ++c) scratch.bias_grad[c] += g[c];
-      }
       for (size_t c = lo; c < hi; ++c) {
-        out_table.AddGrad(scratch.rows[c], {scratch.wc_grad.Row(c), dec_dim},
+        out_table.AddGrad(field.rows[c], {scratch.wc_grad.Row(c), dec_dim},
                           static_cast<float>(scratch.bias_grad[c]));
       }
     });

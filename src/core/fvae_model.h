@@ -69,11 +69,12 @@ class FieldVae {
 
   /// One Algorithm-1 training step over `users` from `dataset`, with the
   /// current annealed KL weight `beta`: exactly ComputeGradients, then
-  /// ApplyUpdates. A non-null `pool` row-splits the per-field GEMMs, the
-  /// per-user multinomial NLL, the dense-layer backward GEMMs and the
-  /// sparse-table passes (row init, embedding gather, gradient scatter,
-  /// AdaGrad) over it; the step's stats and parameter updates are bitwise
-  /// identical to a serial step with any pool size.
+  /// ApplyUpdates. A non-null `pool` runs the candidate prep on one worker
+  /// beside the forward pass and row-splits the per-field pass (GEMMs and
+  /// multinomial NLL), the dense-layer GEMMs and the sparse-table passes
+  /// (row init, embedding gather, gradient scatter, AdaGrad) over it; the
+  /// step's stats and parameter updates are bitwise identical to a serial
+  /// step with any pool size.
   StepStats TrainStep(const MultiFieldDataset& dataset,
                       std::span<const uint32_t> users, float beta,
                       ThreadPool* pool = nullptr);
@@ -200,6 +201,12 @@ class FieldVae {
   void EncodeForTraining(const MultiFieldDataset& dataset,
                          std::span<const uint32_t> users, ThreadPool* pool,
                          Matrix* mu, Matrix* logvar);
+
+  /// Per field in order: batch union, sampling (rng_), candidate columns
+  /// and deferred output-table rows into step_scratch_, then signals the
+  /// field loop. Runs beside the forward pass, which touches none of it.
+  void PrepareCandidates(const MultiFieldDataset& dataset,
+                         std::span<const uint32_t> users);
 
   /// The one inference encoder behind Encode and EncodeFoldInInto: the
   /// layers' const inference pass over `scratch`, mu head only (inference

@@ -77,7 +77,8 @@ struct KernelTable {
   void (*exp_inplace)(float* x, size_t n) = nullptr;
   void (*tanh_inplace)(float* x, size_t n) = nullptr;
   /// grad[j] = total_count * exp(log_probs[j]) - counts[j], with
-  /// sub-FLT_MIN reconstruction mass flushed to exactly zero first.
+  /// sub-FLT_MIN reconstruction mass flushed to exactly zero first. `grad`
+  /// may be `log_probs` itself: element j is read before it is written.
   void (*multinomial_grad)(const float* log_probs, const float* counts,
                            float total_count, float* grad, size_t n) = nullptr;
 };

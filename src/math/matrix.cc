@@ -55,6 +55,12 @@ void Matrix::Resize(size_t rows, size_t cols) {
   data_.assign(rows * cols, 0.0f);  // fvae-lint: allow(hot-alloc)
 }
 
+void Matrix::Reshape(size_t rows, size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -171,18 +177,24 @@ void GemmTN(const Matrix& a, const Matrix& b, Matrix* out) {
 
 void GemmStripsPooled(const Matrix& a, const float* panel, Matrix* out,
                       ThreadPool* pool) {
-  const size_t m = a.rows(), k = a.cols(), n = out->cols();
-  FVAE_CHECK(out->rows() == m) << "gemm-strips shape mismatch";
+  ParallelForRange(pool, 0, a.rows(), kGemmRowTile,
+                   [&](size_t lo, size_t hi) {
+    GemmStripsRows(a, panel, out, lo, hi);
+  });
+}
+
+void GemmStripsRows(const Matrix& a, const float* panel, Matrix* out,
+                    size_t lo, size_t hi) {
+  const size_t k = a.cols(), n = out->cols();
+  FVAE_CHECK(out->rows() == a.rows()) << "gemm-strips shape mismatch";
   // Kernels() runs on the thread doing the arithmetic, so pool workers get
   // the same per-thread FTZ/DAZ mode as the serial caller.
-  ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
-    const KernelTable& kt = Kernels();
-    for (size_t j0 = 0; j0 < n; j0 += kGemmStripCols) {
-      kt.gemm_accumulate(a.Row(lo), panel + j0 * k, out->Row(lo) + j0,
-                         hi - lo, k, std::min(kGemmStripCols, n - j0),
-                         kGemmStripCols, n);
-    }
-  });
+  const KernelTable& kt = Kernels();
+  for (size_t j0 = 0; j0 < n; j0 += kGemmStripCols) {
+    kt.gemm_accumulate(a.Row(lo), panel + j0 * k, out->Row(lo) + j0, hi - lo,
+                       k, std::min(kGemmStripCols, n - j0), kGemmStripCols,
+                       n);
+  }
 }
 
 void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
@@ -201,7 +213,7 @@ void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
 }
 
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool) {
+                  ThreadPool* pool, double* a_col_sums) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
@@ -213,10 +225,19 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
     std::vector<float> tile(kGemmRowTile * k);
     for (size_t i0 = lo; i0 < hi; i0 += kGemmRowTile) {
       const size_t rows = std::min(kGemmRowTile, hi - i0);
+      double sums[kGemmRowTile] = {};
       for (size_t p = 0; p < k; ++p) {
         const float* src = a.Row(p) + i0;
         for (size_t r = 0; r < rows; ++r) tile[r * k + p] = src[r];
+        if (a_col_sums == nullptr) continue;
+        // A full tile's fixed trip count lets the sum vectorize.
+        if (rows == kGemmRowTile) {
+          for (size_t r = 0; r < kGemmRowTile; ++r) sums[r] += src[r];
+        } else {
+          for (size_t r = 0; r < rows; ++r) sums[r] += src[r];
+        }
       }
+      if (a_col_sums != nullptr) std::copy(sums, sums + rows, a_col_sums + i0);
       kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n, n,
                          n);
     }

@@ -78,6 +78,10 @@ class Matrix {
   /// Resizes to rows x cols, discarding contents (zero-filled).
   void Resize(size_t rows, size_t cols);
 
+  /// Resizes to rows x cols without clearing: the buffer keeps what it held
+  /// (zeros where it grows), for scratch whose users write before reading.
+  void Reshape(size_t rows, size_t cols);
+
   /// Returns the transpose.
   Matrix Transposed() const;
 
@@ -148,6 +152,12 @@ void PackStripRow(const float* row, size_t k, size_t n, size_t p,
 void GemmStripsPooled(const Matrix& a, const float* panel, Matrix* out,
                       ThreadPool* pool);
 
+/// One row chunk of GemmStripsPooled: rows [lo, hi) of out += a * B, for
+/// callers that run their own pooled pass and cut it on multiples of
+/// kGemmRowTile.
+void GemmStripsRows(const Matrix& a, const float* panel, Matrix* out,
+                    size_t lo, size_t hi);
+
 /// GemmNT with rows of `out` split over `pool`. b's rows are packed as the
 /// strip panel of b^T into `panel`, caller-owned scratch that is reused
 /// across calls.
@@ -156,9 +166,11 @@ void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
 
 /// GemmTN with rows of `out` split over `pool`. a^T is packed one
 /// kGemmRowTile-row tile at a time inside each chunk, so no panel outlives
-/// the call.
+/// the call. A non-null `a_col_sums` (a.cols() doubles) receives each
+/// column sum of a, accumulated in double in ascending row order while the
+/// column is packed.
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool);
+                  ThreadPool* pool, double* a_col_sums = nullptr);
 
 }  // namespace fvae
 

@@ -1,6 +1,7 @@
 #ifndef FVAE_NN_LOSSES_H_
 #define FVAE_NN_LOSSES_H_
 
+#include <cstdint>
 #include <span>
 
 #include "math/matrix.h"
@@ -38,6 +39,17 @@ double MultinomialNll(std::span<const float> logits,
 /// Convenience overload without a gradient (evaluation paths).
 double MultinomialNll(std::span<const float> logits,
                       std::span<const float> counts);
+
+/// The one multinomial NLL body, in place: `row` (C logits) becomes the
+/// gradient N * softmax - counts; returns -sum_j counts[j] * log_softmax_j.
+/// N and the loss sum in double, ascending j, over `touched` only (every j
+/// with a non-zero count, in any order and repeated at will; sorted in
+/// place): bitwise the dense sum, as each skipped term is an exact zero.
+/// Empty `touched`, or a non-finite log-prob, sums every j, so 0 * inf
+/// still makes the loss NaN.
+double MultinomialNllInPlace(std::span<float> row,
+                             std::span<const float> counts,
+                             std::span<uint32_t> touched);
 
 }  // namespace fvae::nn
 

@@ -456,16 +456,18 @@ void ExpectSameGradients(const FieldVae& a, const FieldVae& b) {
   }
 }
 
-/// (batched softmax, deep trunks)
+/// (batched softmax, deep trunks, pool threads)
 class PooledStepTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool, size_t>> {};
 
 // A pooled step only re-partitions work over output rows and table rows,
-// so N pooled steps must reproduce N serial steps bit for bit: stats, the
+// and moves the candidate prep onto one worker beside the forward pass, so
+// N pooled steps must reproduce N serial steps bit for bit: stats, the
 // gradients before each update, dense parameters, every input and output
-// table, and the encoder output.
+// table, and the encoder output. With one thread the prep task holds the
+// pool's only worker while the forward pass runs on the caller.
 TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
-  const auto [batched, deep] = GetParam();
+  const auto [batched, deep, threads] = GetParam();
   const GeneratedProfiles gen = GenerateProfiles(ShortContentConfig(160, 5));
   FvaeConfig config = SmallConfig();
   config.batched_softmax = batched;
@@ -477,7 +479,7 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   }
   FieldVae serial(config, gen.dataset.fields());
   FieldVae pooled(config, gen.dataset.fields());
-  ThreadPool pool(4);
+  ThreadPool pool(threads);
   // 67 users: the row split ends in a partial row tile.
   std::vector<uint32_t> batch(67);
   for (size_t step = 0; step < 4; ++step) {
@@ -502,6 +504,52 @@ TEST_P(PooledStepTest, PooledStepsAreBitwiseSerialSteps) {
   std::iota(all.begin(), all.end(), 0u);
   EXPECT_TRUE(BitwiseEqual(pooled.Encode(gen.dataset, all),
                            serial.Encode(gen.dataset, all)));
+}
+
+// A batch in which one field has no feature at all gives that field no
+// candidate: the step skips it (no loss, no output-table row) and the
+// pooled step still matches the serial one bit for bit.
+TEST(FieldVaeTest, FieldWithoutCandidatesIsSkippedBitwise) {
+  MultiFieldDataset::Builder builder({FieldSchema{"ch", false},
+                                      FieldSchema{"tag", true},
+                                      FieldSchema{"kw", true}});
+  for (uint64_t i = 0; i < 24; ++i) {
+    // Users 0..11 carry kw features; users 12..23 have none.
+    std::vector<FeatureEntry> kw;
+    if (i < 12) kw = {{500 + i % 5, 1.0f}, {600 + i % 3, 2.0f}};
+    builder.AddUser({{{1 + i % 3, 1.0f}}, {{100 + i % 7, 1.0f}}, kw});
+  }
+  const MultiFieldDataset data = builder.Build();
+  FvaeConfig config = SmallConfig();
+  config.sampling_strategy = SamplingStrategy::kUniform;
+  config.sampling_rate = 0.5;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    FieldVae serial(config, data.fields());
+    FieldVae pooled(config, data.fields());
+    ThreadPool pool(threads);
+    std::vector<uint32_t> batch(12);
+    for (uint32_t first : {0u, 12u, 6u, 12u}) {
+      std::iota(batch.begin(), batch.end(), first);
+      const StepStats s = serial.ComputeGradients(data, batch, 0.1f);
+      const StepStats p = pooled.ComputeGradients(data, batch, 0.1f, &pool);
+      EXPECT_EQ(p.loss, s.loss);
+      EXPECT_EQ(p.field_nll, s.field_nll);
+      EXPECT_EQ(p.candidates_per_field, s.candidates_per_field);
+      if (first == 12) {
+        EXPECT_EQ(s.candidates_per_field[2], 0u);
+        EXPECT_EQ(s.field_nll[2], 0.0);
+      } else {
+        EXPECT_GT(s.candidates_per_field[2], 0u);
+      }
+      ExpectSameGradients(pooled, serial);
+      serial.ApplyUpdates();
+      pooled.ApplyUpdates(&pool);
+    }
+    EXPECT_EQ(serial.output_table(2).num_rows(),
+              pooled.output_table(2).num_rows());
+    model_compare::ExpectSameModel(pooled, serial);
+  }
 }
 
 // The const encode methods run the layers' read-only inference pass, so
@@ -541,11 +589,13 @@ TEST(FieldVaeTest, ConcurrentEncodesMatchSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SoftmaxAndDepth, PooledStepTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+    SoftmaxDepthAndThreads, PooledStepTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool, size_t>>& info) {
       return std::string(std::get<0>(info.param) ? "Batched" : "Full") +
-             (std::get<1>(info.param) ? "Deep" : "Shallow");
+             (std::get<1>(info.param) ? "Deep" : "Shallow") +
+             std::to_string(std::get<2>(info.param)) + "Threads";
     });
 
 }  // namespace

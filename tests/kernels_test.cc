@@ -510,6 +510,23 @@ TEST_P(KernelIsaTest, MultinomialGradParityAndNan) {
   EXPECT_TRUE(std::isnan(grad[1]));
 }
 
+// The training step computes the gradient over the log-probs it came from
+// (grad == log_probs): in place must be bitwise out of place, in every
+// vector body and masked tail.
+TEST_P(KernelIsaTest, MultinomialGradInPlaceIsBitwiseOutOfPlace) {
+  std::mt19937 rng(7);
+  for (size_t n : {size_t{1}, size_t{7}, size_t{16}, size_t{17}, size_t{70}}) {
+    std::vector<float> lp = RandomVec(n, &rng, -6.0f, 0.0f);
+    ref_.log_softmax_inplace(lp.data(), n);
+    const std::vector<float> counts = RandomVec(n, &rng, 0.0f, 3.0f);
+    std::vector<float> want(n);
+    T().multinomial_grad(lp.data(), counts.data(), 5.0f, want.data(), n);
+    T().multinomial_grad(lp.data(), counts.data(), 5.0f, lp.data(), n);
+    EXPECT_EQ(std::memcmp(lp.data(), want.data(), n * sizeof(float)), 0)
+        << "n=" << n;
+  }
+}
+
 TEST_P(KernelIsaTest, TanhSpecials) {
   std::vector<float> t = {0.0f, 50.0f, -50.0f, kNan, kInf, -kInf};
   T().tanh_inplace(t.data(), t.size());

@@ -394,5 +394,50 @@ TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
   }
 }
 
+// GemmTNPooled's column sums are the bias-gradient sums of the field loop:
+// each must be bitwise the serial double loop over a's rows in ascending
+// order, for full and partial row tiles and any pool, with +-inf and NaN
+// propagating as in that loop. The product itself must not change.
+TEST(GemmPooledTest, ColumnSumsAreBitwiseRowOrderSums) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const size_t k = 29, n = 13;
+  for (size_t m : {1, 7, 8, 9, 887}) {
+    Rng rng(m + 100);
+    Matrix a = Matrix::Gaussian(k, m, 1.0f, rng);
+    const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
+    a(3, 0) = kInf;
+    a(5, m - 1) = -kInf;
+    a(11, m - 1) = kInf;  // inf + -inf = NaN
+    a(k - 1, m / 2) = kNan;
+    std::vector<double> want(m, 0.0);
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = 0; j < m; ++j) want[j] += a(p, j);
+    }
+    Matrix product;
+    GemmTN(a, b, &product);
+    EXPECT_TRUE(std::isinf(want[0]) || m == 1);
+    EXPECT_TRUE(std::isnan(want[m - 1]));
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      std::vector<double> sums(m, -1.0);
+      Matrix pooled;
+      GemmTNPooled(a, b, &pooled, &pool, sums.data());
+      EXPECT_TRUE(BitwiseEqual(pooled, product))
+          << "m=" << m << " t=" << threads;
+      for (size_t j = 0; j < m; ++j) {
+        // Where two NaNs meet, which payload survives is the compiler's
+        // operand order, so NaN only has to stay NaN.
+        if (std::isnan(want[j])) {
+          EXPECT_TRUE(std::isnan(sums[j])) << "m=" << m << " j=" << j;
+        } else {
+          EXPECT_EQ(std::memcmp(&sums[j], &want[j], sizeof(double)), 0)
+              << "m=" << m << " j=" << j << " t=" << threads;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fvae

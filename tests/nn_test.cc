@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <functional>
 #include <memory>
 #include <span>
@@ -802,6 +803,62 @@ TEST(MultinomialNllTest, PerfectPredictionHasLowLoss) {
   const std::vector<float> logits{20.0f, 0.0f, 0.0f};
   const std::vector<float> counts{1.0f, 0.0f, 0.0f};
   EXPECT_LT(MultinomialNll(logits, counts), 1e-6);
+}
+
+// The training step sums each row's loss over its touched positions only,
+// listed in feature order with repeats. A skipped position has count 0 and
+// a finite log-prob, so its term is an exact zero and the sparse sum is the
+// dense one bit for bit: loss and gradient, with repeated and zero-valued
+// features, and n below, at and past one 16-float vector and at a field's
+// 2,400 candidates.
+TEST(MultinomialNllInPlaceTest, SparseLossIsBitwiseDense) {
+  Rng rng(17);
+  for (size_t n : {1, 15, 16, 17, 2400}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      std::vector<float> logits(n);
+      for (float& v : logits) v = static_cast<float>(rng.Normal(0.0, 3.0));
+      std::vector<float> counts(n, 0.0f);
+      std::vector<uint32_t> touched;
+      const size_t features = 1 + rng.UniformInt(12);
+      for (size_t f = 0; f < features; ++f) {
+        const uint32_t p = static_cast<uint32_t>(rng.UniformInt(n));
+        // Every third feature is zero-valued: touched, with no count.
+        counts[p] += f % 3 == 2 ? 0.0f : static_cast<float>(1 + f % 4);
+        touched.push_back(p);
+        if (f % 4 == 1) touched.push_back(p);  // a repeated feature
+      }
+      std::vector<float> sparse = logits, dense = logits;
+      const double sparse_loss = MultinomialNllInPlace(sparse, counts, touched);
+      const double dense_loss = MultinomialNllInPlace(dense, counts, {});
+      std::vector<float> grad(n);
+      const double public_loss = MultinomialNll(logits, counts, grad);
+      EXPECT_EQ(std::memcmp(&sparse_loss, &dense_loss, sizeof(double)), 0)
+          << "n=" << n << " rep=" << rep;
+      EXPECT_EQ(std::memcmp(&public_loss, &dense_loss, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(sparse.data(), dense.data(), n * sizeof(float)),
+                0);
+      EXPECT_EQ(std::memcmp(grad.data(), dense.data(), n * sizeof(float)), 0);
+      EXPECT_EQ(MultinomialNll(logits, counts), dense_loss);
+    }
+  }
+}
+
+// An infinite or NaN logit at an untouched position still poisons the
+// loss, exactly as the dense sum's 0 * inf does.
+TEST(MultinomialNllInPlaceTest, NonFiniteLogitGivesNanLoss) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (size_t n : {2, 17, 2400}) {
+    for (float special : {kInf, -kInf, kNan}) {
+      std::vector<float> row(n, 0.5f);
+      std::vector<float> counts(n, 0.0f);
+      counts[0] = 2.0f;
+      row[n - 1] = special;
+      std::vector<uint32_t> touched = {0};
+      EXPECT_TRUE(std::isnan(MultinomialNllInPlace(row, counts, touched)))
+          << "n=" << n << " logit " << special;
+    }
+  }
 }
 
 }  // namespace
