@@ -9,11 +9,17 @@ namespace fvae {
 
 namespace {
 
-inline uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+// SplitMix64's finalizer.
+inline uint64_t Fmix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+inline uint64_t SplitMix64(uint64_t& state) {
+  return Fmix64(state += kGolden);
 }
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
@@ -104,22 +110,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-void Rng::SkipNormals(size_t n) {
-  if (n > 0 && has_cached_normal_) {
-    has_cached_normal_ = false;
-    --n;
-  }
-  if (n == 0) return;
-  for (size_t pair = 1; pair < (n + 1) / 2; ++pair) {
-    Next64();
-    Next64();
-  }
-  // The last pair runs for real: an odd n leaves its second value cached,
-  // an even n consumed it (GetState still reports the spent value).
-  Normal();
-  if (n % 2 == 0) has_cached_normal_ = false;
-}
-
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 double Rng::Gamma(double shape) {
@@ -192,6 +182,10 @@ std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
     out.push_back(seen ? j : t);
   }
   return out;
+}
+
+uint64_t MixKey(uint64_t seed, uint64_t key) {
+  return Fmix64(Fmix64(seed + kGolden) ^ key);
 }
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {

@@ -61,12 +61,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Leaves the generator exactly as `n` Normal() calls would, Box-Muller
-  /// cache included, without computing the values it skips: a pending
-  /// cached value costs nothing and every pair but the last costs two
-  /// Next64. The last pair is computed, since it decides the cache.
-  void SkipNormals(size_t n);
-
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
@@ -105,6 +99,14 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// Seed of the generator that draws `key`'s values under `seed`: the seed
+/// and then the key pass through the full SplitMix64 finalizer, so nearby
+/// seeds or keys give unrelated streams. A linear mix such as seed + key
+/// would not do: Rng(s) seeds its lanes from SplitMix64 at s + g, s + 2g,
+/// ... (g the golden-ratio increment), so two keys g apart would share
+/// three of their four lanes.
+uint64_t MixKey(uint64_t seed, uint64_t key);
 
 /// Weighted discrete sampling in O(1) per draw after O(n) setup
 /// (Walker/Vose alias method). Used by the frequency and Zipfian feature

@@ -143,8 +143,8 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   const size_t h1_dim = config_.encoder_hidden.front();
   StepScratch& scratch = *step_scratch_;
 
-  // Hash inserts and the tables' generators stay on this thread: new rows
-  // are created deferred, in the same order as a row-at-a-time pass.
+  // Hash inserts stay on this thread; new rows are created deferred and
+  // filled with their keys' draws on the pool below.
   obs::TraceSpan resolve_span("train.embed.resolve");
   const size_t num_fields = field_schemas_.size();
   scratch.field_refs.resize(num_fields);

@@ -13,7 +13,7 @@ namespace fvae::core {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'V', 'M', 'D'};
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 
 /// Section tags, written in strictly increasing order. kEnd terminates the
 /// file; any other tag is rejected.
@@ -25,10 +25,10 @@ enum SectionTag : uint32_t {
   kTables = 4,
   kOptimizer = 5,
   kCursor = 6,
-  /// RNG streams for cursor-less exports (SaveFieldVae): without them a
-  /// "warm start" would draw different reparameterization noise than the
-  /// saved run and diverge on the first step. Trainer checkpoints carry
-  /// the same states inside kCursor instead.
+  /// The model RNG stream for cursor-less exports (SaveFieldVae): without
+  /// it a "warm start" would draw different reparameterization noise than
+  /// the saved run and diverge on the first step. Trainer checkpoints carry
+  /// the same state inside kCursor instead.
   kRng = 7,
 };
 
@@ -272,24 +272,6 @@ void BuildCursorPayload(std::ostream& out, const TrainingCursor& cursor) {
   WriteDoubleVector(out, cursor.epoch_loss);
   WriteDoubleVector(out, cursor.candidate_accum);
   WriteRngState(out, cursor.model_rng);
-  WritePod(out, static_cast<uint32_t>(cursor.input_table_rng.size()));
-  for (const RngState& state : cursor.input_table_rng) {
-    WriteRngState(out, state);
-  }
-  for (const RngState& state : cursor.output_table_rng) {
-    WriteRngState(out, state);
-  }
-}
-
-void BuildRngPayload(std::ostream& out, const FieldVae& model) {
-  WriteRngState(out, model.rng_state());
-  WritePod(out, static_cast<uint32_t>(model.num_fields()));
-  for (size_t k = 0; k < model.num_fields(); ++k) {
-    WriteRngState(out, model.input_table(k).rng_state());
-  }
-  for (size_t k = 0; k < model.num_fields(); ++k) {
-    WriteRngState(out, model.output_table(k).rng_state());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,48 +421,14 @@ Status ParseCursor(BufferReader& in, FieldVae* model, TrainingCursor* cursor) {
       !ReadRngState(in, &cursor->model_rng)) {
     return Status::IoError("truncated cursor");
   }
-  uint32_t num_fields = 0;
-  if (!in.ReadPod(&num_fields) || num_fields != model->num_fields()) {
-    return Status::InvalidArgument("cursor field count mismatch");
-  }
-  cursor->input_table_rng.resize(num_fields);
-  cursor->output_table_rng.resize(num_fields);
-  for (RngState& state : cursor->input_table_rng) {
-    if (!ReadRngState(in, &state)) return Status::IoError("truncated cursor");
-  }
-  for (RngState& state : cursor->output_table_rng) {
-    if (!ReadRngState(in, &state)) return Status::IoError("truncated cursor");
-  }
-  // The table loads above inserted their rows without drawing, so the
-  // generators are still at their seeds until these snapshots land.
   model->set_rng_state(cursor->model_rng);
-  for (size_t k = 0; k < model->num_fields(); ++k) {
-    model->input_table(k).set_rng_state(cursor->input_table_rng[k]);
-    model->output_table(k).set_rng_state(cursor->output_table_rng[k]);
-  }
   return Status::Ok();
 }
 
 Status ParseRng(BufferReader& in, FieldVae* model) {
   RngState model_rng;
   if (!ReadRngState(in, &model_rng)) return Status::IoError("truncated rng");
-  uint32_t num_fields = 0;
-  if (!in.ReadPod(&num_fields) || num_fields != model->num_fields()) {
-    return Status::InvalidArgument("rng field count mismatch");
-  }
-  std::vector<RngState> input_rng(num_fields), output_rng(num_fields);
-  for (RngState& state : input_rng) {
-    if (!ReadRngState(in, &state)) return Status::IoError("truncated rng");
-  }
-  for (RngState& state : output_rng) {
-    if (!ReadRngState(in, &state)) return Status::IoError("truncated rng");
-  }
-  // As with the cursor: the table load drew nothing, these set the state.
   model->set_rng_state(model_rng);
-  for (size_t k = 0; k < model->num_fields(); ++k) {
-    model->input_table(k).set_rng_state(input_rng[k]);
-    model->output_table(k).set_rng_state(output_rng[k]);
-  }
   return Status::Ok();
 }
 
@@ -511,7 +459,9 @@ Status SaveImpl(const FieldVae& model, const TrainingCursor* cursor,
     write_section(kCursor,
                   [&](std::ostream& p) { BuildCursorPayload(p, *cursor); });
   } else {
-    write_section(kRng, [&](std::ostream& p) { BuildRngPayload(p, model); });
+    write_section(kRng, [&](std::ostream& p) {
+      WriteRngState(p, model.rng_state());
+    });
   }
   WriteSection(out, kEnd, std::string_view());
   return writer.Commit();
@@ -616,8 +566,8 @@ Result<LoadedCheckpoint> LoadBody(BufferReader& in, const std::string& path) {
   if (!saw_tables) {
     return Status::InvalidArgument("missing sections in " + path);
   }
-  // Restored rows skip their initializer draws, so only a saved generator
-  // state gives the loaded tables the state the saved ones had.
+  // Without the saved model generator, a resumed or warm-started run would
+  // draw other eps and candidate samples than the saved run.
   if (!loaded.has_cursor && !saw_rng) {
     return Status::InvalidArgument("neither cursor nor rng section in " +
                                    path);

@@ -18,14 +18,14 @@ namespace fvae::core {
 /// trainer additionally saves mid-run checkpoints it can resume from with
 /// bitwise-identical results (ARCHITECTURE.md §10).
 ///
-/// Format (little-endian): magic "FVMD", uint32 version 2, then a sequence
+/// Format (little-endian): magic "FVMD", uint32 version 3, then a sequence
 /// of self-describing sections — uint32 tag, uint64 payload size, payload,
 /// uint32 CRC-32 of the payload — in strictly increasing tag order,
 /// terminated by an end-marker section (tag 0, empty payload). Sections:
 /// config, schemas, dense parameters, embedding tables, optimizer state
 /// (Adam moments + step count, per-key AdaGrad accumulators), then either
-/// the training cursor (epoch/step position, RNG states, KL-anneal
-/// position) or, for exports, the RNG states alone. Every load verifies
+/// the training cursor (epoch/step position, model RNG state, KL-anneal
+/// position) or, for exports, the model RNG state alone. Every load verifies
 /// each section's checksum, so a truncated or corrupted file is reported
 /// as an IoError — it can never deserialize into a silently-wrong model.
 /// Any other version or section tag is InvalidArgument. All writes are
@@ -54,11 +54,9 @@ struct TrainingCursor {
   uint64_t shuffle_seed = 0;
   /// Wall-clock seconds accumulated before this checkpoint.
   double prior_seconds = 0.0;
-  /// Model RNG (reparameterization eps, candidate sampling).
+  /// Model RNG (reparameterization eps, candidate sampling). Table rows
+  /// need none: a new row's values depend only on its table's seed and key.
   RngState model_rng;
-  /// Per-field row-initializer RNGs, indexed by field.
-  std::vector<RngState> input_table_rng;
-  std::vector<RngState> output_table_rng;
 };
 
 /// A loaded checkpoint: the model plus, when the file carries one (trainer
@@ -78,8 +76,8 @@ Status SaveFieldVae(const FieldVae& model, const std::string& path);
 Status SaveCheckpoint(const FieldVae& model, const TrainingCursor& cursor,
                       const std::string& path);
 
-/// Loads a checkpoint or export, restoring optimizer state and RNG
-/// streams. The cursor, if any, is ignored.
+/// Loads a checkpoint or export, restoring optimizer state and the model
+/// RNG stream. The cursor, if any, is ignored.
 Result<std::unique_ptr<FieldVae>> LoadFieldVae(const std::string& path);
 
 /// Loads like LoadFieldVae and also surfaces the training cursor

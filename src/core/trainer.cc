@@ -24,8 +24,8 @@ float AnnealedBeta(const FvaeConfig& config, size_t step) {
 
 namespace {
 
-/// Snapshot of the loop position and all RNG streams, taken right after a
-/// completed step so a resumed run replays from the next step.
+/// Snapshot of the loop position and the model RNG stream, taken right
+/// after a completed step so a resumed run replays from the next step.
 TrainingCursor CaptureCursor(const FieldVae& model, size_t epoch,
                              size_t batch_in_epoch, const TrainResult& result,
                              double epoch_loss_accum, uint64_t shuffle_seed,
@@ -42,10 +42,6 @@ TrainingCursor CaptureCursor(const FieldVae& model, size_t epoch,
   cursor.shuffle_seed = shuffle_seed;
   cursor.prior_seconds = total_seconds;
   cursor.model_rng = model.rng_state();
-  for (size_t k = 0; k < model.num_fields(); ++k) {
-    cursor.input_table_rng.push_back(model.input_table(k).rng_state());
-    cursor.output_table_rng.push_back(model.output_table(k).rng_state());
-  }
   return cursor;
 }
 

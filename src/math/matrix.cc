@@ -217,7 +217,7 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
-  out->Resize(m, n);
+  out->Reshape(m, n);
   ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
     const KernelTable& kt = Kernels();
     // a^T is packed one row tile at a time, right before the kernel
@@ -238,6 +238,9 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
         }
       }
       if (a_col_sums != nullptr) std::copy(sums, sums + rows, a_col_sums + i0);
+      // Each tile zeroes its own rows of `out` (Reshape left them as they
+      // were), so no serial fill runs ahead of the pool.
+      std::fill(out->Row(i0), out->Row(i0 + rows), 0.0f);
       kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n, n,
                          n);
     }

@@ -1,18 +1,19 @@
 #include "nn/activations.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 
 namespace fvae::nn {
 
 namespace {
-// Rows [lo, hi) of tanh(input), scalar: the SIMD tanh rounds differently.
+// Rows [lo, hi) of tanh(input): a copy, then the kernel table's tanh.
 void TanhRows(const Matrix& input, size_t lo, size_t hi, Matrix* output) {
-  for (size_t i = lo * input.cols(); i < hi * input.cols(); ++i) {
-    output->data()[i] = std::tanh(input.data()[i]);
-  }
+  const size_t cols = input.cols();
+  std::copy(input.Row(lo), input.Row(lo) + (hi - lo) * cols, output->Row(lo));
+  Kernels().tanh_inplace(output->Row(lo), (hi - lo) * cols);
 }
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "math/kernels/kernel_table.h"
 
@@ -32,7 +33,7 @@ void EmbeddingTable::FreeDeleter::operator()(float* p) const { std::free(p); }
 EmbeddingTable::EmbeddingTable(size_t dim, bool with_bias, float init_stddev,
                                uint64_t seed)
     : dim_(dim), with_bias_(with_bias), init_stddev_(init_stddev),
-      rng_(seed), row_shift_(RowShift(dim)),
+      seed_(seed), row_shift_(RowShift(dim)),
       row_mask_((uint32_t{1} << row_shift_) - 1),
       block_floats_((size_t{row_mask_} + 1) * dim) {
   FVAE_CHECK(dim > 0) << "embedding dim must be positive";
@@ -93,10 +94,7 @@ uint32_t EmbeddingTable::GetOrCreateRow(uint64_t key) {
 uint32_t EmbeddingTable::GetOrCreateRowDeferred(uint64_t key) {
   bool inserted = false;
   const uint32_t row = InsertKey(key, &inserted);
-  if (inserted) {
-    pending_.push_back({row, rng_.GetState()});
-    rng_.SkipNormals(dim_);
-  }
+  if (inserted) pending_.push_back(row);
   return row;
 }
 
@@ -111,10 +109,10 @@ void EmbeddingTable::RestoreRow(uint64_t key, std::span<const float> weights,
 
 void EmbeddingTable::InitPendingRows(ThreadPool* pool) {
   const auto init_rows = [&](size_t lo, size_t hi) {
-    Rng rng;
     for (size_t i = lo; i < hi; ++i) {
-      rng.SetState(pending_[i].state);
-      float* w = Weights(pending_[i].row);
+      const uint32_t row = pending_[i];
+      Rng rng(MixKey(seed_, keys_[row]));
+      float* w = Weights(row);
       for (size_t d = 0; d < dim_; ++d) {
         w[d] = static_cast<float>(rng.Normal(0.0, init_stddev_));
       }

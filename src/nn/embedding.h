@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/random.h"
 #include "hash/dynamic_hash_table.h"
 #include "math/matrix.h"
 
@@ -26,7 +25,9 @@ namespace fvae::nn {
 /// touched, with N(0, init_stddev^2) entries — this is exactly the paper's
 /// "weights of this ID are randomly initialized and pushed into the hash
 /// table" behaviour, and is what lets the model absorb new features during
-/// training without a fixed vocabulary.
+/// training without a fixed vocabulary. A row's initial values are a pure
+/// function of (table seed, key): Rng(MixKey(seed, key)).Normal draws, so
+/// they do not depend on which keys came before it.
 ///
 /// The table doubles as (a) the encoder's first-layer weights (embedding
 /// sum over a user's features) and (b) each decoder field head's output
@@ -43,10 +44,10 @@ namespace fvae::nn {
 /// copied, so rows never move and a span from Row() stays valid as the
 /// table grows. Row() is a shift, a mask and a multiply.
 ///
-/// Threading: hash inserts, the generator and the touched/dirty bookkeeping
-/// belong to one calling thread. The row-disjoint arithmetic (replaying a
-/// deferred row's initial draws, AddGrad, the AdaGrad step) may run on pool
-/// workers, with results bitwise identical to running it inline.
+/// Threading: hash inserts and the touched/dirty bookkeeping belong to one
+/// calling thread. The row-disjoint arithmetic (a deferred row's initial
+/// draws, AddGrad, the AdaGrad step) may run on pool workers, with results
+/// bitwise identical to running it inline.
 class EmbeddingTable {
  public:
   /// `dim` > 0; `with_bias` adds a scalar bias per row.
@@ -57,26 +58,22 @@ class EmbeddingTable {
   uint32_t GetOrCreateRow(uint64_t key);
 
   /// Dense row index for `key`; a new row is inserted but its weights stay
-  /// zero until InitPendingRows. The generator is advanced past the row's
-  /// `dim` normals now (Rng::SkipNormals) and the state it started from is
-  /// recorded, so later rows draw what GetOrCreateRow would give them.
+  /// zero until InitPendingRows.
   uint32_t GetOrCreateRowDeferred(uint64_t key);
 
   /// Fills every row created by GetOrCreateRowDeferred since the last call
-  /// by replaying its recorded generator state, split by row over `pool`
-  /// (null runs inline).
+  /// with its key's draws, split by row over `pool` (null runs inline).
   void InitPendingRows(ThreadPool* pool);
 
   /// Model load, step one: inserts distinct `keys`, in the order Items()
   /// listed them when the table was saved, into an empty table, so that
   /// Items() lists them in that order again (DynamicHashTable::
-  /// RestoreItems). Nothing is drawn: the load restores the generator
-  /// state afterwards.
+  /// RestoreItems). The rows stay zero until RestoreRow fills them.
   void RestoreKeys(std::span<const uint64_t> keys);
 
   /// Sets `key`'s row to `weights` (and `bias`, for a table with biases),
-  /// inserting the row without drawing if it is new. Model load's second
-  /// step, and the distributed merge's write-back.
+  /// inserting the row if it is new. Model load's second step, and the
+  /// distributed merge's write-back.
   void RestoreRow(uint64_t key, std::span<const float> weights, float bias);
 
   /// Dense row index for `key`, or nullopt for unseen keys.
@@ -165,11 +162,6 @@ class EmbeddingTable {
   void RestoreAdagradRow(uint32_t row, std::span<const float> accum,
                          float bias_accum);
 
-  /// Snapshot/restore of the row-initializer RNG, so rows created after a
-  /// resume draw the same values the uninterrupted run would have.
-  RngState rng_state() const { return rng_.GetState(); }
-  void set_rng_state(const RngState& state) { rng_.SetState(state); }
-
  private:
   /// Dense row index for `key`; `*inserted` says whether it is new. A new
   /// row gets zeroed storage and its key recorded, nothing more.
@@ -190,12 +182,6 @@ class EmbeddingTable {
     return Weights(row) + 2 * block_floats_;
   }
 
-  /// A row created by GetOrCreateRowDeferred, not yet initialized.
-  struct PendingRow {
-    uint32_t row;
-    RngState state;  // generator state before the row's draws
-  };
-
   struct FreeDeleter {
     void operator()(float* p) const;
   };
@@ -210,7 +196,7 @@ class EmbeddingTable {
   size_t dim_;
   bool with_bias_;
   float init_stddev_;
-  Rng rng_;
+  uint64_t seed_;
   DynamicHashTable hash_;
   // rows_per_block = 1 << row_shift_; a row's gradient is zero whenever
   // the row is untouched.
@@ -226,7 +212,7 @@ class EmbeddingTable {
   std::vector<uint64_t> keys_;       // row -> raw key
   std::vector<uint32_t> dirty_;      // rows updated since TakeDirtyRows
   std::vector<bool> is_dirty_;
-  std::vector<PendingRow> pending_;
+  std::vector<uint32_t> pending_;    // rows awaiting InitPendingRows
   // ScatterGrad's transpose, reused across calls: slot s (one per distinct
   // row, first-touch order) owns slot_terms_[slot_begin_[s],
   // slot_begin_[s + 1]). slot_of_row_ is kNoSlot outside a call.

@@ -140,8 +140,7 @@ FvaeConfig SmallConfig() {
   return config;
 }
 
-/// A well-formed cursor for `model` (the loader insists the per-field RNG
-/// vectors match the schema arity).
+/// A well-formed cursor for `model`.
 TrainingCursor MakeCursor(const FieldVae& model, uint64_t step) {
   TrainingCursor cursor;
   cursor.step = step;
@@ -151,10 +150,6 @@ TrainingCursor MakeCursor(const FieldVae& model, uint64_t step) {
   cursor.shuffle_seed = 99;
   cursor.candidate_accum.assign(model.num_fields(), 0.0);
   cursor.model_rng = model.rng_state();
-  for (size_t k = 0; k < model.num_fields(); ++k) {
-    cursor.input_table_rng.push_back(model.input_table(k).rng_state());
-    cursor.output_table_rng.push_back(model.output_table(k).rng_state());
-  }
   return cursor;
 }
 
@@ -372,8 +367,8 @@ TEST_F(CheckpointTest, SavedModelIsExactWarmStart) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // Training both for one more epoch must stay bitwise identical; that
-  // only holds if the Adam moments, AdaGrad accumulators, and RNG streams
-  // all round-tripped (a fresh optimizer diverges within one step).
+  // only holds if the Adam moments, AdaGrad accumulators, and the model RNG
+  // stream all round-tripped (a fresh optimizer diverges within one step).
   TrainOptions more = options;
   more.epochs = 1;
   TrainFvae(model, data, more);
@@ -383,8 +378,8 @@ TEST_F(CheckpointTest, SavedModelIsExactWarmStart) {
             0.0f);
 }
 
-// A load inserts every row without drawing initial values and takes the
-// generator states from the file, so saving what was loaded writes the
+// A load inserts every row with the file's values and takes the model
+// generator state from the file, so saving what was loaded writes the
 // file back byte for byte: for an export, for a trainer checkpoint, and
 // for tables whose rows span several storage blocks.
 TEST_F(CheckpointTest, LoadThenSaveGivesSameBytes) {
@@ -435,8 +430,8 @@ TEST_F(CheckpointTest, LoadThenSaveGivesSameBytes) {
   EXPECT_TRUE(ReadFile(checkpoint) == ReadFile(Path("again.fvmd")));
 }
 
-// Without a cursor or rng section a load could not set the generators: the
-// restored rows skipped their draws, so the file is refused outright.
+// Without a cursor or rng section a load could not set the model generator,
+// and a warm start would draw other noise, so the file is refused outright.
 TEST_F(CheckpointTest, FileWithoutCursorOrRngIsRejected) {
   const MultiFieldDataset data = Fixture();
   FieldVae model(SmallConfig(), data.fields());
@@ -646,8 +641,9 @@ TEST_F(CheckpointTest, UnsupportedVersionDiagnosticsNameVersionAndPath) {
   FieldVae model(SmallConfig(), data.fields());
   ASSERT_TRUE(SaveFieldVae(model, Path("current.fvmd")).ok());
   const std::string current = ReadFile(Path("current.fvmd"));
-  // Version 1 is the retired section-less format; 99 is from the future.
-  for (const uint32_t version : {1u, 99u}) {
+  // Version 1 is the retired section-less format, version 2 carried a
+  // generator state per table; 99 is from the future.
+  for (const uint32_t version : {1u, 2u, 99u}) {
     std::string bytes = current;
     std::memcpy(bytes.data() + 4, &version, sizeof(version));
     const std::string path = Path("v" + std::to_string(version) + ".fvmd");

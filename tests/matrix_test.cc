@@ -384,6 +384,9 @@ TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
       Matrix pooled;
       GemmNTPooled(a, b_nt, &pooled, &pool, &panel);
       EXPECT_TRUE(BitwiseEqual(pooled, nt)) << "nt m=" << m << " t=" << threads;
+      // GemmTNPooled keeps the output's buffer and zeroes it tile by tile:
+      // starting from NaN shows any row a tile left unzeroed.
+      pooled = Matrix(m, n, std::numeric_limits<float>::quiet_NaN());
       GemmTNPooled(a_tn, b, &pooled, &pool);
       EXPECT_TRUE(BitwiseEqual(pooled, tn)) << "tn m=" << m << " t=" << threads;
       pooled = base;

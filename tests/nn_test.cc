@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -366,55 +367,134 @@ bool SameFloats(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-// Rows created deferred and filled on a pool must hold the draws a
-// row-at-a-time initializer takes from the table's generator, in creation
-// order, and leave the generator where it would. The odd dim makes every
-// other row start from a cached Box-Muller value; the `cached` leg starts
-// the very first row from one.
+/// Key `key`'s initial row under `seed`: `dim` draws of its own generator.
+std::vector<float> ReferenceRow(uint64_t seed, uint64_t key, size_t dim,
+                                float stddev) {
+  Rng rng(MixKey(seed, key));
+  std::vector<float> row(dim);
+  for (float& v : row) v = static_cast<float>(rng.Normal(0.0, stddev));
+  return row;
+}
+
+// Rows created deferred and filled on a pool must hold their keys'
+// reference draws, exactly as rows created one at a time do. The odd dim
+// leaves each row's generator with a cached Box-Muller value unused.
 TEST(EmbeddingTableTest, DeferredRowsMatchGetOrCreateRow) {
   constexpr size_t kDim = 7;
   constexpr float kStddev = 0.3f;
   ThreadPool pool(4);
-  for (const bool cached : {false, true}) {
-    EmbeddingTable eager(kDim, /*with_bias=*/true, kStddev, 11);
-    EmbeddingTable deferred(kDim, /*with_bias=*/true, kStddev, 11);
-    Rng reference(11);
-    if (cached) {
-      reference.Normal();
-      eager.set_rng_state(reference.GetState());
-      deferred.set_rng_state(reference.GetState());
+  EmbeddingTable eager(kDim, /*with_bias=*/true, kStddev, 11);
+  EmbeddingTable deferred(kDim, /*with_bias=*/true, kStddev, 11);
+  std::vector<uint32_t> eager_rows, deferred_rows;
+  // Two rounds of 45 lookups over 61 keys: new rows, repeats within a
+  // round, and rows created in an earlier round.
+  for (uint64_t round = 0; round < 2; ++round) {
+    for (uint64_t i = round * 45; i < (round + 1) * 45; ++i) {
+      const uint64_t key = 1000 + (i * 37) % 61;
+      eager_rows.push_back(eager.GetOrCreateRow(key));
+      deferred_rows.push_back(deferred.GetOrCreateRowDeferred(key));
     }
-    std::vector<float> expected;  // reference draws, one row after another
-    std::vector<uint32_t> eager_rows, deferred_rows;
-    // Two rounds of 45 lookups over 61 keys: new rows, repeats within a
-    // round, and rows created in an earlier round.
-    for (uint64_t round = 0; round < 2; ++round) {
-      for (uint64_t i = round * 45; i < (round + 1) * 45; ++i) {
-        const uint64_t key = 1000 + (i * 37) % 61;
-        if (!eager.FindRow(key).has_value()) {
-          for (size_t d = 0; d < kDim; ++d) {
-            expected.push_back(
-                static_cast<float>(reference.Normal(0.0, kStddev)));
-          }
-        }
-        eager_rows.push_back(eager.GetOrCreateRow(key));
-        deferred_rows.push_back(deferred.GetOrCreateRowDeferred(key));
-      }
-      deferred.InitPendingRows(&pool);
-    }
-    EXPECT_EQ(deferred_rows, eager_rows);
-    ASSERT_EQ(eager.num_rows() * kDim, expected.size());
-    ASSERT_EQ(deferred.num_rows(), eager.num_rows());
-    for (uint32_t row = 0; row < eager.num_rows(); ++row) {
-      const std::span<const float> want(expected.data() + row * kDim, kDim);
-      EXPECT_TRUE(SameFloats(eager.Row(row), want))
-          << "row " << row << " cached=" << cached;
-      EXPECT_TRUE(SameFloats(deferred.Row(row), want))
-          << "row " << row << " cached=" << cached;
-    }
-    EXPECT_TRUE(eager.rng_state() == reference.GetState());
-    EXPECT_TRUE(deferred.rng_state() == reference.GetState());
+    deferred.InitPendingRows(&pool);
   }
+  EXPECT_EQ(deferred_rows, eager_rows);
+  ASSERT_EQ(deferred.num_rows(), eager.num_rows());
+  for (uint32_t row = 0; row < eager.num_rows(); ++row) {
+    const std::vector<float> want =
+        ReferenceRow(11, eager.KeyOfRow(row), kDim, kStddev);
+    EXPECT_TRUE(SameFloats(eager.Row(row), want)) << "row " << row;
+    EXPECT_TRUE(SameFloats(deferred.Row(row), want)) << "row " << row;
+  }
+}
+
+// A key's initial row does not depend on which keys came before it, on
+// whether it was created eagerly or deferred, or on the pool size; a table
+// with another seed gives the key another row.
+TEST(EmbeddingTableTest, RowInitDependsOnlyOnSeedAndKey) {
+  constexpr size_t kDim = 33;
+  constexpr float kStddev = 0.2f;
+  // Random keys, plus keys one golden-ratio increment apart (where a
+  // linear seed + key mix would overlap generator lanes) and the extremes.
+  std::vector<uint64_t> keys = {0, 1, 0x9E3779B97F4A7C15ULL,
+                                2 * 0x9E3779B97F4A7C15ULL, ~uint64_t{0}};
+  Rng key_rng(5);
+  for (int i = 0; i < 300; ++i) keys.push_back(key_rng.Next64());
+  std::vector<uint64_t> reversed(keys.rbegin(), keys.rend());
+
+  EmbeddingTable forward(kDim, /*with_bias=*/false, kStddev, 13);
+  EmbeddingTable backward(kDim, /*with_bias=*/false, kStddev, 13);
+  for (uint64_t key : keys) forward.GetOrCreateRow(key);
+  for (uint64_t key : reversed) backward.GetOrCreateRow(key);
+  std::vector<std::unique_ptr<EmbeddingTable>> tables;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    for (const auto* order : {&keys, &reversed}) {
+      tables.push_back(std::make_unique<EmbeddingTable>(
+          kDim, /*with_bias=*/false, kStddev, 13));
+      for (uint64_t key : *order) tables.back()->GetOrCreateRowDeferred(key);
+      tables.back()->InitPendingRows(&pool);
+    }
+  }
+  EmbeddingTable other_seed(kDim, /*with_bias=*/false, kStddev, 14);
+  for (uint64_t key : keys) {
+    const std::span<const float> want = forward.Row(*forward.FindRow(key));
+    EXPECT_TRUE(SameFloats(backward.Row(*backward.FindRow(key)), want))
+        << "reversed, key " << key;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      EXPECT_TRUE(SameFloats(tables[t]->Row(*tables[t]->FindRow(key)), want))
+          << "deferred table " << t << ", key " << key;
+    }
+    EXPECT_FALSE(SameFloats(other_seed.Row(other_seed.GetOrCreateRow(key)),
+                            want))
+        << "other seed, key " << key;
+  }
+}
+
+// Over 4,096 consecutive keys x 256 dims (2^20 draws), the initial values
+// look like N(0, stddev^2): mean, variance, the Kolmogorov-Smirnov
+// distance to its CDF, and no correlation between neighbouring keys' rows.
+// The bounds are about five standard errors at this sample size; the seed
+// is fixed, so the test is deterministic.
+TEST(EmbeddingTableTest, RowInitIsNormalWithTheGivenStddev) {
+  constexpr size_t kKeys = 4096, kDim = 256;
+  constexpr double kStddev = 0.25;
+  ThreadPool pool(4);
+  EmbeddingTable table(kDim, /*with_bias=*/false, kStddev, 17);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    table.GetOrCreateRowDeferred(key);
+  }
+  table.InitPendingRows(&pool);
+  std::vector<double> draws;
+  draws.reserve(kKeys * kDim);
+  double lag_product = 0.0;
+  for (uint32_t row = 0; row < kKeys; ++row) {
+    const std::span<const float> values = table.Row(row);
+    draws.insert(draws.end(), values.begin(), values.end());
+    if (row == 0) continue;
+    const std::span<const float> prev = table.Row(row - 1);
+    for (size_t d = 0; d < kDim; ++d) {
+      lag_product += double(values[d]) * prev[d];
+    }
+  }
+  const double n = static_cast<double>(draws.size());
+  double sum = 0.0, sum_sq = 0.0;
+  for (double x : draws) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double var = kStddev * kStddev;
+  EXPECT_NEAR(sum / n, 0.0, 5.0 * kStddev / std::sqrt(n));
+  EXPECT_NEAR(sum_sq / n / var, 1.0, 5.0 * std::sqrt(2.0 / n));
+  EXPECT_NEAR(lag_product / ((kKeys - 1) * kDim) / var, 0.0,
+              5.0 / std::sqrt((kKeys - 1) * kDim));
+  std::sort(draws.begin(), draws.end());
+  double ks = 0.0;
+  for (size_t i = 0; i < draws.size(); ++i) {
+    const double cdf =
+        0.5 * std::erfc(-draws[i] / (kStddev * std::sqrt(2.0)));
+    ks = std::max({ks, cdf - i / n, (i + 1) / n - cdf});
+  }
+  // The 0.1% critical value of the one-sample KS test is 1.95 / sqrt(n).
+  EXPECT_LT(ks, 1.95 / std::sqrt(n));
 }
 
 // ScatterGrad on a pool must leave every row gradient and the touched
@@ -606,21 +686,16 @@ struct BlockShape {
 constexpr BlockShape kBlockShapes[] = {{256, 3 * 256 + 5}, {100, 3 * 512 + 5}};
 
 // Deferred rows spread over several blocks, filled on a pool in two
-// rounds, hold the reference draws; a row's storage never moves as later
-// rounds add blocks.
+// rounds, hold their keys' reference draws; a row's storage never moves as
+// later rounds add blocks.
 TEST(EmbeddingTableTest, BlockTablesDeferredInitMatchesReferenceDraws) {
   ThreadPool pool(4);
   for (const BlockShape& shape : kBlockShapes) {
     EmbeddingTable table(shape.dim, /*with_bias=*/true, 0.25f, 37);
-    Rng reference(37);
-    std::vector<float> expected;
     const float* first_row = nullptr;
     for (const auto& [lo, hi] : {std::pair{uint64_t{0}, shape.rows / 2},
                                  std::pair{shape.rows / 2, shape.rows}}) {
       for (uint64_t i = lo; i < hi; ++i) {
-        for (size_t d = 0; d < shape.dim; ++d) {
-          expected.push_back(static_cast<float>(reference.Normal(0.0, 0.25)));
-        }
         ASSERT_EQ(table.GetOrCreateRowDeferred(7919 * i + 3), i);
       }
       table.InitPendingRows(&pool);
@@ -629,13 +704,12 @@ TEST(EmbeddingTableTest, BlockTablesDeferredInitMatchesReferenceDraws) {
     ASSERT_EQ(table.num_rows(), shape.rows);
     EXPECT_EQ(table.Row(0).data(), first_row) << "dim " << shape.dim;
     for (uint32_t row = 0; row < shape.rows; ++row) {
-      const std::span<const float> want(expected.data() + row * shape.dim,
-                                        shape.dim);
+      const std::vector<float> want =
+          ReferenceRow(37, 7919 * row + 3, shape.dim, 0.25f);
       ASSERT_TRUE(SameFloats(table.Row(row), want))
           << "dim " << shape.dim << " row " << row;
       ASSERT_EQ(table.FindRow(7919 * row + 3), row);
     }
-    EXPECT_TRUE(table.rng_state() == reference.GetState());
   }
 }
 

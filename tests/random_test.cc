@@ -92,23 +92,22 @@ TEST(RngTest, NormalWithParameters) {
   EXPECT_NEAR(sum / 50000.0, 5.0, 0.1);
 }
 
-TEST(RngTest, SkipNormalsMatchesNormalCalls) {
-  for (const bool cached : {false, true}) {
-    for (const size_t n : {0, 1, 2, 3, 8, 255, 256}) {
-      Rng drawn(29);
-      if (cached) drawn.Normal();  // leaves the pair's second value cached
-      Rng skipped;
-      skipped.SetState(drawn.GetState());
-      for (size_t i = 0; i < n; ++i) drawn.Normal();
-      skipped.SkipNormals(n);
-      // The whole state, the spent Box-Muller value included: checkpoints
-      // persist it.
-      EXPECT_TRUE(skipped.GetState() == drawn.GetState())
-          << "n=" << n << " cached=" << cached;
-      EXPECT_EQ(skipped.Normal(), drawn.Normal());
-      EXPECT_EQ(skipped.Next64(), drawn.Next64());
+// Generators seeded by MixKey share no lane across nearby seeds and keys,
+// keys one golden-ratio increment apart included: a linear seed + key mix
+// would give those three of four lanes in common.
+TEST(RngTest, MixKeyStreamsShareNoLane) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  std::vector<uint64_t> lanes;
+  for (uint64_t seed : {0, 1, 2}) {
+    for (uint64_t key : {uint64_t{0}, uint64_t{1}, uint64_t{2}, kGolden,
+                         2 * kGolden, ~uint64_t{0}}) {
+      const RngState state = Rng(MixKey(seed, key)).GetState();
+      lanes.insert(lanes.end(), std::begin(state.s), std::end(state.s));
     }
   }
+  std::sort(lanes.begin(), lanes.end());
+  EXPECT_EQ(std::adjacent_find(lanes.begin(), lanes.end()), lanes.end());
+  EXPECT_EQ(MixKey(7, 42), MixKey(7, 42));
 }
 
 TEST(RngTest, BernoulliFrequency) {
