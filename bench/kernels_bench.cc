@@ -185,8 +185,8 @@ int Main() {
   PrintBanner("SIMD kernel layer: per-ISA throughput",
               "runtime-dispatched math kernels under the fold-in encoder");
 
-  // Serving-sized model (same shape as bench/serving_load.cc): this is the
-  // regime the kernel layer targets.
+  // Serving-sized model (two-layer encoder, 512/256 wide at `small`): this
+  // is the regime the kernel layer targets.
   GeneratedProfiles gen = MakeShortContent(scale, /*seed=*/17);
   core::FvaeConfig config = SweepFvaeConfig(scale, /*seed=*/17);
   config.latent_dim = ByScale<size_t>(scale, 32, 64, 96);

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "data/batching.h"
+#include "math/kernels/kernel_table.h"
 #include "math/vector_ops.h"
 
 namespace fvae::baselines {
@@ -98,12 +99,12 @@ void MultVaeModel::EncodeRows(const std::vector<SparseRow>& rows, Matrix* mu,
         (*dropped)[i].values.push_back(value);
       }
     }
-    for (size_t d = 0; d < hidden; ++d) out[d] = std::tanh(out[d]);
+    Kernels().tanh_inplace(out, hidden);
   }
 
-  mu_head_->Forward(*h1, mu);
+  mu_head_->Infer(*h1, mu);
   if (options_.variant != Variant::kDae) {
-    logvar_head_->Forward(*h1, logvar);
+    logvar_head_->Infer(*h1, logvar);
     for (size_t i = 0; i < logvar->size(); ++i) {
       logvar->data()[i] =
           std::clamp(logvar->data()[i], -kLogVarClamp, kLogVarClamp);
@@ -126,7 +127,7 @@ void MultVaeModel::EncodeRowsOld(const std::vector<SparseRow>& rows,
       const float value = rows[i].values[j];
       for (size_t d = 0; d < hidden; ++d) out[d] += value * e_row[d];
     }
-    for (size_t d = 0; d < hidden; ++d) out[d] = std::tanh(out[d]);
+    Kernels().tanh_inplace(out, hidden);
   }
   Gemm(h1, old_mu_w_, mu);
   Gemm(h1, old_lv_w_, logvar);
@@ -175,7 +176,7 @@ void MultVaeModel::Fit(const MultiFieldDataset& train) {
   if (options_.variant != Variant::kDae) {
     logvar_head_ = std::make_unique<nn::DenseLayer>(hidden, latent, rng_);
   }
-  dec_ = std::make_unique<nn::DenseLayer>(latent, hidden, rng_);
+  dec_ = std::make_unique<nn::Mlp>(std::vector<size_t>{latent, hidden}, rng_);
   out_weight_.Resize(J, hidden);
   for (size_t i = 0; i < out_weight_.size(); ++i) {
     out_weight_.data()[i] =
@@ -259,12 +260,7 @@ double MultVaeModel::TrainStep(const std::vector<SparseRow>& rows,
   }
 
   // ---- Decoder forward: full softmax over all J columns ----
-  Matrix hdec_pre;
-  dec_->Forward(z, &hdec_pre);
-  Matrix hdec = hdec_pre;
-  for (size_t i = 0; i < hdec.size(); ++i) {
-    hdec.data()[i] = std::tanh(hdec.data()[i]);
-  }
+  const Matrix& hdec = dec_->Forward(z);
   Matrix logits;
   GemmNT(hdec, out_weight_, &logits);  // batch x J
   for (size_t i = 0; i < batch; ++i) {
@@ -301,18 +297,9 @@ double MultVaeModel::TrainStep(const std::vector<SparseRow>& rows,
   Matrix hdec_grad;
   Gemm(logits_grad, out_weight_, &hdec_grad);  // batch x hidden
   GemmTN(logits_grad, hdec, &out_weight_grad_);  // J x hidden
-  out_bias_grad_.SetZero();
-  for (size_t i = 0; i < batch; ++i) {
-    const float* g = logits_grad.Row(i);
-    float* ob = out_bias_grad_.Row(0);
-    for (size_t j = 0; j < J; ++j) ob[j] += g[j];
-  }
-  for (size_t i = 0; i < hdec_grad.size(); ++i) {
-    const float y = hdec.data()[i];
-    hdec_grad.data()[i] *= (1.0f - y * y);
-  }
+  nn::ColumnSums(logits_grad, &out_bias_grad_);
   Matrix z_grad;
-  dec_->Backward(hdec_grad, &z_grad);
+  dec_->Backward(z, &hdec_grad, &z_grad);
 
   // ---- KL / prior terms ----
   Matrix mu_grad(batch, latent);
@@ -401,21 +388,13 @@ double MultVaeModel::TrainStep(const std::vector<SparseRow>& rows,
 
   // ---- Heads -> h1 -> embedding scatter ----
   Matrix h1_grad_mu, h1_grad_lv;
-  mu_head_->Backward(mu_grad, &h1_grad_mu);
+  mu_head_->Backward(h1, mu_grad, &h1_grad_mu);
   if (variational) {
-    logvar_head_->Backward(logvar_grad, &h1_grad_lv);
+    logvar_head_->Backward(h1, logvar_grad, &h1_grad_lv);
     h1_grad_mu.Add(h1_grad_lv);
   }
-  for (size_t i = 0; i < h1_grad_mu.size(); ++i) {
-    const float y = h1.data()[i];
-    h1_grad_mu.data()[i] *= (1.0f - y * y);
-  }
-  b1_grad_.SetZero();
-  for (size_t i = 0; i < batch; ++i) {
-    const float* g = h1_grad_mu.Row(i);
-    float* bg = b1_grad_.Row(0);
-    for (size_t d = 0; d < hidden; ++d) bg[d] += g[d];
-  }
+  nn::TanhBackward(h1, &h1_grad_mu);
+  nn::ColumnSums(h1_grad_mu, &b1_grad_);
   for (size_t i = 0; i < batch; ++i) {
     const float* g = h1_grad_mu.Row(i);
     const SparseRow& row = dropped[i];
@@ -445,12 +424,8 @@ Matrix MultVaeModel::Score(const MultiFieldDataset& input,
                            std::span<const uint32_t> users, size_t field,
                            std::span<const uint64_t> candidates) const {
   const Matrix z = Embed(input, users);
-  Matrix hdec_pre;
-  dec_->Forward(z, &hdec_pre);
-  Matrix hdec = hdec_pre;
-  for (size_t i = 0; i < hdec.size(); ++i) {
-    hdec.data()[i] = std::tanh(hdec.data()[i]);
-  }
+  std::vector<Matrix> blocks;
+  const Matrix& hdec = dec_->Infer(z, &blocks);
   Matrix scores(users.size(), candidates.size());
   for (size_t c = 0; c < candidates.size(); ++c) {
     auto col = indexer_.Column(static_cast<uint32_t>(field), candidates[c]);

@@ -10,6 +10,7 @@
 #include "eval/representation_model.h"
 #include "math/matrix.h"
 #include "nn/dense.h"
+#include "nn/mlp.h"
 #include "nn/optimizer.h"
 
 namespace fvae::baselines {
@@ -125,7 +126,7 @@ class MultVaeModel : public eval::RepresentationModel {
   std::unique_ptr<nn::DenseLayer> mu_head_;      // hidden -> latent
   std::unique_ptr<nn::DenseLayer> logvar_head_;  // hidden -> latent (VAE)
   // Decoder.
-  std::unique_ptr<nn::DenseLayer> dec_;          // latent -> hidden
+  std::unique_ptr<nn::Mlp> dec_;  // latent -> hidden, one tanh block
   Matrix out_weight_;   // J x hidden
   Matrix out_weight_grad_;
   Matrix out_bias_;     // 1 x J

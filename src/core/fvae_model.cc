@@ -107,8 +107,7 @@ FieldVae::FieldVae(const FvaeConfig& config,
   first_bias_grad_.Resize(1, h1);
 
   if (config_.encoder_hidden.size() > 1) {
-    encoder_trunk_ = std::make_unique<nn::Mlp>(config_.encoder_hidden, rng_,
-                                               /*activate_output=*/true);
+    encoder_trunk_ = std::make_unique<nn::Mlp>(config_.encoder_hidden, rng_);
   }
   mu_head_ = std::make_unique<nn::DenseLayer>(enc_out, config_.latent_dim,
                                               rng_);
@@ -118,8 +117,7 @@ FieldVae::FieldVae(const FvaeConfig& config,
   std::vector<size_t> dec_dims;
   dec_dims.push_back(config_.latent_dim);
   for (size_t d : config_.decoder_hidden) dec_dims.push_back(d);
-  decoder_trunk_ = std::make_unique<nn::Mlp>(dec_dims, rng_,
-                                             /*activate_output=*/true);
+  decoder_trunk_ = std::make_unique<nn::Mlp>(dec_dims, rng_);
 
   std::vector<nn::ParamRef> dense_params;
   dense_params.push_back({&first_bias_, &first_bias_grad_});
@@ -133,10 +131,10 @@ FieldVae::FieldVae(const FvaeConfig& config,
 
 FieldVae::~FieldVae() = default;
 
-void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
-                                 std::span<const uint32_t> users,
-                                 ThreadPool* pool, Matrix* mu,
-                                 Matrix* logvar) {
+const Matrix& FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
+                                          std::span<const uint32_t> users,
+                                          ThreadPool* pool, Matrix* mu,
+                                          Matrix* logvar) {
   FVAE_CHECK(dataset.num_fields() == field_schemas_.size())
       << "dataset field count mismatch";
   const size_t batch = users.size();
@@ -188,18 +186,15 @@ void FieldVae::EncodeForTraining(const MultiFieldDataset& dataset,
   });
   gather_span.End();
 
-  const Matrix* enc_out = &h1;
-  Matrix trunk_out;
-  if (encoder_trunk_) {
-    encoder_trunk_->Forward(h1, &trunk_out, pool);
-    enc_out = &trunk_out;
-  }
-  mu_head_->Forward(*enc_out, mu, pool);
-  logvar_head_->Forward(*enc_out, logvar, pool);
+  const Matrix& enc_out =
+      encoder_trunk_ ? encoder_trunk_->Forward(h1, pool) : h1;
+  mu_head_->Forward(enc_out, mu, pool);
+  logvar_head_->Forward(enc_out, logvar, pool);
   // Clamped for numeric safety: exp() in the KL term and reparameterization.
   for (size_t i = 0; i < logvar->size(); ++i) {
     logvar->data()[i] = std::clamp(logvar->data()[i], -10.0f, 10.0f);
   }
+  return enc_out;
 }
 
 template <typename UserFieldFeatures>
@@ -223,13 +218,9 @@ void FieldVae::EncodeMu(size_t batch, const UserFieldFeatures& features,
     }, h1.Row(i));
   }
   // The const inference pass writes only into the caller's scratch.
-  const Matrix* enc_out = &h1;
-  if (encoder_trunk_) {
-    encoder_trunk_->Infer(h1, &scratch->trunk_out,
-                          &scratch->trunk_activations);
-    enc_out = &scratch->trunk_out;
-  }
-  mu_head_->Infer(*enc_out, mu);
+  const Matrix& enc_out =
+      encoder_trunk_ ? encoder_trunk_->Infer(h1, &scratch->trunk) : h1;
+  mu_head_->Infer(enc_out, mu);
 }
 
 Matrix FieldVae::Encode(const MultiFieldDataset& dataset,
@@ -270,10 +261,9 @@ void FieldVae::EncodeFoldInInto(std::span<const RawUserFeatures* const> users,
 }
 
 Matrix FieldVae::DecoderHidden(const Matrix& z) const {
-  Matrix hidden;
-  std::vector<Matrix> activations;
-  decoder_trunk_->Infer(z, &hidden, &activations);
-  return hidden;
+  std::vector<Matrix> blocks;
+  decoder_trunk_->Infer(z, &blocks);
+  return std::move(blocks.back());
 }
 
 Matrix FieldVae::ScoreField(const Matrix& z, size_t k,
@@ -433,7 +423,8 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
   }
 
   Matrix mu, logvar;
-  EncodeForTraining(dataset, users, pool, &mu, &logvar);
+  const Matrix& enc_out =
+      EncodeForTraining(dataset, users, pool, &mu, &logvar);
 
   // ---- Reparameterization ----
   // std_dev = exp(0.5 * logvar), computed once through the vectorized exp
@@ -449,8 +440,7 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
   }
 
   // ---- Decoder trunk forward ----
-  Matrix hdec;
-  decoder_trunk_->Forward(z, &hdec, pool);
+  const Matrix& hdec = decoder_trunk_->Forward(z, pool);
   const size_t dec_dim = hdec.cols();
   Matrix hdec_grad(batch, dec_dim);
   forward_span.End();
@@ -567,7 +557,7 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
 
   // ---- Backward: decoder trunk -> z -> (mu, logvar) ----
   Matrix z_grad;
-  decoder_trunk_->Backward(hdec_grad, &z_grad, pool);
+  decoder_trunk_->Backward(z, &hdec_grad, &z_grad, pool);
 
   Matrix mu_grad = z_grad;
   Matrix logvar_grad(batch, latent);
@@ -580,31 +570,20 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
 
   // ---- Heads -> encoder trunk -> first layer ----
   Matrix henc_grad_mu, henc_grad_logvar;
-  mu_head_->Backward(mu_grad, &henc_grad_mu, pool);
-  logvar_head_->Backward(logvar_grad, &henc_grad_logvar, pool);
+  mu_head_->Backward(enc_out, mu_grad, &henc_grad_mu, pool);
+  logvar_head_->Backward(enc_out, logvar_grad, &henc_grad_logvar, pool);
   henc_grad_mu.Add(henc_grad_logvar);
 
   Matrix h1_grad;
   if (encoder_trunk_) {
-    encoder_trunk_->Backward(henc_grad_mu, &h1_grad, pool);
+    encoder_trunk_->Backward(scratch.h1, &henc_grad_mu, &h1_grad, pool);
   } else {
     h1_grad = std::move(henc_grad_mu);
   }
 
-  // tanh backward of the first layer.
-  const size_t h1_dim = config_.encoder_hidden.front();
-  FVAE_CHECK(h1_grad.rows() == batch && h1_grad.cols() == h1_dim);
-  for (size_t i = 0; i < h1_grad.size(); ++i) {
-    const float y = scratch.h1.data()[i];
-    h1_grad.data()[i] *= (1.0f - y * y);
-  }
-
-  first_bias_grad_.SetZero();
-  for (size_t i = 0; i < batch; ++i) {
-    const float* g = h1_grad.Row(i);
-    float* bg = first_bias_grad_.Row(0);
-    for (size_t d = 0; d < h1_dim; ++d) bg[d] += g[d];
-  }
+  // The first layer's tanh and bias.
+  nn::TanhBackward(scratch.h1, &h1_grad);
+  nn::ColumnSums(h1_grad, &first_bias_grad_);
 
   obs::TraceSpan scatter_span("train.embed.scatter");
   for (size_t k = 0; k < num_fields; ++k) {

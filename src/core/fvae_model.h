@@ -107,17 +107,16 @@ class FieldVae {
   /// feature IDs are skipped (cold-feature behaviour, same as Encode).
   ///
   /// Safe for concurrent callers: the encoder layers run their const
-  /// inference pass (nn::Layer::Infer), which writes only into the
-  /// caller's scratch. Training must not run concurrently.
+  /// inference pass (nn::Mlp::Infer, nn::DenseLayer::Infer), which writes
+  /// only into the caller's scratch. Training must not run concurrently.
   Matrix EncodeFoldIn(std::span<const RawUserFeatures* const> users) const;
 
   /// Reusable scratch for EncodeFoldInInto. Keeping one alive across calls
   /// (one per thread) makes a warmed-up fold-in encode allocation-free: the
   /// matrices only grow to the high-water batch shape.
   struct FoldInScratch {
-    Matrix h1;         // batch x encoder_hidden[0]
-    Matrix trunk_out;  // batch x encoder_hidden.back(), when trunk exists
-    std::vector<Matrix> trunk_activations;  // the trunk's per-layer outputs
+    Matrix h1;                  // batch x encoder_hidden[0]
+    std::vector<Matrix> trunk;  // the encoder trunk's block outputs
   };
 
   /// Allocation-conscious fold-in encode: writes the posterior means
@@ -197,10 +196,13 @@ class FieldVae {
   /// Training encoder forward: resolves every (user, field, feature) to an
   /// input-table row on this thread (growing the tables), then initializes
   /// new rows and computes the first layer on `pool`. Leaves the batch's
-  /// input refs and first-layer activations in step_scratch_ for backprop.
-  void EncodeForTraining(const MultiFieldDataset& dataset,
-                         std::span<const uint32_t> users, ThreadPool* pool,
-                         Matrix* mu, Matrix* logvar);
+  /// input refs and first-layer activations in step_scratch_ for backprop
+  /// and returns the heads' input (h1 or the encoder trunk's output), which
+  /// stays valid until the next step.
+  const Matrix& EncodeForTraining(const MultiFieldDataset& dataset,
+                                  std::span<const uint32_t> users,
+                                  ThreadPool* pool, Matrix* mu,
+                                  Matrix* logvar);
 
   /// Per field in order: batch union, sampling (rng_), candidate columns
   /// and deferred output-table rows into step_scratch_, then signals the

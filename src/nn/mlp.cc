@@ -1,74 +1,83 @@
 #include "nn/mlp.h"
 
+#include <utility>
+
 #include "common/check.h"
-#include "nn/activations.h"
+#include "common/thread_pool.h"
+#include "math/kernels/kernel_table.h"
 
 namespace fvae::nn {
 
 namespace {
-// The layer chain behind Forward and Infer: layer i reads layer i-1's
-// output from `activations` and `step` runs one layer's pass.
-template <typename Step>
-void RunLayers(const std::vector<std::unique_ptr<Layer>>& layers,
-               const Matrix& input, Matrix* output,
-               std::vector<Matrix>* activations, Step step) {
-  // Fixed-size after the first pass (layer count never changes), so this
-  // is a no-op on every warmed-up call.
-  activations->resize(layers.size());  // fvae-lint: allow(hot-alloc)
-  const Matrix* current = &input;
+// Rows [lo, hi) of one block, out = tanh(in * W + b); out is already sized.
+void BlockRows(const DenseLayer& layer, const Matrix& in, size_t lo,
+               size_t hi, Matrix* out) {
+  layer.AffineRows(in, lo, hi, out);
+  Kernels().tanh_inplace(out->Row(lo), (hi - lo) * out->cols());
+}
+
+// The block chain behind Forward and Infer: block i reads block i-1's
+// output from `outputs`, and `pass` fills one block's output rows.
+template <typename Pass>
+const Matrix& RunBlocks(const std::vector<DenseLayer>& layers,
+                        const Matrix& input, std::vector<Matrix>* outputs,
+                        Pass pass) {
+  // Fixed-size after the first pass (the block count never changes), so
+  // this is a no-op on every warmed-up call.
+  outputs->resize(layers.size());  // fvae-lint: allow(hot-alloc)
+  const Matrix* in = &input;
   for (size_t i = 0; i < layers.size(); ++i) {
-    step(*layers[i], *current, &(*activations)[i]);
-    current = &(*activations)[i];
+    Matrix& out = (*outputs)[i];
+    out.Resize(in->rows(), layers[i].out_dim());
+    pass(layers[i], *in, &out);
+    in = &out;
   }
-  *output = *current;  // capacity-reusing copy once *output has seen the shape
+  return *in;
 }
 }  // namespace
 
-Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng, bool activate_output) {
+Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   FVAE_CHECK(dims.size() >= 2) << "Mlp needs at least input and output dims";
-  in_dim_ = dims.front();
-  out_dim_ = dims.back();
+  layers_.reserve(dims.size() - 1);
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
-    layers_.push_back(std::make_unique<DenseLayer>(dims[i], dims[i + 1], rng));
-    ++num_dense_;
-    const bool is_last = i + 2 == dims.size();
-    if (!is_last || activate_output) {
-      layers_.push_back(std::make_unique<TanhLayer>());
-    }
+    layers_.emplace_back(dims[i], dims[i + 1], rng);
   }
 }
 
-void Mlp::Forward(const Matrix& input, Matrix* output, ThreadPool* pool) {
-  RunLayers(layers_, input, output, &activations_,
-            [pool](Layer& layer, const Matrix& in, Matrix* out) {
-              layer.Forward(in, out, pool);
-            });
+const Matrix& Mlp::Forward(const Matrix& input, ThreadPool* pool) {
+  return RunBlocks(layers_, input, &outputs_,
+                   [pool](const DenseLayer& layer, const Matrix& in,
+                          Matrix* out) {
+                     ParallelForRange(pool, 0, in.rows(), kGemmRowTile,
+                                      [&](size_t lo, size_t hi) {
+                                        BlockRows(layer, in, lo, hi, out);
+                                      });
+                   });
 }
 
-void Mlp::Infer(const Matrix& input, Matrix* output,
-                std::vector<Matrix>* scratch) const {
-  FVAE_CHECK(scratch != nullptr) << "Mlp::Infer needs caller-owned scratch";
-  RunLayers(layers_, input, output, scratch,
-            [](const Layer& layer, const Matrix& in, Matrix* out) {
-              layer.Infer(in, out);
-            });
+const Matrix& Mlp::Infer(const Matrix& input,
+                         std::vector<Matrix>* scratch) const {
+  return RunBlocks(layers_, input, scratch,
+                   [](const DenseLayer& layer, const Matrix& in,
+                      Matrix* out) {
+                     BlockRows(layer, in, 0, in.rows(), out);
+                   });
 }
 
-void Mlp::Backward(const Matrix& grad_output, Matrix* grad_input,
+void Mlp::Backward(const Matrix& input, Matrix* grad, Matrix* grad_input,
                    ThreadPool* pool) {
-  FVAE_CHECK(!layers_.empty());
-  Matrix grad = grad_output;
+  FVAE_CHECK(outputs_.size() == layers_.size()) << "Backward before Forward";
   Matrix next;
   for (size_t i = layers_.size(); i-- > 0;) {
-    const bool need_input_grad = (i > 0) || (grad_input != nullptr);
-    layers_[i]->Backward(grad, need_input_grad ? &next : nullptr, pool);
-    if (need_input_grad) grad = std::move(next);
+    TanhBackward(outputs_[i], grad);
+    const Matrix& in = i > 0 ? outputs_[i - 1] : input;
+    layers_[i].Backward(in, *grad, i > 0 ? &next : grad_input, pool);
+    if (i > 0) std::swap(*grad, next);
   }
-  if (grad_input != nullptr) *grad_input = std::move(grad);
 }
 
 void Mlp::CollectParams(std::vector<ParamRef>* out) {
-  for (auto& layer : layers_) layer->CollectParams(out);
+  for (DenseLayer& layer : layers_) layer.CollectParams(out);
 }
 
 }  // namespace fvae::nn

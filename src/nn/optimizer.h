@@ -3,9 +3,15 @@
 
 #include <vector>
 
-#include "nn/layer.h"
+#include "math/matrix.h"
 
 namespace fvae::nn {
+
+/// A trainable parameter: value plus its gradient, both owned by a layer.
+struct ParamRef {
+  Matrix* value = nullptr;
+  Matrix* grad = nullptr;
+};
 
 /// Adam (Kingma & Ba) with bias correction, the dense-parameter optimizer
 /// of Algorithm 1. Layers fill gradients in Backward; Step consumes and

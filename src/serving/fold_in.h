@@ -15,7 +15,7 @@ namespace fvae::serving {
 /// materialized offline.
 ///
 /// Lock-free and safe for any number of concurrent callers: the model's
-/// fold-in pass is const (nn::Layer::Infer), and each calling thread keeps
+/// fold-in pass is const (the layers' Infer), and each calling thread keeps
 /// its own FieldVae::FoldInScratch, so the RPC workers encode in parallel.
 class FvaeFoldInEncoder {
  public:

@@ -4,17 +4,17 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "grad_check.h"
 #include "math/kernels/kernel_table.h"
 #include "math/matrix.h"
 #include "math/vector_ops.h"
-#include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 #include "nn/losses.h"
@@ -23,66 +23,6 @@
 
 namespace fvae::nn {
 namespace {
-
-/// Numerical gradient check of a layer: loss = sum(weights ⊙ layer(input)).
-/// Checks both the input gradient and every parameter gradient against
-/// central differences.
-void CheckLayerGradients(Layer& layer, Matrix input, double tolerance,
-                         uint64_t seed) {
-  Rng rng(seed);
-  Matrix output;
-  layer.Forward(input, &output);
-  Matrix loss_weights = Matrix::Gaussian(output.rows(), output.cols(), 1.0f,
-                                         rng);
-
-  auto loss_of = [&](const Matrix& in) {
-    Matrix out;
-    layer.Forward(in, &out);
-    double total = 0.0;
-    for (size_t i = 0; i < out.size(); ++i) {
-      total += double(out.data()[i]) * loss_weights.data()[i];
-    }
-    return total;
-  };
-
-  // Analytic gradients.
-  layer.Forward(input, &output);
-  Matrix input_grad;
-  layer.Backward(loss_weights, &input_grad);
-
-  // Input gradient vs central differences.
-  const float h = 1e-3f;
-  for (size_t i = 0; i < input.size(); ++i) {
-    Matrix plus = input, minus = input;
-    plus.data()[i] += h;
-    minus.data()[i] -= h;
-    const double numeric = (loss_of(plus) - loss_of(minus)) / (2.0 * h);
-    ASSERT_NEAR(input_grad.data()[i], numeric, tolerance)
-        << "input grad element " << i;
-  }
-
-  // Parameter gradients.
-  std::vector<ParamRef> params;
-  layer.CollectParams(&params);
-  // Recompute analytic grads (loss_of calls overwrote caches).
-  layer.Forward(input, &output);
-  layer.Backward(loss_weights, &input_grad);
-  for (size_t p = 0; p < params.size(); ++p) {
-    Matrix& value = *params[p].value;
-    const Matrix analytic = *params[p].grad;
-    for (size_t i = 0; i < value.size(); ++i) {
-      const float original = value.data()[i];
-      value.data()[i] = original + h;
-      const double lp = loss_of(input);
-      value.data()[i] = original - h;
-      const double lm = loss_of(input);
-      value.data()[i] = original;
-      const double numeric = (lp - lm) / (2.0 * h);
-      ASSERT_NEAR(analytic.data()[i], numeric, tolerance)
-          << "param " << p << " element " << i;
-    }
-  }
-}
 
 TEST(DenseLayerTest, ForwardMatchesManual) {
   Rng rng(1);
@@ -101,7 +41,7 @@ TEST(DenseLayerTest, GradientsMatchNumerical) {
   Rng rng(2);
   DenseLayer layer(4, 3, rng);
   Matrix input = Matrix::Gaussian(5, 4, 1.0f, rng);
-  CheckLayerGradients(layer, input, 2e-2, 77);
+  EXPECT_LT(MaxGradientError(layer, input, 77), 2e-2);
 }
 
 TEST(DenseLayerTest, NullGradInputSkipsInputGradient) {
@@ -111,30 +51,32 @@ TEST(DenseLayerTest, NullGradInputSkipsInputGradient) {
   Matrix output;
   layer.Forward(input, &output);
   Matrix grad_out(3, 2, 1.0f);
-  layer.Backward(grad_out, nullptr);  // must not crash
+  layer.Backward(input, grad_out, nullptr);  // must not crash
   SUCCEED();
 }
 
-TEST(ActivationTest, TanhGradients) {
-  TanhLayer layer;
+// One tanh block: the tanh backward on its own dense layer's output.
+TEST(MlpTest, OneBlockGradientsMatchNumerical) {
   Rng rng(4);
-  CheckLayerGradients(layer, Matrix::Gaussian(4, 6, 1.0f, rng), 1e-2, 5);
+  Mlp mlp({6, 6}, rng);
+  EXPECT_LT(MaxGradientError(mlp, Matrix::Gaussian(4, 6, 1.0f, rng), 5),
+            1e-2);
 }
 
-// Three dense layers with two tanh layers between them, so the backward
-// pass chains through an interior dense layer, not just the two ends.
+// Three blocks, so the backward pass chains through an interior dense
+// layer, not just the two ends.
 TEST(MlpTest, GradientsMatchNumerical) {
   Rng rng(10);
   Mlp mlp({7, 5, 3, 2}, rng);
-  CheckLayerGradients(mlp, Matrix::Gaussian(4, 7, 1.0f, rng), 3e-2, 11);
+  EXPECT_LT(MaxGradientError(mlp, Matrix::Gaussian(4, 7, 1.0f, rng), 11),
+            3e-2);
 }
 
-TEST(MlpTest, ActivateOutputChangesRange) {
+TEST(MlpTest, OutputBoundedByOne) {
   Rng rng(12);
-  Mlp bounded({2, 4, 4}, rng, /*activate_output=*/true);
+  Mlp mlp({2, 4, 4}, rng);
   Matrix input = Matrix::Gaussian(8, 2, 10.0f, rng);
-  Matrix output;
-  bounded.Forward(input, &output);
+  const Matrix& output = mlp.Forward(input);
   for (size_t i = 0; i < output.size(); ++i) {
     EXPECT_LE(std::fabs(output.data()[i]), 1.0f);
   }
@@ -155,68 +97,81 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+Matrix InferOf(const DenseLayer& layer, const Matrix& input,
+               std::vector<Matrix>* /*scratch*/) {
+  Matrix out;
+  layer.Infer(input, &out);
+  return out;
+}
+Matrix InferOf(const Mlp& mlp, const Matrix& input,
+               std::vector<Matrix>* scratch) {
+  return mlp.Infer(input, scratch);
+}
+
+/// Compares the parameter gradients of two twin layers bit for bit.
+template <typename Net>
+void ExpectSameParamGrads(Net& a, Net& b, const std::string& where) {
+  std::vector<ParamRef> a_params, b_params;
+  a.CollectParams(&a_params);
+  b.CollectParams(&b_params);
+  ASSERT_EQ(a_params.size(), b_params.size());
+  for (size_t i = 0; i < a_params.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(*a_params[i].grad, *b_params[i].grad))
+        << where << " parameter " << i;
+  }
+}
+
 /// Checks Infer against Forward on two twin layers built by `make`:
 ///  - Infer's output equals Forward's bit for bit, also on a warm scratch
 ///    that last saw a different batch shape;
-///  - Infer leaves Forward's cache alone: a Backward after an interleaved
+///  - Infer leaves Forward's state alone: a Backward after an interleaved
 ///    Infer on other data matches the twin's Backward bit for bit.
-void ExpectInferMatchesForward(
-    const std::function<std::unique_ptr<Layer>()>& make, size_t in_dim,
-    uint64_t seed) {
+template <typename Make>
+void ExpectInferMatchesForward(const Make& make, size_t in_dim,
+                               uint64_t seed) {
   Rng rng(seed);
   const Matrix x = Matrix::Gaussian(5, in_dim, 1.0f, rng);
   const Matrix other = Matrix::Gaussian(3, in_dim, 1.0f, rng);
-  std::unique_ptr<Layer> plain = make();
-  std::unique_ptr<Layer> probed = make();
+  auto plain = make();
+  auto probed = make();
 
-  Matrix forward_out;
-  plain->Forward(x, &forward_out);
-  const Layer& frozen = *probed;
-  Matrix infer_out;
+  const Matrix forward_out = ForwardOf(plain, x);
   std::vector<Matrix> scratch;
-  frozen.Infer(other, &infer_out, &scratch);  // warms scratch at 3 rows
-  frozen.Infer(x, &infer_out, &scratch);
-  EXPECT_TRUE(BitwiseEqual(forward_out, infer_out));
+  InferOf(probed, other, &scratch);  // warms scratch at 3 rows
+  EXPECT_TRUE(BitwiseEqual(forward_out, InferOf(probed, x, &scratch)));
 
-  Matrix probed_out;
-  probed->Forward(x, &probed_out);
-  frozen.Infer(other, &infer_out, &scratch);  // between Forward and Backward
+  ForwardOf(probed, x);
+  InferOf(probed, other, &scratch);  // between Forward and Backward
   const Matrix grad = Matrix::Gaussian(x.rows(), forward_out.cols(), 1.0f,
                                        rng);
-  Matrix plain_grad_in, probed_grad_in;
-  plain->Backward(grad, &plain_grad_in);
-  probed->Backward(grad, &probed_grad_in);
-  EXPECT_TRUE(BitwiseEqual(plain_grad_in, probed_grad_in));
-  std::vector<ParamRef> plain_params, probed_params;
-  plain->CollectParams(&plain_params);
-  probed->CollectParams(&probed_params);
-  ASSERT_EQ(plain_params.size(), probed_params.size());
-  for (size_t i = 0; i < plain_params.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(*plain_params[i].grad, *probed_params[i].grad))
-        << "parameter " << i;
-  }
+  EXPECT_TRUE(BitwiseEqual(BackwardOf(plain, x, grad),
+                           BackwardOf(probed, x, grad)));
+  ExpectSameParamGrads(plain, probed, "infer");
 }
 
 TEST(InferTest, DenseMatchesForward) {
   ExpectInferMatchesForward(
       [] {
         Rng rng(21);
-        return std::make_unique<DenseLayer>(6, 4, rng);
+        return DenseLayer(6, 4, rng);
       },
       6, 1);
 }
 
-TEST(InferTest, TanhMatchesForward) {
-  ExpectInferMatchesForward([] { return std::make_unique<TanhLayer>(); }, 7,
-                            2);
+TEST(InferTest, OneBlockMlpMatchesForward) {
+  ExpectInferMatchesForward(
+      [] {
+        Rng rng(22);
+        return Mlp({7, 7}, rng);
+      },
+      7, 2);
 }
 
 TEST(InferTest, MlpMatchesForward) {
   ExpectInferMatchesForward(
       [] {
         Rng rng(23);
-        return std::make_unique<Mlp>(std::vector<size_t>{6, 8, 5, 3}, rng,
-                                     /*activate_output=*/true);
+        return Mlp({6, 8, 5, 3}, rng);
       },
       6, 4);
 }
@@ -224,32 +179,32 @@ TEST(InferTest, MlpMatchesForward) {
 /// Checks a pooled Forward against the serial one on twin layers built by
 /// `make`, for pools of 1, 2 and 4 and batches that end the row split in
 /// 8-row tiles, 4-row tiles and single rows: the output is bitwise the
-/// serial Forward's and Infer's, and the cache it leaves gives bitwise the
-/// serial Backward.
-void ExpectPooledForwardMatchesSerial(
-    const std::function<std::unique_ptr<Layer>()>& make, size_t in_dim,
-    uint64_t seed) {
+/// serial Forward's and Infer's, and the pooled Backward gives bitwise the
+/// serial input and parameter gradients.
+template <typename Make>
+void ExpectPooledForwardMatchesSerial(const Make& make, size_t in_dim,
+                                      uint64_t seed) {
   Rng rng(seed);
   for (size_t rows : {1, 5, 8, 13, 64, 131}) {
     const Matrix x = Matrix::Gaussian(rows, in_dim, 1.0f, rng);
-    std::unique_ptr<Layer> serial = make();
-    Matrix want, infer_out, want_grad_in;
+    auto serial = make();
     std::vector<Matrix> scratch;
-    serial->Forward(x, &want);
-    static_cast<const Layer&>(*serial).Infer(x, &infer_out, &scratch);
-    ASSERT_TRUE(BitwiseEqual(want, infer_out)) << "rows=" << rows;
+    const Matrix want = ForwardOf(serial, x);
+    ASSERT_TRUE(BitwiseEqual(want, InferOf(serial, x, &scratch)))
+        << "rows=" << rows;
     const Matrix grad = Matrix::Gaussian(rows, want.cols(), 1.0f, rng);
-    serial->Backward(grad, &want_grad_in);
+    const Matrix want_grad_in = BackwardOf(serial, x, grad);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       ThreadPool pool(threads);
-      std::unique_ptr<Layer> pooled = make();
-      Matrix got, got_grad_in;
-      pooled->Forward(x, &got, &pool);
-      EXPECT_TRUE(BitwiseEqual(got, want))
+      auto pooled = make();
+      EXPECT_TRUE(BitwiseEqual(ForwardOf(pooled, x, &pool), want))
           << "rows=" << rows << " threads=" << threads;
-      pooled->Backward(grad, &got_grad_in, &pool);
-      EXPECT_TRUE(BitwiseEqual(got_grad_in, want_grad_in))
+      EXPECT_TRUE(BitwiseEqual(BackwardOf(pooled, x, grad, &pool),
+                               want_grad_in))
           << "rows=" << rows << " threads=" << threads;
+      ExpectSameParamGrads(pooled, serial,
+                           "rows=" + std::to_string(rows) +
+                               " threads=" + std::to_string(threads));
     }
   }
 }
@@ -258,22 +213,25 @@ TEST(PooledForwardTest, DenseMatchesSerial) {
   ExpectPooledForwardMatchesSerial(
       [] {
         Rng rng(31);
-        return std::make_unique<DenseLayer>(37, 45, rng);
+        return DenseLayer(37, 45, rng);
       },
       37, 5);
 }
 
-TEST(PooledForwardTest, TanhMatchesSerial) {
+TEST(PooledForwardTest, OneBlockMlpMatchesSerial) {
   ExpectPooledForwardMatchesSerial(
-      [] { return std::make_unique<TanhLayer>(); }, 33, 6);
+      [] {
+        Rng rng(33);
+        return Mlp({33, 33}, rng);
+      },
+      33, 6);
 }
 
 TEST(PooledForwardTest, TwoLayerMlpMatchesSerial) {
   ExpectPooledForwardMatchesSerial(
       [] {
         Rng rng(37);
-        return std::make_unique<Mlp>(std::vector<size_t>{24, 40, 16}, rng,
-                                     /*activate_output=*/true);
+        return Mlp({24, 40, 16}, rng);
       },
       24, 7);
 }
