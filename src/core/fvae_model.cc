@@ -514,9 +514,8 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
           std::fill(row, row + num_cand, 0.0f);
           continue;
         }
-        scratch.row_nll[i] =
-            nn::MultinomialNllInPlace({row, num_cand}, counts, touched);
-        for (size_t c = 0; c < num_cand; ++c) row[c] *= weight;
+        scratch.row_nll[i] = nn::MultinomialNllInPlace({row, num_cand}, counts,
+                                                       touched, weight);
         for (uint32_t p : touched) counts[p] = 0.0f;
       }
       GemmStripsRows(logits_grad, scratch.wc_panel.data(), &hdec_grad, lo,

@@ -60,19 +60,19 @@ double MultinomialNll(std::span<const float> logits,
                       std::span<const float> counts, std::span<float> grad) {
   FVAE_CHECK(grad.size() == logits.size()) << "grad size mismatch";
   std::copy(logits.begin(), logits.end(), grad.begin());
-  return MultinomialNllInPlace(grad, counts, {});
+  return MultinomialNllInPlace(grad, counts, {}, 1.0f);
 }
 
 double MultinomialNll(std::span<const float> logits,
                       std::span<const float> counts) {
   // No caller-owned buffer to work in: the gradient lands in a scratch row.
   std::vector<float> row(logits.begin(), logits.end());
-  return MultinomialNllInPlace(row, counts, {});
+  return MultinomialNllInPlace(row, counts, {}, 1.0f);
 }
 
 double MultinomialNllInPlace(std::span<float> row,
                              std::span<const float> counts,
-                             std::span<uint32_t> touched) {
+                             std::span<uint32_t> touched, float grad_scale) {
   FVAE_CHECK(row.size() == counts.size()) << "logits/counts mismatch";
   if (row.empty()) return 0.0;
   Kernels().log_softmax_inplace(row.data(), row.size());  // stable
@@ -90,13 +90,14 @@ double MultinomialNllInPlace(std::span<float> row,
   } else {
     for (uint32_t j : touched) add(j);
   }
-  // grad = total_count * softmax - counts, via the ISA-dispatched kernel.
+  // grad = (total_count * softmax - counts) * grad_scale, via the
+  // ISA-dispatched kernel.
   // Candidates whose softmax mass underflows below FLT_MIN are flushed to
   // exactly zero there, so the gradient never feeds subnormal garbage into
   // the optimizer even when FVAE_FTZ=0.
   Kernels().multinomial_grad(row.data(), counts.data(),
-                             static_cast<float>(total_count), row.data(),
-                             row.size());
+                             static_cast<float>(total_count), grad_scale,
+                             row.data(), row.size());
   return loss;
 }
 

@@ -41,7 +41,8 @@ double MultinomialNll(std::span<const float> logits,
                       std::span<const float> counts);
 
 /// The one multinomial NLL body, in place: `row` (C logits) becomes the
-/// gradient N * softmax - counts; returns -sum_j counts[j] * log_softmax_j.
+/// gradient (N * softmax - counts) * grad_scale, the difference rounded
+/// before the scale multiplies it; returns -sum_j counts[j] * log_softmax_j.
 /// N and the loss sum in double, ascending j, over `touched` only (every j
 /// with a non-zero count, in any order and repeated at will; sorted in
 /// place): bitwise the dense sum, as each skipped term is an exact zero.
@@ -49,7 +50,7 @@ double MultinomialNll(std::span<const float> logits,
 /// still makes the loss NaN.
 double MultinomialNllInPlace(std::span<float> row,
                              std::span<const float> counts,
-                             std::span<uint32_t> touched);
+                             std::span<uint32_t> touched, float grad_scale);
 
 }  // namespace fvae::nn
 
