@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "common/thread_pool.h"
 #include "math/kernels/kernel_table.h"
 
@@ -109,13 +108,10 @@ void EmbeddingTable::RestoreRow(uint64_t key, std::span<const float> weights,
 
 void EmbeddingTable::InitPendingRows(ThreadPool* pool) {
   const auto init_rows = [&](size_t lo, size_t hi) {
+    const KernelTable& kernels = Kernels();
     for (size_t i = lo; i < hi; ++i) {
       const uint32_t row = pending_[i];
-      Rng rng(MixKey(seed_, keys_[row]));
-      float* w = Weights(row);
-      for (size_t d = 0; d < dim_; ++d) {
-        w[d] = static_cast<float>(rng.Normal(0.0, init_stddev_));
-      }
+      kernels.normal_fill(seed_, keys_[row], init_stddev_, Weights(row), dim_);
     }
   };
   ParallelForRange(pool, 0, pending_.size(), /*align=*/1, init_rows);

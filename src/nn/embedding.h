@@ -26,8 +26,9 @@ namespace fvae::nn {
 /// "weights of this ID are randomly initialized and pushed into the hash
 /// table" behaviour, and is what lets the model absorb new features during
 /// training without a fixed vocabulary. A row's initial values are a pure
-/// function of (table seed, key): Rng(MixKey(seed, key)).Normal draws, so
-/// they do not depend on which keys came before it.
+/// function of (table seed, key): one Kernels().normal_fill call, bitwise
+/// the same on every ISA, so they do not depend on which keys came before
+/// it, on the pool or on the CPU.
 ///
 /// The table doubles as (a) the encoder's first-layer weights (embedding
 /// sum over a user's features) and (b) each decoder field head's output
