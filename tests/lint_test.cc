@@ -535,6 +535,55 @@ TEST(HotPathTest, NewExpressionUnderNoallocFires) {
   EXPECT_TRUE(HasRule(findings, "hot-alloc"));
 }
 
+// A sized container or matrix declaration allocates its storage: one
+// fixture per form, reached through a helper as in AffineRows.
+TEST(HotPathTest, SizedVectorUnderNoallocFires) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Helper(size_t n) { std::vector<float> probe(n); }\n"
+      "void Encode() FVAE_HOT FVAE_NOALLOC { Helper(4); }\n"
+      "}  // namespace fvae\n");
+  ASSERT_TRUE(HasRule(findings, "hot-alloc"));
+  EXPECT_NE(findings[0].message.find("Helper"), std::string::npos)
+      << findings[0].message;
+}
+
+TEST(HotPathTest, FilledVectorUnderNoallocFires) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Encode() FVAE_HOT FVAE_NOALLOC {\n"
+      "  std::vector<std::vector<float>> probe(4, {1.0f});\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_TRUE(HasRule(findings, "hot-alloc"));
+}
+
+TEST(HotPathTest, SizedMatrixUnderNoallocFires) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Encode(size_t rows) FVAE_HOT FVAE_NOALLOC {\n"
+      "  Matrix probe(rows, 8);\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_TRUE(HasRule(findings, "hot-alloc"));
+}
+
+// Default constructions and references allocate nothing.
+TEST(HotPathTest, UnsizedDeclarationsUnderNoallocStaySilent) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Encode(const Matrix& in, const std::vector<float>& v)\n"
+      "    FVAE_HOT FVAE_NOALLOC {\n"
+      "  std::vector<float> empty;\n"
+      "  std::vector<float> braced{};\n"
+      "  Matrix none;\n"
+      "  const Matrix& alias = in;\n"
+      "  const std::vector<float>& view(v);\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_FALSE(HasRule(findings, "hot-alloc"));
+}
+
 TEST(HotPathTest, LockAcquisitionOnHotPathFires) {
   const auto findings = AnalyzeOne(
       "namespace fvae {\n"

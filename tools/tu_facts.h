@@ -22,7 +22,8 @@
 ///     observed nesting pairs "Y acquired while X held". Production code
 ///     takes no lock by hand (raw-mutex bans manual .Lock() in src/);
 ///   - heap allocations (`new`, malloc family, make_unique/make_shared,
-///     growing container calls), logging calls and IO touches, each with
+///     growing container calls, sized vector/Matrix declarations), logging
+///     calls and IO touches, each with
 ///     its line — the raw material of the hot-path purity analysis;
 ///   - class-member lock declarations (`Mutex mu_;`) with their
 ///     FVAE_ACQUIRED_BEFORE / FVAE_ACQUIRED_AFTER rank annotations and the
@@ -30,9 +31,11 @@
 ///
 /// The extractor is name-based by design (no overload resolution, no
 /// template instantiation): tools/lint_graph.h links these facts across
-/// files by qualified-name matching. Known blind spots, by construction:
-/// constructor-call allocations (`Matrix m(r, c)`), copy-assignment
-/// allocations (`a = b`), and `operator=` bodies. The runtime
+/// files by qualified-name matching. Sized `std::vector` and `Matrix`
+/// declarations (`std::vector<float> v(n)`, `Matrix m(r, c)`) count as
+/// allocations. Known blind spots, by construction: other constructor-call
+/// allocations (a temporary `Matrix(r, c)`, a copy `Matrix m = other`),
+/// copy-assignment allocations (`a = b`), and `operator=` bodies. The runtime
 /// operator-new witness in serving_test covers what the token level
 /// cannot see (docs/ARCHITECTURE.md §7).
 
@@ -241,6 +244,39 @@ inline bool IsAllocFree(const std::string& ident) {
       "malloc",      "calloc",      "realloc", "strdup", "aligned_alloc",
       "make_unique", "make_shared", "to_string"};
   return kSet.count(ident) > 0;
+}
+
+/// True when tokens[i] opens a sized container or matrix declaration —
+/// `vector<...> name(args)` or `Matrix name(args)`, with `(` or `{` and a
+/// non-empty argument list (`std::vector<float> v(n)`, `v(n, x)`,
+/// `Matrix m(r, c)`) — which allocates its storage. An empty list is a
+/// default construction and allocates nothing.
+inline bool IsSizedConstruction(const std::vector<Tok>& tokens, size_t i) {
+  size_t j = i + 1;
+  if (tokens[i].text == "vector") {
+    if (j >= tokens.size() || tokens[j].text != "<") return false;
+    // Skip the template argument list; `>>` closes two levels.
+    int depth = 0;
+    for (; j < tokens.size(); ++j) {
+      const std::string& t = tokens[j].text;
+      if (tokens[j].kind != TokKind::kPunct) continue;
+      if (t == "<") ++depth;
+      if (t == ">") --depth;
+      if (t == ">>") depth -= 2;
+      if (t == ";" || t == "{" || t == "}" || depth <= 0) break;
+    }
+    if (depth > 0) return false;
+    ++j;
+  } else if (tokens[i].text != "Matrix") {
+    return false;
+  }
+  if (j + 2 >= tokens.size() || tokens[j].kind != TokKind::kIdent ||
+      tokens[j + 1].kind != TokKind::kPunct) {
+    return false;
+  }
+  const std::string& open = tokens[j + 1].text;
+  const std::string& first = tokens[j + 2].text;
+  return (open == "(" && first != ")") || (open == "{" && first != "}");
 }
 
 inline bool IsLogToken(const std::string& ident) {
@@ -496,6 +532,7 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
   using facts_detail::IsGuardType;
   using facts_detail::IsIoToken;
   using facts_detail::IsLogToken;
+  using facts_detail::IsSizedConstruction;
   using facts_detail::IsSocketTransfer;
   using facts_detail::JoinQualified;
   using facts_detail::Scope;
@@ -965,6 +1002,8 @@ inline TuFacts ExtractTuFacts(const std::string& path_label,
       fn->allocs.push_back({id, tok.line});
     } else if (!after_member && IsAllocFree(id) && next != nullptr &&
                next->text == "(") {
+      fn->allocs.push_back({id, tok.line});
+    } else if (!after_member && IsSizedConstruction(tokens, i)) {
       fn->allocs.push_back({id, tok.line});
     }
     if (IsLogToken(id)) fn->logs.push_back({id, tok.line});
