@@ -100,12 +100,13 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// Seed of the generator that draws `key`'s values under `seed`: the seed
-/// and then the key pass through the full SplitMix64 finalizer, so nearby
-/// seeds or keys give unrelated streams. A linear mix such as seed + key
-/// would not do: Rng(s) seeds its lanes from SplitMix64 at s + g, s + 2g,
-/// ... (g the golden-ratio increment), so two keys g apart would share
-/// three of their four lanes.
+/// Stream of `key`'s values under `seed` (normal_fill's per-row stream, or
+/// an Rng seed): the seed and then the key pass through the full SplitMix64
+/// finalizer, so nearby seeds or keys give unrelated streams. A linear mix
+/// such as seed + key would not do: Rng(s) seeds its lanes from SplitMix64
+/// at s + g, s + 2g, ... (g the golden-ratio increment), so two keys g
+/// apart would share three of their four lanes, and normal_fill would build
+/// the rows of two keys a few apart from the same counter hashes.
 uint64_t MixKey(uint64_t seed, uint64_t key);
 
 /// Weighted discrete sampling in O(1) per draw after O(n) setup
