@@ -7,6 +7,23 @@
 #include "common/check.h"
 #include "common/random.h"
 
+// The twins below round each std::fma once, and without FMA in the build
+// each one is a libm call. So every twin that calls std::fma gets an FMA
+// clone, picked once at load time by CPUID, in which std::fma is one
+// instruction: both clones give the same bits. -ffp-contract=off still
+// keeps the compiler from fusing any other multiply and add. A TSan build
+// keeps the one default body: its runtime is not up yet when the loader
+// runs the clone resolver, which TSan instruments.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target_clones)
+#define FVAE_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#ifndef FVAE_FMA_CLONES
+#define FVAE_FMA_CLONES
+#endif
+
 namespace fvae {
 
 double Digamma(double x) {
@@ -38,7 +55,7 @@ double ExpDigamma(double x) { return std::exp(Digamma(x)); }
 // fmadd/fnmadd exactly), so the results are bit-identical to the SIMD
 // lanes. Keep the three implementations in lockstep.
 
-float ExpApprox(float x0) {
+FVAE_FMA_CLONES float ExpApprox(float x0) {
   if (std::isnan(x0)) return x0;
   if (x0 > 88.3762626647950f) return HUGE_VALF;
   if (x0 < -87.3365478515625f) return 0.0f;
@@ -62,9 +79,12 @@ float ExpApprox(float x0) {
 }
 
 // Scalar twins of Log8/Log16, SinCosTurn8/SinCosTurn16 and the normal_fill
-// bodies in src/math/kernels/: keep all of them in lockstep.
+// bodies in src/math/kernels/: keep all of them in lockstep. The log and
+// sincos bodies are inlined into NormalFill, so its FMA clone runs theirs.
 
-float LogApprox(float x) {
+namespace {
+
+[[gnu::always_inline]] inline float LogBody(float x) {
   // x = m * 2^e with m in [1/2, 1), then m in [sqrt(1/2), sqrt(2)): f = m - 1
   // and f + m are exact, so the reduction rounds nothing.
   const uint32_t bits = std::bit_cast<uint32_t>(x);
@@ -95,7 +115,9 @@ float LogApprox(float x) {
   return std::fma(fe, 0.693359375f, r);
 }
 
-void SinCosTurnApprox(uint32_t turn, float* sin_out, float* cos_out) {
+[[gnu::always_inline]] inline void SinCosTurnBody(uint32_t turn,
+                                                  float* sin_out,
+                                                  float* cos_out) {
   // turn = q * 2^22 + t with t in [-2^21, 2^21): quadrant q (mod 4) and an
   // angle a = 2*pi * t / 2^24 in [-pi/4, pi/4), rounded once.
   const uint32_t shifted = turn + (1u << 21);
@@ -122,8 +144,6 @@ void SinCosTurnApprox(uint32_t turn, float* sin_out, float* cos_out) {
                                   (((q + 1u) & 2u) << 30));
 }
 
-namespace {
-
 // Wellons' lowbias32: a bijective 32-bit mixer built from xorshifts and
 // 32-bit multiplies.
 uint32_t Mix32(uint32_t x) {
@@ -137,21 +157,28 @@ uint32_t Mix32(uint32_t x) {
 
 }  // namespace
 
+FVAE_FMA_CLONES float LogApprox(float x) { return LogBody(x); }
+
+FVAE_FMA_CLONES void SinCosTurnApprox(uint32_t turn, float* sin_out,
+                                      float* cos_out) {
+  SinCosTurnBody(turn, sin_out, cos_out);
+}
+
 uint32_t NormalFillHash(uint64_t stream, uint32_t counter) {
   return Mix32(Mix32(counter ^ static_cast<uint32_t>(stream)) ^
                static_cast<uint32_t>(stream >> 32));
 }
 
-void NormalFill(uint64_t seed, uint64_t key, float stddev, float* row,
-                size_t dim) {
+FVAE_FMA_CLONES void NormalFill(uint64_t seed, uint64_t key, float stddev,
+                                float* row, size_t dim) {
   const uint64_t stream = MixKey(seed, key);
   for (size_t d = 0; d < dim; d += 2) {
     const uint32_t h1 = NormalFillHash(stream, static_cast<uint32_t>(d));
     const uint32_t h2 = NormalFillHash(stream, static_cast<uint32_t>(d + 1));
     const float u1 = static_cast<float>((h1 >> 8) + 1) * 0x1p-24f;
-    const float scaled_r = stddev * std::sqrt(LogApprox(u1) * -2.0f);
+    const float scaled_r = stddev * std::sqrt(LogBody(u1) * -2.0f);
     float sin_theta, cos_theta;
-    SinCosTurnApprox(h2 >> 8, &sin_theta, &cos_theta);
+    SinCosTurnBody(h2 >> 8, &sin_theta, &cos_theta);
     row[d] = scaled_r * cos_theta;
     if (d + 1 < dim) row[d + 1] = scaled_r * sin_theta;
   }
