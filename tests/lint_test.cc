@@ -568,6 +568,43 @@ TEST(HotPathTest, SizedMatrixUnderNoallocFires) {
   EXPECT_TRUE(HasRule(findings, "hot-alloc"));
 }
 
+TEST(HotPathTest, SizedMatrixTemporaryUnderNoallocFires) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Consume(const Matrix& m);\n"
+      "void Encode(size_t rows) FVAE_HOT FVAE_NOALLOC {\n"
+      "  Consume(Matrix(rows, 8));\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_TRUE(HasRule(findings, "hot-alloc"));
+}
+
+TEST(HotPathTest, SizedVectorTemporaryUnderNoallocFires) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "float Sum(const std::vector<float>& v);\n"
+      "float Encode(size_t n) FVAE_HOT FVAE_NOALLOC {\n"
+      "  return Sum(std::vector<float>(n));\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_TRUE(HasRule(findings, "hot-alloc"));
+}
+
+// Default-constructed temporaries, a qualified name and a lambda's
+// trailing return type allocate nothing.
+TEST(HotPathTest, UnsizedTemporariesUnderNoallocStaySilent) {
+  const auto findings = AnalyzeOne(
+      "namespace fvae {\n"
+      "void Take(const Matrix& m, const std::vector<float>& v);\n"
+      "void Encode() FVAE_HOT FVAE_NOALLOC {\n"
+      "  Take(Matrix(), std::vector<float>());\n"
+      "  const size_t tile = Matrix::kTile;\n"
+      "  auto none = []() -> Matrix { return {}; };\n"
+      "}\n"
+      "}  // namespace fvae\n");
+  EXPECT_FALSE(HasRule(findings, "hot-alloc"));
+}
+
 // Default constructions and references allocate nothing.
 TEST(HotPathTest, UnsizedDeclarationsUnderNoallocStaySilent) {
   const auto findings = AnalyzeOne(

@@ -22,7 +22,7 @@
 ///     observed nesting pairs "Y acquired while X held". Production code
 ///     takes no lock by hand (raw-mutex bans manual .Lock() in src/);
 ///   - heap allocations (`new`, malloc family, make_unique/make_shared,
-///     growing container calls, sized vector/Matrix declarations), logging
+///     growing container calls, sized vector/Matrix constructions), logging
 ///     calls and IO touches, each with
 ///     its line — the raw material of the hot-path purity analysis;
 ///   - class-member lock declarations (`Mutex mu_;`) with their
@@ -33,8 +33,9 @@
 /// template instantiation): tools/lint_graph.h links these facts across
 /// files by qualified-name matching. Sized `std::vector` and `Matrix`
 /// declarations (`std::vector<float> v(n)`, `Matrix m(r, c)`) count as
-/// allocations. Known blind spots, by construction: other constructor-call
-/// allocations (a temporary `Matrix(r, c)`, a copy `Matrix m = other`),
+/// allocations, and so do sized temporaries (`std::vector<float>(n)`,
+/// `Matrix(r, c)`). Known blind spots, by construction: other
+/// constructor-call allocations (a copy `Matrix m = other`),
 /// copy-assignment allocations (`a = b`), and `operator=` bodies. The runtime
 /// operator-new witness in serving_test covers what the token level
 /// cannot see (docs/ARCHITECTURE.md §7).
@@ -246,11 +247,14 @@ inline bool IsAllocFree(const std::string& ident) {
   return kSet.count(ident) > 0;
 }
 
-/// True when tokens[i] opens a sized container or matrix declaration —
-/// `vector<...> name(args)` or `Matrix name(args)`, with `(` or `{` and a
-/// non-empty argument list (`std::vector<float> v(n)`, `v(n, x)`,
-/// `Matrix m(r, c)`) — which allocates its storage. An empty list is a
-/// default construction and allocates nothing.
+/// True when tokens[i] opens a sized container or matrix construction,
+/// which allocates its storage: a declaration `vector<...> name(args)` or
+/// `Matrix name(args)`, with `(` or `{` (`std::vector<float> v(n)`,
+/// `v(n, x)`, `Matrix m(r, c)`), or a temporary `vector<...>(args)` or
+/// `Matrix(args)`, with `(` (`std::vector<float>(n)`, `Matrix(r, c)`), each
+/// with a non-empty argument list. An empty list is a default construction
+/// and allocates nothing. A braced temporary is not counted: `-> Matrix {`
+/// opens a lambda body.
 inline bool IsSizedConstruction(const std::vector<Tok>& tokens, size_t i) {
   size_t j = i + 1;
   if (tokens[i].text == "vector") {
@@ -269,6 +273,9 @@ inline bool IsSizedConstruction(const std::vector<Tok>& tokens, size_t i) {
     ++j;
   } else if (tokens[i].text != "Matrix") {
     return false;
+  }
+  if (j + 1 < tokens.size() && tokens[j].text == "(") {
+    return tokens[j + 1].text != ")";  // a temporary
   }
   if (j + 2 >= tokens.size() || tokens[j].kind != TokKind::kIdent ||
       tokens[j + 1].kind != TokKind::kPunct) {
