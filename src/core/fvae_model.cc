@@ -61,7 +61,6 @@ struct FieldVae::StepScratch {
     std::vector<uint64_t> chosen_ids;   // empty: the field has no candidate
     std::unordered_map<uint64_t, uint32_t> position;  // candidate -> column
     std::vector<uint32_t> rows;  // output-table row of each candidate
-    Matrix logits_grad;          // batch x candidates: logits, then grads
   };
   std::vector<FieldCandidates> fields;
   // Set once the prep task has filled every field's candidates.
@@ -73,8 +72,9 @@ struct FieldVae::StepScratch {
   std::vector<float> wc_t_panel;
   std::vector<float> wc_panel;
   std::vector<float> bc;       // candidate biases
-  Matrix wc_grad;              // candidates x dec_dim
-  std::vector<double> bias_grad;
+  // batch x candidates: logits, then their gradients. One field's are done
+  // with before the next field's start, so the fields share it.
+  Matrix logits_grad;
   std::vector<double> row_nll;  // per-user NLL, summed serially in row order
 };
 
@@ -490,7 +490,7 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
     // loss lands in row_nll and is summed serially below, so the field loss
     // does not depend on how rows were split.
     obs::TraceSpan rows_span("train.fields.rows");
-    Matrix& logits_grad = field.logits_grad;
+    Matrix& logits_grad = scratch.logits_grad;
     logits_grad.Reshape(batch, num_cand);
     scratch.row_nll.assign(batch, 0.0);
     const float weight = alpha_w[k] / static_cast<float>(batch);
@@ -526,23 +526,15 @@ StepStats FieldVae::ComputeGradients(const MultiFieldDataset& dataset,
     stats.field_nll[k] = field_loss / double(batch);
     rows_span.End();
 
-    // Backprop into the candidate rows; the bias gradient is the column
-    // sum of logits_grad, taken in row order while the GEMM packs it.
+    // Backprop into the candidate rows, straight into their gradient
+    // slots: the candidates are distinct and the first rows this table
+    // touches in the step, so candidate c gets slot c. The bias
+    // gradient is the column sum of logits_grad, taken in row order while
+    // the GEMM packs it.
     obs::TraceSpan row_grad_span("train.fields.gemm_row_grad");
-    scratch.bias_grad.resize(num_cand);
-    GemmTNPooled(logits_grad, hdec, &scratch.wc_grad, pool,
-                 scratch.bias_grad.data());
-    row_grad_span.End();
-    // Candidate rows are distinct, so each one's accumulation runs on one
-    // worker.
-    obs::TraceSpan bias_grad_span("train.fields.bias_grad");
-    for (uint32_t row : field.rows) out_table.MarkTouched(row);
-    ParallelForRange(pool, 0, num_cand, /*align=*/1, [&](size_t lo, size_t hi) {
-      for (size_t c = lo; c < hi; ++c) {
-        out_table.AddGrad(field.rows[c], {scratch.wc_grad.Row(c), dec_dim},
-                          static_cast<float>(scratch.bias_grad[c]));
-      }
-    });
+    const nn::EmbeddingTable::GradSlots slots =
+        out_table.TouchNewRows(field.rows);
+    GemmTNPooled(logits_grad, hdec, slots.grads, pool, slots.bias_grads);
   }
   fields_span.End();
 

@@ -85,6 +85,8 @@ class FieldVae {
   /// touched_rows(), RowGrad() and (output tables) bias_grad(). No weight,
   /// bias, AdaGrad accumulator or Adam moment of an existing row or
   /// parameter changes; rows for features first seen here are created.
+  /// The previous call's gradients must have been applied: a second call
+  /// before ApplyUpdates fails a check when it touches an output row again.
   StepStats ComputeGradients(const MultiFieldDataset& dataset,
                              std::span<const uint32_t> users, float beta,
                              ThreadPool* pool = nullptr);

@@ -213,11 +213,16 @@ void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
 }
 
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool, double* a_col_sums) {
+                  ThreadPool* pool) {
+  out->Reshape(a.cols(), b.cols());
+  GemmTNPooled(a, b, out->data(), pool, nullptr);
+}
+
+void GemmTNPooled(const Matrix& a, const Matrix& b, float* out,
+                  ThreadPool* pool, float* a_col_sums) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   FVAE_CHECK(b.rows() == k)
       << "gemm-tn shape mismatch: " << a.rows() << " vs " << b.rows();
-  out->Reshape(m, n);
   ParallelForRange(pool, 0, m, kGemmRowTile, [&](size_t lo, size_t hi) {
     const KernelTable& kt = Kernels();
     // a^T is packed one row tile at a time, right before the kernel
@@ -238,11 +243,11 @@ void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
         }
       }
       if (a_col_sums != nullptr) std::copy(sums, sums + rows, a_col_sums + i0);
-      // Each tile zeroes its own rows of `out` (Reshape left them as they
-      // were), so no serial fill runs ahead of the pool.
-      std::fill(out->Row(i0), out->Row(i0 + rows), 0.0f);
-      kt.gemm_accumulate(tile.data(), b.Row(0), out->Row(i0), rows, k, n, n,
-                         n);
+      // Each tile zeroes its own rows of `out`, so no serial fill runs
+      // ahead of the pool.
+      float* out_rows = out + i0 * n;
+      std::fill(out_rows, out_rows + rows * n, 0.0f);
+      kt.gemm_accumulate(tile.data(), b.Row(0), out_rows, rows, k, n, n, n);
     }
   });
 }

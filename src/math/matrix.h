@@ -166,11 +166,18 @@ void GemmNTPooled(const Matrix& a, const Matrix& b, Matrix* out,
 
 /// GemmTN with rows of `out` split over `pool`. a^T is packed one
 /// kGemmRowTile-row tile at a time inside each chunk, so no panel outlives
-/// the call. A non-null `a_col_sums` (a.cols() doubles) receives each
-/// column sum of a, accumulated in double in ascending row order while the
-/// column is packed.
+/// the call.
 void GemmTNPooled(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool, double* a_col_sums = nullptr);
+                  ThreadPool* pool);
+
+/// The same product into `out`, a.cols() rows of b.cols() contiguous
+/// floats (the field loop passes an embedding table's gradient slots),
+/// bitwise the Matrix form's result whatever `out` held before. A non-null
+/// `a_col_sums` (a.cols() floats) receives each column sum of a,
+/// accumulated in double in ascending row order while the column is packed
+/// and then rounded to float.
+void GemmTNPooled(const Matrix& a, const Matrix& b, float* out,
+                  ThreadPool* pool, float* a_col_sums);
 
 }  // namespace fvae
 

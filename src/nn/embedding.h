@@ -39,16 +39,24 @@ namespace fvae::nn {
 ///
 /// Storage: rows live in blocks of rows_per_block rows, the largest power
 /// of two with rows_per_block * dim <= 2^16 (at least 1). A block holds
-/// its rows' weights, then their AdaGrad accumulators, then their
-/// gradients, each as a rows_per_block x dim array. The row that opens a
-/// block allocates it zeroed and untouched; nothing is ever reallocated or
-/// copied, so rows never move and a span from Row() stays valid as the
+/// its rows' weights, then their AdaGrad accumulators, each as a
+/// rows_per_block x dim array starting on a cache line. The row that opens
+/// a block allocates it zeroed and untouched; nothing is ever reallocated
+/// or copied, so rows never move and a span from Row() stays valid as the
 /// table grows. Row() is a shift, a mask and a multiply.
+///
+/// Gradients live apart from the rows, in one slab of slots: slot s holds
+/// the gradient (and bias gradient) of touched_rows()[s]. A row→slot map
+/// numbers each row on its first touch since the last ApplyGradients, so
+/// only the rows a step touches hold gradient storage. The slab is reused
+/// across steps and only grows, on the calling thread; whoever first
+/// touches a slot writes all of it (a new ScatterGrad slot is zeroed on
+/// the worker that sums it). ApplyGradients reads the slab in slot order.
 ///
 /// Threading: hash inserts and the touched/dirty bookkeeping belong to one
 /// calling thread. The row-disjoint arithmetic (a deferred row's initial
-/// draws, AddGrad, the AdaGrad step) may run on pool workers, with results
-/// bitwise identical to running it inline.
+/// draws, AddGrad, ScatterGrad's sums, the AdaGrad step) may run on pool
+/// workers, with results bitwise identical to running it inline.
 class EmbeddingTable {
  public:
   /// `dim` > 0; `with_bias` adds a scalar bias per row.
@@ -99,7 +107,8 @@ class EmbeddingTable {
     AddGrad(row, grad, bias_grad);
   }
 
-  /// Puts `row` on the touched list (first-touch order) if it is not yet.
+  /// Puts `row` on the touched list (first-touch order) if it is not yet,
+  /// giving it a zeroed gradient slot.
   void MarkTouched(uint32_t row);
 
   /// Adds a gradient contribution to a row marked touched, without any
@@ -107,6 +116,21 @@ class EmbeddingTable {
   /// Each element is one rounded add, exactly `g[d] += grad[d]`.
   void AddGrad(uint32_t row, std::span<const float> grad,
                float bias_grad = 0.0f);
+
+  /// The gradient slots of rows touched together by TouchNewRows: row i's
+  /// gradient is grads[i * dim, (i + 1) * dim) and its bias gradient
+  /// bias_grads[i] (null for a table without biases).
+  struct GradSlots {
+    float* grads;
+    float* bias_grads;
+  };
+
+  /// Puts `rows`, none of them touched since the last ApplyGradients (so
+  /// also distinct), on the touched list in order and returns their slots,
+  /// which are consecutive. The slots hold stale values: the caller writes
+  /// every float of them before anything reads them. They stay valid until
+  /// the next call that touches a new row.
+  GradSlots TouchNewRows(std::span<const uint32_t> rows);
 
   /// One sparse input of a batch: batch item `item` used table row `row`
   /// with weight `value`.
@@ -119,8 +143,9 @@ class EmbeddingTable {
   /// Adds value * grads.Row(item) to each ref's row, leaving every row
   /// gradient and the touched order exactly as one AccumulateGrad call per
   /// ref, in `refs` order, would. A stable counting sort transposes the
-  /// refs into per-row lists on this thread; the rows are then split over
-  /// `pool` (null runs inline), each summing its terms in `refs` order.
+  /// refs into per-slot lists on this thread; the slots are then split over
+  /// `pool` (null runs inline), each zeroing itself if it is new and
+  /// summing its terms in `refs` order.
   void ScatterGrad(std::span<const SparseRef> refs, const Matrix& grads,
                    ThreadPool* pool);
 
@@ -135,9 +160,11 @@ class EmbeddingTable {
   /// ApplyGradients, in first-touch order (for tests).
   const std::vector<uint32_t>& touched_rows() const { return touched_; }
 
-  /// Direct access to accumulated row gradient (valid for touched rows).
+  /// The row's accumulated gradient: its slot while the row is touched
+  /// (valid until the next call that touches a new row), else all zero.
   std::span<const float> RowGrad(uint32_t row) const;
-  /// The row's accumulated bias gradient (tables with biases).
+  /// The row's accumulated bias gradient (tables with biases); 0 for a row
+  /// not touched since the last ApplyGradients.
   float bias_grad(uint32_t row) const;
 
   /// All (key, row) pairs currently in the table (model save, full
@@ -171,17 +198,22 @@ class EmbeddingTable {
   /// Zeroed storage and clear bookkeeping for `row`, the next new row.
   void AddRowStorage(uint32_t row);
 
+  /// Gives untouched `row` the next slot and returns it; the slot's storage
+  /// comes from GrowSlots.
+  uint32_t NewSlot(uint32_t row);
+
+  /// Grows the slab to at least `slots` slots, keeping the first `live`.
+  void GrowSlots(size_t slots, size_t live);
+
   /// `row`'s weights. Its AdaGrad accumulators sit block_floats_ further
-  /// on, and its gradient 2 * block_floats_ further.
+  /// on.
   float* Weights(uint32_t row) const {
     return blocks_[row >> row_shift_].weights + size_t(row & row_mask_) * dim_;
   }
   float* Accumulators(uint32_t row) const {
     return Weights(row) + block_floats_;
   }
-  float* Gradient(uint32_t row) const {
-    return Weights(row) + 2 * block_floats_;
-  }
+  float* SlotGrad(size_t slot) const { return grad_slab_.get() + slot * dim_; }
 
   struct FreeDeleter {
     void operator()(float* p) const;
@@ -199,30 +231,33 @@ class EmbeddingTable {
   float init_stddev_;
   uint64_t seed_;
   DynamicHashTable hash_;
-  // rows_per_block = 1 << row_shift_; a row's gradient is zero whenever
-  // the row is untouched.
+  // rows_per_block = 1 << row_shift_.
   uint32_t row_shift_;
   uint32_t row_mask_;
-  size_t block_floats_;  // rows_per_block * dim: one of a block's 3 arrays
+  size_t block_floats_;  // rows_per_block * dim: one of a block's 2 arrays
   std::vector<Block> blocks_;
   std::vector<float> biases_;        // num_rows (if with_bias_)
   std::vector<float> adagrad_bias_;  // num_rows
-  std::vector<float> grad_bias_;
-  std::vector<uint32_t> touched_;
-  std::vector<bool> is_touched_;
   std::vector<uint64_t> keys_;       // row -> raw key
   std::vector<uint32_t> dirty_;      // rows updated since TakeDirtyRows
   std::vector<bool> is_dirty_;
   std::vector<uint32_t> pending_;    // rows awaiting InitPendingRows
-  // ScatterGrad's transpose, reused across calls: slot s (one per distinct
-  // row, first-touch order) owns slot_terms_[slot_begin_[s],
-  // slot_begin_[s + 1]). slot_of_row_ is kNoSlot outside a call.
+
+  // The gradient slots: touched_[s] owns slot s, slot_of_row_ maps back
+  // (kNoSlot for a row untouched since the last ApplyGradients).
+  std::vector<uint32_t> touched_;
+  std::vector<uint32_t> slot_of_row_;  // num_rows
+  std::unique_ptr<float[], FreeDeleter> grad_slab_;  // slot_capacity_ x dim
+  size_t slot_capacity_ = 0;
+  std::vector<float> bias_grad_slab_;  // slot_capacity_ (if with_bias_)
+  std::vector<float> zero_grad_;       // dim zeros: RowGrad of untouched rows
+
+  // ScatterGrad's transpose, reused across calls: slot s owns
+  // slot_terms_[slot_begin_[s], slot_begin_[s + 1]).
   struct SlotTerm {
     uint32_t item;
     float value;
   };
-  std::vector<uint32_t> slot_of_row_;
-  std::vector<uint32_t> slot_rows_;
   std::vector<uint32_t> slot_begin_;
   std::vector<uint32_t> slot_fill_;
   std::vector<SlotTerm> slot_terms_;

@@ -397,10 +397,39 @@ TEST(GemmPooledTest, PooledIsBitwiseSerialForAnyPoolSize) {
   }
 }
 
+// The field loop writes GemmTNPooled's product straight into an embedding
+// table's gradient slots: the pointer form must give the Matrix form's
+// bits. Starting from NaN shows any float a tile left unwritten, and the
+// sentinels past the end show any float written beyond it.
+TEST(GemmPooledTest, SlabOutputIsBitwiseMatrixOutput) {
+  const size_t k = 37, n = 45;
+  for (size_t m : {1, 3, 8, 9, 17, 512, 887}) {
+    Rng rng(m + 7);
+    const Matrix a = Matrix::Gaussian(k, m, 1.0f, rng);
+    const Matrix b = Matrix::Gaussian(k, n, 1.0f, rng);
+    Matrix want;
+    GemmTN(a, b, &want);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      constexpr size_t kSentinels = 16;
+      std::vector<float> slab(m * n + kSentinels,
+                              std::numeric_limits<float>::quiet_NaN());
+      GemmTNPooled(a, b, slab.data(), &pool, nullptr);
+      EXPECT_EQ(std::memcmp(slab.data(), want.data(), m * n * sizeof(float)),
+                0)
+          << "m=" << m << " t=" << threads;
+      for (size_t i = m * n; i < slab.size(); ++i) {
+        EXPECT_TRUE(std::isnan(slab[i])) << "m=" << m << " past end " << i;
+      }
+    }
+  }
+}
+
 // GemmTNPooled's column sums are the bias-gradient sums of the field loop:
 // each must be bitwise the serial double loop over a's rows in ascending
-// order, for full and partial row tiles and any pool, with +-inf and NaN
-// propagating as in that loop. The product itself must not change.
+// order, rounded to float, for full and partial row tiles and any pool,
+// with +-inf and NaN propagating as in that loop. The product itself must
+// not change.
 TEST(GemmPooledTest, ColumnSumsAreBitwiseRowOrderSums) {
   const float kInf = std::numeric_limits<float>::infinity();
   const float kNan = std::numeric_limits<float>::quiet_NaN();
@@ -423,9 +452,9 @@ TEST(GemmPooledTest, ColumnSumsAreBitwiseRowOrderSums) {
     EXPECT_TRUE(std::isnan(want[m - 1]));
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
-      std::vector<double> sums(m, -1.0);
-      Matrix pooled;
-      GemmTNPooled(a, b, &pooled, &pool, sums.data());
+      std::vector<float> sums(m, -1.0f);
+      Matrix pooled(m, n, std::numeric_limits<float>::quiet_NaN());
+      GemmTNPooled(a, b, pooled.data(), &pool, sums.data());
       EXPECT_TRUE(BitwiseEqual(pooled, product))
           << "m=" << m << " t=" << threads;
       for (size_t j = 0; j < m; ++j) {
@@ -434,7 +463,8 @@ TEST(GemmPooledTest, ColumnSumsAreBitwiseRowOrderSums) {
         if (std::isnan(want[j])) {
           EXPECT_TRUE(std::isnan(sums[j])) << "m=" << m << " j=" << j;
         } else {
-          EXPECT_EQ(std::memcmp(&sums[j], &want[j], sizeof(double)), 0)
+          const float rounded = static_cast<float>(want[j]);
+          EXPECT_EQ(std::memcmp(&sums[j], &rounded, sizeof(float)), 0)
               << "m=" << m << " j=" << j << " t=" << threads;
         }
       }

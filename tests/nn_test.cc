@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -750,6 +751,261 @@ TEST(EmbeddingTableTest, BlockTablesPooledAdagradMatchesSerial) {
     EXPECT_EQ(pooled.TakeDirtyRows(), serial.TakeDirtyRows());
   }
 }
+
+// ---------- EmbeddingTable: the per-step gradient slab ----------
+
+/// Pool sizes for the slab tests: one worker, and more workers than the
+/// small tables have rows to split.
+class GradSlabTest : public ::testing::TestWithParam<size_t> {};
+
+/// Refs from `items` batch items into rows [first, first + count), each
+/// row hit at least once.
+std::vector<EmbeddingTable::SparseRef> RefsIntoRows(uint32_t first,
+                                                    uint32_t count,
+                                                    uint32_t items, Rng* rng) {
+  std::vector<EmbeddingTable::SparseRef> refs;
+  for (uint32_t i = 0; i < count; ++i) {
+    refs.push_back({i % items, first + i,
+                    static_cast<float>(rng->Uniform(-2.0, 2.0))});
+  }
+  for (uint32_t i = 0; i < 2 * count; ++i) {
+    refs.push_back({uint32_t(rng->UniformInt(uint64_t{items})),
+                    first + uint32_t(rng->UniformInt(uint64_t{count})),
+                    static_cast<float>(rng->Uniform(-2.0, 2.0))});
+  }
+  return refs;
+}
+
+// Slots are reused from step to step: a row the last step touched and this
+// one does not reads an all-zero gradient, though its old slot now holds
+// another row's, and touched_rows() lists only this step's rows.
+TEST_P(GradSlabTest, RowUntouchedThisStepReadsZero) {
+  ThreadPool pool(GetParam());
+  constexpr size_t kDim = 24;
+  EmbeddingTable table(kDim, /*with_bias=*/true, 0.1f, 59);
+  for (uint64_t key = 0; key < 30; ++key) table.GetOrCreateRow(key);
+  Rng rng(61);
+  Matrix grads(8, kDim);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    grads.data()[i] = static_cast<float>(rng.Normal());
+  }
+  const std::vector<float> zeros(kDim, 0.0f);
+  // Step t: rows 0..9 through the scatter, 10..11 through AccumulateGrad
+  // with a bias gradient.
+  table.ScatterGrad(RefsIntoRows(0, 10, 8, &rng), grads, &pool);
+  table.AccumulateGrad(10, {grads.Row(0), kDim}, 0.5f);
+  table.AccumulateGrad(11, {grads.Row(1), kDim}, -0.25f);
+  ASSERT_EQ(table.touched_rows().size(), 12u);
+  EXPECT_NE(table.bias_grad(10), 0.0f);
+  table.ApplyGradients(0.1f, &pool);
+  EXPECT_TRUE(table.touched_rows().empty());
+  for (uint32_t row = 0; row < 12; ++row) {
+    EXPECT_TRUE(SameFloats(table.RowGrad(row), zeros)) << "row " << row;
+    EXPECT_EQ(std::bit_cast<uint32_t>(table.bias_grad(row)), 0u) << row;
+  }
+  // Step t + 1: rows 20..25 take slots 0..5, which held rows 0..5.
+  table.ScatterGrad(RefsIntoRows(20, 6, 8, &rng), grads, &pool);
+  ASSERT_EQ(table.touched_rows().size(), 6u);
+  for (uint32_t row : table.touched_rows()) {
+    EXPECT_GE(row, 20u);
+    EXPECT_LT(row, 26u);
+  }
+  for (uint32_t row = 0; row < 12; ++row) {
+    EXPECT_TRUE(SameFloats(table.RowGrad(row), zeros)) << "row " << row;
+    EXPECT_EQ(std::bit_cast<uint32_t>(table.bias_grad(row)), 0u) << row;
+  }
+  for (uint32_t row = 20; row < 26; ++row) {
+    EXPECT_FALSE(SameFloats(table.RowGrad(row), zeros)) << "row " << row;
+  }
+  table.ApplyGradients(0.1f, &pool);
+  for (uint32_t row = 20; row < 26; ++row) {
+    EXPECT_TRUE(SameFloats(table.RowGrad(row), zeros)) << "row " << row;
+  }
+}
+
+/// The table before the slab: every row owns a gradient array and a bias
+/// gradient, zero while the row is untouched, and the same rounded adds
+/// and AdaGrad formula (volatile keeps each product rounded on its own).
+struct PerRowReference {
+  explicit PerRowReference(const EmbeddingTable& table)
+      : dim(table.dim()), with_bias(table.with_bias()) {
+    for (uint32_t row = 0; row < table.num_rows(); ++row) {
+      const std::span<const float> w = table.Row(row);
+      weights.emplace_back(w.begin(), w.end());
+      const std::span<const float> acc = table.AdagradRow(row);
+      accums.emplace_back(acc.begin(), acc.end());
+      grads.emplace_back(dim, 0.0f);
+      biases.push_back(with_bias ? table.bias(row) : 0.0f);
+      bias_accums.push_back(with_bias ? table.adagrad_bias(row) : 0.0f);
+      bias_grads.push_back(0.0f);
+      is_touched.push_back(false);
+    }
+  }
+  void Touch(uint32_t row) {
+    if (!is_touched[row]) {
+      is_touched[row] = true;
+      touched.push_back(row);
+    }
+  }
+  void Add(uint32_t row, float v, const float* x, float bias_grad) {
+    Touch(row);
+    for (size_t d = 0; d < dim; ++d) {
+      const volatile float product = v * x[d];
+      grads[row][d] += product;
+    }
+    bias_grads[row] += bias_grad;
+  }
+  void Apply(float lr) {
+    constexpr float kEps = 1e-8f;
+    for (uint32_t row : touched) {
+      for (size_t d = 0; d < dim; ++d) {
+        const float g = grads[row][d];
+        const volatile float square = g * g;
+        accums[row][d] += square;
+        const volatile float step = lr * g;
+        weights[row][d] -= step / (std::sqrt(accums[row][d]) + kEps);
+        grads[row][d] = 0.0f;
+      }
+      const float gb = bias_grads[row];
+      const volatile float square = gb * gb;
+      bias_accums[row] += square;
+      const volatile float step = lr * gb;
+      biases[row] -= step / (std::sqrt(bias_accums[row]) + kEps);
+      bias_grads[row] = 0.0f;
+      is_touched[row] = false;
+    }
+    touched.clear();
+  }
+  /// The table's pending gradients and, after Apply, its rows, bit for bit.
+  void ExpectGradients(const EmbeddingTable& table,
+                       const std::string& what) const {
+    ASSERT_EQ(table.touched_rows(), touched) << what;
+    for (uint32_t row = 0; row < grads.size(); ++row) {
+      ASSERT_TRUE(SameFloats(table.RowGrad(row), grads[row]))
+          << what << " row " << row;
+      if (with_bias) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(table.bias_grad(row)),
+                  std::bit_cast<uint32_t>(bias_grads[row]))
+            << what << " bias of row " << row;
+      }
+    }
+  }
+  void ExpectRows(const EmbeddingTable& table, const std::string& what) const {
+    for (uint32_t row = 0; row < weights.size(); ++row) {
+      ASSERT_TRUE(SameFloats(table.Row(row), weights[row]))
+          << what << " row " << row;
+      ASSERT_TRUE(SameFloats(table.AdagradRow(row), accums[row]))
+          << what << " row " << row;
+      if (with_bias) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(table.bias(row)),
+                  std::bit_cast<uint32_t>(biases[row]))
+            << what << " row " << row;
+        ASSERT_EQ(std::bit_cast<uint32_t>(table.adagrad_bias(row)),
+                  std::bit_cast<uint32_t>(bias_accums[row]))
+            << what << " row " << row;
+      }
+    }
+  }
+
+  size_t dim;
+  bool with_bias;
+  std::vector<std::vector<float>> weights, accums, grads;
+  std::vector<float> biases, bias_accums, bias_grads;
+  std::vector<uint32_t> touched;
+  std::vector<bool> is_touched;
+};
+
+// Three steps whose touch sets change (rows join, leave and come back, the
+// slab grows in the third), over two tables whose calls interleave, and
+// every way a row is touched: TouchNewRows written like the field loop
+// writes it, the scatter, MarkTouched + AddGrad and AccumulateGrad, each
+// onto rows the others touched first. Pending gradients, weights and
+// accumulators stay bitwise those of a table with a gradient per row.
+TEST_P(GradSlabTest, StepsMatchPerRowGradientsBitwise) {
+  Kernels();  // FTZ/DAZ on this thread before any reference arithmetic
+  ThreadPool pool(GetParam());
+  EmbeddingTable out(20, /*with_bias=*/true, 0.2f, 67);
+  EmbeddingTable in(9, /*with_bias=*/false, 0.2f, 71);
+  for (uint64_t key = 0; key < 40; ++key) {
+    out.GetOrCreateRow(key);
+    in.GetOrCreateRow(key);
+  }
+  PerRowReference out_ref(out), in_ref(in);
+  Rng rng(73);
+  constexpr float kLr = 0.05f;
+  struct StepRows {
+    uint32_t first_new, count_new;  // out: rows written through slots
+    uint32_t first_in, count_in;    // in: rows hit by the scatter
+  };
+  for (const StepRows& step : {StepRows{0, 12, 0, 15}, StepRows{6, 10, 10, 8},
+                               StepRows{3, 30, 2, 36}}) {
+    const std::string what = "step from row " + std::to_string(step.first_new);
+    Matrix grads(16, 20);
+    for (size_t i = 0; i < grads.size(); ++i) {
+      grads.data()[i] = static_cast<float>(rng.Normal(0.0, 0.5));
+    }
+    Matrix in_grads(16, 9);
+    for (size_t i = 0; i < in_grads.size(); ++i) {
+      in_grads.data()[i] = static_cast<float>(rng.Normal(0.0, 0.5));
+    }
+    // `in`, first touch: two rows by hand.
+    const uint32_t lone = (step.first_in + step.count_in + 1) % 40;
+    in.MarkTouched(lone);
+    in.AddGrad(lone, {in_grads.Row(3), 9});
+    in_ref.Add(lone, 1.0f, in_grads.Row(3), 0.0f);
+    in.AccumulateGrad(step.first_in, {in_grads.Row(4), 9});
+    in_ref.Add(step.first_in, 1.0f, in_grads.Row(4), 0.0f);
+    // `out`: new rows, in a shuffled order, written through their slots.
+    std::vector<uint32_t> rows(step.count_new);
+    for (uint32_t i = 0; i < step.count_new; ++i) {
+      rows[i] = (step.first_new + i * 7) % 40;
+    }
+    const EmbeddingTable::GradSlots slots = out.TouchNewRows(rows);
+    for (uint32_t c = 0; c < rows.size(); ++c) {
+      const float* g = grads.Row(c % 16);
+      std::copy(g, g + 20, slots.grads + c * 20);
+      slots.bias_grads[c] = g[0] * 3.0f;
+      out_ref.Touch(rows[c]);
+      std::copy(g, g + 20, out_ref.grads[rows[c]].begin());
+      out_ref.bias_grads[rows[c]] = g[0] * 3.0f;
+    }
+    // `in`: the scatter, over rows old and new to this step.
+    const std::vector<EmbeddingTable::SparseRef> refs =
+        RefsIntoRows(step.first_in, step.count_in, 16, &rng);
+    in.ScatterGrad(refs, in_grads, &pool);
+    for (const EmbeddingTable::SparseRef& ref : refs) {
+      in_ref.Add(ref.row, ref.value, in_grads.Row(ref.item), 0.0f);
+    }
+    // `out`: more onto written rows and onto fresh ones.
+    for (uint32_t i = 0; i < 6; ++i) {
+      const uint32_t row = (step.first_new + 5 * i) % 40;
+      out.AccumulateGrad(row, {grads.Row(i), 20}, 0.125f * float(i));
+      out_ref.Add(row, 1.0f, grads.Row(i), 0.125f * float(i));
+    }
+    std::vector<EmbeddingTable::SparseRef> out_refs;
+    for (uint32_t i = 0; i < 20; ++i) {
+      out_refs.push_back({i % 16, (step.first_new + 3 * i) % 40,
+                          static_cast<float>(rng.Uniform(-1.0, 1.0))});
+    }
+    out.ScatterGrad(out_refs, grads, &pool);
+    for (const EmbeddingTable::SparseRef& ref : out_refs) {
+      out_ref.Add(ref.row, ref.value, grads.Row(ref.item), 0.0f);
+    }
+    out_ref.ExpectGradients(out, "out, " + what);
+    in_ref.ExpectGradients(in, "in, " + what);
+
+    in.ApplyGradients(kLr, &pool);
+    out.ApplyGradients(kLr, &pool);
+    in_ref.Apply(kLr);
+    out_ref.Apply(kLr);
+    out_ref.ExpectRows(out, "out, " + what);
+    in_ref.ExpectRows(in, "in, " + what);
+    EXPECT_TRUE(out.touched_rows().empty());
+    EXPECT_TRUE(in.touched_rows().empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pools, GradSlabTest, ::testing::Values(1, 4));
 
 // ---------- Losses ----------
 
